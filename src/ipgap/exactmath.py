@@ -1,8 +1,9 @@
 """Exact integer linear algebra: matrices, Hermite normal form, kernel lattices.
 
 Everything here runs on Python ints (arbitrary precision) and
-fractions.Fraction; numpy is deliberately absent so no result ever depends on
-machine word width.  The two workhorses are:
+fractions.Fraction, as does the rest of the package: no fixed-width integer
+type is used anywhere, so no result ever depends on machine word width.
+The two workhorses are:
 
 * hermite_normal_form -- row-style HNF H = U.M with unimodular U,
 * kernel_lattice      -- a canonical basis of ker(A) intersected with Z^n.

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from operator import le, lt
 
 from .errors import BadParameter, UnitIdeal, ZeroIdeal
 
@@ -21,7 +20,7 @@ Monomial = tuple[int, ...]
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -139,15 +138,10 @@ class IrreducibleComponent:
         )
 
 
-# Sentinel bound meaning "this variable is unconstrained"; larger than any
-# exponent that can occur, so comparisons against real exponents stay correct.
-_FREE = 1 << 30
-
-
-def _maximal_corners(gens: tuple[Monomial, ...], nvars: int) -> np.ndarray:
+def _maximal_corners(gens: tuple[Monomial, ...], nvars: int) -> list[tuple]:
     """Maximal bound vectors whose box misses every generator.
 
-    A box ``{m : m_i <= u_i for all i}`` (with u_i = _FREE meaning no cap)
+    A box ``{m : m_i <= u_i for all i}`` (with u_i = None meaning no cap)
     avoids the generator g exactly when u_i < g_i somewhere, so the boxes
     avoiding the whole ideal form a downward-closed set.  Its maximal
     elements are built one generator at a time: rows already avoiding g
@@ -155,29 +149,34 @@ def _maximal_corners(gens: tuple[Monomial, ...], nvars: int) -> np.ndarray:
     variable in g's support, capped just below g there.  Candidates are
     kept only when nothing else dominates them; surviving old rows never
     become dominated because candidates only shrink existing rows.
+
+    While building, "no cap" on variable i is the largest exponent of x_i
+    among the generators: no generator exceeds it, so it avoids none, and
+    every real cap g_i - 1 lies below it.
     """
-    rows = np.full((1, nvars), _FREE, dtype=np.int64)
+    free = tuple(max(g[i] for g in gens) for i in range(nvars))
+    rows = [free]
     for g in gens:
-        gv = np.asarray(g, dtype=np.int64)
-        avoids = (rows < gv).any(axis=1)
-        keep = rows[avoids]
-        stale = rows[~avoids]
-        if not stale.shape[0]:
+        keep, stale = [], []
+        for row in rows:
+            (keep if any(map(lt, row, g)) else stale).append(row)
+        if not stale:
             continue
-        cands = []
-        for i, gi in enumerate(g):
-            if not gi:
-                continue
-            c = stale.copy()
-            c[:, i] = gi - 1
-            cands.append(c)
-        cand = np.unique(np.vstack(cands), axis=0)
-        pool = np.vstack([keep, cand])
-        le = (cand[:, None, :] <= pool[None, :, :]).all(axis=2)
-        eq = (cand[:, None, :] == pool[None, :, :]).all(axis=2)
-        dominated = (le & ~eq).any(axis=1)
-        rows = np.vstack([keep, cand[~dominated]])
-    return rows
+        cands = list(
+            dict.fromkeys(
+                row[:i] + (gi - 1,) + row[i + 1 :]
+                for row in stale
+                for i, gi in enumerate(g)
+                if gi
+            )
+        )
+        pool = keep + cands
+        rows = keep + [
+            c
+            for c in cands
+            if not any(c != p and all(map(le, c, p)) for p in pool)
+        ]
+    return [tuple(None if x == f else x for x, f in zip(row, free)) for row in rows]
 
 
 def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
@@ -195,8 +194,8 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
         raise UnitIdeal("the unit ideal has no irreducible decomposition")
     comps = []
     for row in _maximal_corners(ideal.gens, ideal.nvars):
-        support = [i for i, x in enumerate(row) if x != _FREE]
-        bound = [int(x) if x != _FREE else 0 for x in row]
+        support = [i for i, x in enumerate(row) if x is not None]
+        bound = [0 if x is None else x for x in row]
         comps.append(IrreducibleComponent(support, bound))
     return tuple(sorted(comps))
 

@@ -13,15 +13,11 @@ from fractions import Fraction
 from itertools import product
 from math import floor, prod
 
-import numpy as np
-
 from . import lp
 from .errors import BadParameter, EmptyFiber, FiberCapExceeded, InfiniteFiber
 from .exactmath import IntMatrix
 
 DEFAULT_POINT_CAP = 10_000_000
-
-_CHUNK = 1 << 18
 
 
 def _as_matrix(a) -> IntMatrix:
@@ -51,8 +47,9 @@ def _coordinate_bounds(a: IntMatrix, b) -> list[int] | None:
 def enumerate_fiber(a, b, cap: int = DEFAULT_POINT_CAP) -> list[tuple[int, ...]]:
     """All nonnegative integer points z with A z = b, lexicographically.
 
-    The box defined by the per-coordinate LP maxima is scanned in chunks
-    and filtered exactly; a box larger than cap points aborts instead of
+    The box defined by the per-coordinate LP maxima is scanned in Python
+    ints over every coordinate but the last, which the remaining right-hand
+    side then determines; a box larger than cap points aborts instead of
     grinding.
     """
     a = _as_matrix(a)
@@ -64,20 +61,30 @@ def enumerate_fiber(a, b, cap: int = DEFAULT_POINT_CAP) -> list[tuple[int, ...]]
     bounds = _coordinate_bounds(a, b)
     if bounds is None:
         return []
-    dims = [x + 1 for x in bounds]
-    total = prod(dims)
+    total = prod(x + 1 for x in bounds)
     if total > cap:
         raise FiberCapExceeded(
             f"fiber box holds {total} candidate points, over the cap of {cap}"
         )
-    at = np.array(a.rows, dtype=np.int64).T
-    target = np.array(b, dtype=np.int64)
+    *head, last = a.columns()
+    # a zero last column would have made its coordinate bound unbounded
+    pivot = next(k for k, x in enumerate(last) if x)
     out = []
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        coords = np.stack(np.unravel_index(idx, dims), axis=1)
-        mask = (coords @ at == target).all(axis=1)
-        out.extend(tuple(int(v) for v in row) for row in coords[mask])
+
+    def scan(z, rest):
+        if len(z) == len(head):
+            t, r = divmod(rest[pivot], last[pivot])
+            if not r and 0 <= t <= bounds[-1] and all(
+                x == t * c for x, c in zip(rest, last)
+            ):
+                out.append(z + (t,))
+            return
+        col = head[len(z)]
+        for t in range(bounds[len(z)] + 1):
+            scan(z + (t,), rest)
+            rest = tuple(x - c for x, c in zip(rest, col))
+
+    scan((), b)
     return out
 
 

@@ -244,13 +244,32 @@ def _orient(a: Monomial, b: Monomial, cmp) -> _Elt | None:
     return (a, b) if c > 0 else (b, a)
 
 
-def _head_reduce(elt: _Elt, basis: list[_Elt], cmp, skip: int = -1) -> _Elt | None:
+def _support(m: Monomial) -> int:
+    """Bitmask of the variables m uses.
+
+    divides(a, b) needs _support(a) & ~_support(b) == 0, so a nonzero
+    result proves that a does not divide b without a look at the exponents.
+    """
+    mask = 0
+    for i, x in enumerate(m):
+        if x:
+            mask |= 1 << i
+    return mask
+
+
+def _head_reduce(
+    elt: _Elt, basis: list[_Elt], masks: list[int], cmp, skip: int = -1
+) -> _Elt | None:
     lead, trail = elt
     changed = True
     while changed:
         changed = False
-        for i, (gl, gt) in enumerate(basis):
-            if i == skip or not divides(gl, lead):
+        outside = ~_support(lead)
+        for i, mask in enumerate(masks):
+            if mask & outside or i == skip:
+                continue
+            gl, gt = basis[i]
+            if not divides(gl, lead):
                 continue
             if gt is None:
                 if trail is None:
@@ -269,13 +288,19 @@ def _head_reduce(elt: _Elt, basis: list[_Elt], cmp, skip: int = -1) -> _Elt | No
     return (lead, trail)
 
 
-def _tail_reduce(elt: _Elt, basis: list[_Elt], cmp, skip: int = -1) -> _Elt | None:
+def _tail_reduce(
+    elt: _Elt, basis: list[_Elt], masks: list[int], cmp, skip: int = -1
+) -> _Elt | None:
     lead, trail = elt
     changed = True
     while changed and trail is not None:
         changed = False
-        for i, (gl, gt) in enumerate(basis):
-            if i == skip or not divides(gl, trail):
+        outside = ~_support(trail)
+        for i, mask in enumerate(masks):
+            if mask & outside or i == skip:
+                continue
+            gl, gt = basis[i]
+            if not divides(gl, trail):
                 continue
             if gt is None:
                 trail = None
@@ -307,62 +332,80 @@ def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
     """Completion plus full interreduction; deterministic output order.
 
     Pair selection is the normal strategy: smallest lcm degree first, ties
-    by the lcm exponent vector.  The coprime-lead and chain criteria prune
-    pairs; the chain criterion only fires when both sub-pairs were already
-    treated.
+    by the lcm exponent vector.  Pairs are pruned by the criteria of
+    Gebauer and Moeller (J. Symbolic Comput. 6, 1988).  When an element is
+    added, its pairs with the earlier elements are queued one per minimal
+    lcm (criteria M and F), and not at all for an lcm that a pair with
+    coprime leads attains.  A queued pair (i, j) is dropped when it comes
+    up if some element k added after it has a lead dividing lcm(i, j)
+    while lcm(i, k) and lcm(j, k) both differ from it (criterion B; the
+    elements added while the pair waited are exactly those after j).
+
+    masks[k] is the support bitmask of basis[k]'s lead.  A divisor's
+    support is a subset of its multiple's, so ``masks[k] & ~support(m)``
+    being nonzero rules out ``divides(lead_k, m)``; every scan over the
+    basis makes that test before it calls divides.
     """
     basis: list[_Elt] = []
     for e in elements:
         if e is not None and e not in basis:
             basis.append(e)
-
-    def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(basis[i][0], basis[j][0]))
+    masks = [_support(lead) for lead, _ in basis]
 
     heap: list = []
-    done: set = set()
     counter = itertools.count()
 
-    def push_pair(i, j):
-        l = lcm_of(i, j)
-        heapq.heappush(heap, (sum(l), l, next(counter), i, j))
+    def add_pairs(new):
+        # the minimal lcms of the pairs (k, new) seen so far, each as
+        # [lcm, lead_c where it exceeds lead_new else 0, support of that,
+        #  first k with this lcm, whether a coprime pair has it];
+        # lcm(c, new) divides lcm(k, new) exactly when lead_k reaches
+        # lead_c wherever lead_c exceeds lead_new, so a dominated pair is
+        # recognised without forming its lcm
+        lead, mask = basis[new][0], masks[new]
+        classes: list = []
+        for k in range(new):
+            gk, mk = basis[k][0], masks[k]
+            outside = ~mk
+            for cls in classes:
+                if not cls[2] & outside and divides(cls[1], gk):
+                    if not mk & mask and tuple(map(max, gk, lead)) == cls[0]:
+                        cls[4] = True
+                    break
+            else:
+                l = tuple(map(max, gk, lead))
+                r = tuple(x if x > y else 0 for x, y in zip(gk, lead))
+                classes = [cls for cls in classes if not divides(l, cls[0])]
+                classes.append([l, r, _support(r), k, not mk & mask])
+        for l, _, _, k, coprime in classes:
+            if not coprime:
+                heapq.heappush(heap, (sum(l), l, next(counter), k, new))
 
     for i in range(len(basis)):
-        for j in range(i):
-            push_pair(j, i)
+        add_pairs(i)
 
     while heap:
         _, l, _, i, j = heapq.heappop(heap)
-        key = frozenset((i, j))
-        if key in done:
+        # criterion B
+        outside = ~(masks[i] | masks[j])
+        li, lj = basis[i][0], basis[j][0]
+        if any(
+            not masks[k] & outside
+            and divides(basis[k][0], l)
+            and tuple(map(max, li, basis[k][0])) != l
+            and tuple(map(max, lj, basis[k][0])) != l
+            for k in range(j + 1, len(basis))
+        ):
             continue
-        done.add(key)
-        fi, fj = basis[i], basis[j]
-        if all(a == 0 or b == 0 for a, b in zip(fi[0], fj[0])):
-            continue  # coprime leads
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (
-                divides(basis[k][0], l)
-                and frozenset((i, k)) in done
-                and frozenset((j, k)) in done
-            ):
-                chain = True
-                break
-        if chain:
-            continue
-        s = _s_element(fi, fj, cmp)
+        s = _s_element(basis[i], basis[j], cmp)
         if s is None:
             continue
-        s = _head_reduce(s, basis, cmp)
+        s = _head_reduce(s, basis, masks, cmp)
         if s is None:
             continue
         basis.append(s)
-        new = len(basis) - 1
-        for k in range(new):
-            push_pair(k, new)
+        masks.append(_support(s[0]))
+        add_pairs(len(basis) - 1)
 
     # interreduce: drop head-reducible elements, then fully reduce tails;
     # among equal leads a monomial element outranks a binomial, then the
@@ -375,18 +418,24 @@ def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
         return j < i
 
     keep: list[_Elt] = []
+    kept_masks: list[int] = []
     for i, e in enumerate(basis):
+        outside = ~masks[i]
         if not any(
-            i != j and divides(other[0], e[0]) and outranked(e, i, other, j)
+            not masks[j] & outside
+            and i != j
+            and divides(other[0], e[0])
+            and outranked(e, i, other, j)
             for j, other in enumerate(basis)
         ):
             keep.append(e)
+            kept_masks.append(masks[i])
     out: list[_Elt] = []
     for i, e in enumerate(keep):
-        r = _head_reduce(e, keep, cmp, skip=i)
+        r = _head_reduce(e, keep, kept_masks, cmp, skip=i)
         if r is None:
             continue
-        r = _tail_reduce(r, keep, cmp, skip=i)
+        r = _tail_reduce(r, keep, kept_masks, cmp, skip=i)
         if r is None:
             continue
         out.append(r)

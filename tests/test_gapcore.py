@@ -72,6 +72,11 @@ def test_toy_single_row():
     assert len(r.per_component) == 1
 
 
+def test_single_row_gap_past_machine_words():
+    k = 2**30 + 3
+    assert gap_report(GapInstance.from_matrix([[1, k]], (1, 0))).gap == k - 1
+
+
 def test_doubled_line_lattice_gap():
     r = gap_lattice(IntMatrix([[2]]), (1,))
     assert r.gap == 1

@@ -49,6 +49,13 @@ def test_decompose_pure_power_ideal():
     assert comps == (IrreducibleComponent((0,), (1, 0)),)
 
 
+def test_decompose_exponents_past_machine_words():
+    # exponents at or above 2^30 and 2^64 are ordinary caps, not "no cap"
+    for e in (2**30 + 3, 2**64):
+        comps = irreducible_decomposition(MonomialIdeal(2, [(e, 0), (0, 2)]))
+        assert comps == (IrreducibleComponent((0, 1), (e - 1, 1)),)
+
+
 def test_decompose_rejects_trivial():
     with pytest.raises(ZeroIdeal):
         irreducible_decomposition(MonomialIdeal(2))

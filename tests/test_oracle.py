@@ -42,6 +42,14 @@ def test_enumerate_fiber_matches_direct_scan():
     assert got == direct and direct
 
 
+def test_enumerate_fiber_exact_past_machine_words():
+    # A z = b must hold in exact integers, not modulo 2^64
+    a = [[1, 1, 1], [0, 2**62, -(2**62)]]
+    assert enumerate_fiber(a, (8, 0)) == [
+        (0, 4, 4), (2, 3, 3), (4, 2, 2), (6, 1, 1), (8, 0, 0)
+    ]
+
+
 def test_enumerate_fiber_guards():
     with pytest.raises(InfiniteFiber):
         enumerate_fiber(IntMatrix([[1, -1]]), (0,))

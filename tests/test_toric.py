@@ -1,5 +1,7 @@
 import random
-from itertools import product
+from fractions import Fraction
+from functools import cmp_to_key
+from itertools import combinations, product
 
 import pytest
 
@@ -11,6 +13,9 @@ from ipgap.toric import (
     Binomial,
     GroebnerBasis,
     TermOrder,
+    _buchberger_core,
+    _graded_revlex_cmp,
+    _orient,
     buchberger,
     ip_optimum,
     is_generic,
@@ -338,3 +343,121 @@ def test_random_kernel_bases_stay_primitive():
                 if others:
                     assert not MonomialIdeal(3, others).contains(g.plus)
                     assert not MonomialIdeal(3, others).contains(g.minus)
+
+
+def _reference_buchberger(elements, cmp):
+    """Reduced basis by textbook Buchberger on polynomials as dicts.
+
+    Every pair is reduced (no criterion prunes any), divisibility is tested
+    coordinate by coordinate, and the basis is made minimal and reduced
+    only at the end.  Returns the core's format: (lead, trail) with trail
+    None for a monomial, sorted by lead degree, then lead.
+    """
+    key = cmp_to_key(cmp)
+
+    def lead(f):
+        return max(f, key=key)
+
+    def shift(m, q):
+        return tuple(a + b for a, b in zip(m, q))
+
+    def normal_form(f, basis):
+        f, out = dict(f), {}
+        while f:
+            m = lead(f)
+            for g in basis:
+                gl = lead(g)
+                if all(a <= b for a, b in zip(gl, m)):
+                    q = tuple(b - a for a, b in zip(gl, m))
+                    r = f[m] / g[gl]
+                    for t, c in g.items():
+                        t = shift(t, q)
+                        f[t] = f.get(t, 0) - r * c
+                        if not f[t]:
+                            del f[t]
+                    break
+            else:
+                out[m] = f.pop(m)
+        return out
+
+    polys = []
+    for l, t in elements:
+        f = {l: Fraction(1)}
+        if t is not None:
+            f[t] = Fraction(-1)
+        polys.append(f)
+    pairs = list(combinations(range(len(polys)), 2))
+    while pairs:
+        # smallest lcm degree first: a selection order only, nothing is pruned
+        pairs.sort(
+            key=lambda p: -sum(map(max, lead(polys[p[0]]), lead(polys[p[1]])))
+        )
+        i, j = pairs.pop()
+        f, g = polys[i], polys[j]
+        lcm_e = tuple(map(max, lead(f), lead(g)))
+        s = {}
+        for p, sign in ((f, 1), (g, -1)):
+            pl = lead(p)
+            q = tuple(a - b for a, b in zip(lcm_e, pl))
+            for t, c in p.items():
+                t = shift(t, q)
+                s[t] = s.get(t, 0) + sign * c / p[pl]
+        r = normal_form({t: c for t, c in s.items() if c}, polys)
+        if r:
+            polys.append(r)
+            pairs += [(k, len(polys) - 1) for k in range(len(polys) - 1)]
+    polys = [{t: c / p[lead(p)] for t, c in p.items()} for p in polys]
+    minimal = []
+    for p in polys:
+        pl = lead(p)
+        if not any(
+            all(a <= b for a, b in zip(lead(q), pl)) for q in minimal
+        ):
+            minimal = [
+                q for q in minimal if not all(a <= b for a, b in zip(pl, lead(q)))
+            ]
+            minimal.append(p)
+    out = []
+    for p in minimal:
+        pl = lead(p)
+        tail = normal_form({t: c for t, c in p.items() if t != pl}, minimal)
+        assert set(tail.values()) <= {Fraction(-1)} and len(tail) <= 1
+        out.append((pl, next(iter(tail), None)))
+    out.sort(key=lambda e: (sum(e[0]), e[0]))
+    return out
+
+
+def _random_elements(rng, n, cmp, monomials=False):
+    elements = []
+    for _ in range(rng.randrange(2, 4)):
+        a = tuple(rng.randrange(3) for _ in range(n))
+        if monomials and rng.random() < 0.3:
+            if any(a):
+                elements.append((a, None))
+            continue
+        b = tuple(rng.randrange(3) for _ in range(n))
+        e = _orient(a, b, cmp)
+        if e is not None:
+            elements.append(e)
+    return elements
+
+
+def test_core_matches_reference_buchberger():
+    # the core's pair criteria and support-mask prefilters must not change
+    # the reduced basis: compare with the unpruned reference on the three
+    # kinds of order the pipeline uses
+    rng = random.Random(20261017)
+    for trial in range(300):
+        n = rng.randrange(2, 6)
+        kind = trial % 3
+        if kind == 0:
+            cost = tuple(rng.randrange(4) for _ in range(n))
+            cmp = TermOrder(cost, rng.choice(TIEBREAKS)).compare
+        elif kind == 1:
+            weights = tuple(rng.randrange(1, 4) for _ in range(n))
+            cmp = _graded_revlex_cmp(weights, rng.randrange(n))
+        else:
+            cmp = TermOrder((), rng.choice(TIEBREAKS)).compare
+        elements = _random_elements(rng, n, cmp, monomials=kind == 2)
+        want = _reference_buchberger(elements, cmp)
+        assert _buchberger_core(elements, cmp) == want, (trial, elements)
