@@ -545,9 +545,8 @@ def cmd_fan(spec: InstanceSpec, args) -> tuple[list[str], dict]:
     data_cones = []
     total_pieces = 0
     for i, (gb, cone) in enumerate(cones, 1):
-        center = cone.interior_point()
-        inst = GapInstance.from_matrix(a, center)
-        pieces = gap_fan_subdivide(inst)
+        inst = GapInstance.from_matrix(a, cone.center)
+        pieces = gap_fan_subdivide(inst, cone)
         total_pieces += len(pieces)
         lines.append(f"cone {i}:")
         for h in cone.inequalities:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import lp
@@ -76,6 +77,11 @@ class Cone:
         """
         return _strict_point(self.nvars, self.inequalities)
 
+    @cached_property
+    def center(self) -> tuple[Fraction, ...] | None:
+        """interior_point(), solved once per Cone object and kept."""
+        return self.interior_point()
+
 
 def _strict_point(n, rows) -> tuple[Fraction, ...] | None:
     if not rows:
@@ -127,33 +133,42 @@ def _component_form(inst: GapInstance, comp, cost) -> tuple[Fraction, ...]:
     return tuple(Fraction(u) - vi for u, vi in zip(comp.bound, v))
 
 
-def gap_fan_subdivide(inst: GapInstance) -> list[GapFanPiece]:
+def gap_fan_subdivide(inst: GapInstance, cone: Cone | None = None) -> list[GapFanPiece]:
     """Split the instance's Groebner cone by which component wins.
 
     Every component's auxiliary optimum is computed once at the cone's
     canonical interior point, giving a linear form; the full-dimensional
     regions of the resulting max-of-linear-forms envelope are the pieces.
-    Linearity of each component's value is re-verified at the instance's
-    own cost, so a vertex jump inside the cone cannot pass silently.
+    When the instance's own cost is another point, linearity of each
+    component's value is re-verified there, so a vertex jump inside the
+    cone cannot pass silently.  cone, when given, must be the instance's
+    Groebner cone; its kept center is then reused.
     """
     if not inst.components:
         raise TrivialInstance("the non-optimal ideal is zero; nothing to subdivide")
-    cone = groebner_cone(inst.groebner)
-    center = cone.interior_point()
+    own = groebner_cone(inst.groebner)
+    if cone is None:
+        cone = own
+    elif cone != own:
+        raise BadParameter("the cone given is not the instance's Groebner cone")
+    center = cone.center
     if center is None:
         raise DegenerateCone("the Groebner cone has empty interior")
+    # at the center itself the check is an identity: value = form . center
+    check_linear = tuple(inst.cost) != center
     forms = []
     for comp in inst.components:
         form = _component_form(inst, comp, center)
-        value_here, _ = gap_value(comp, inst)
-        linear_here = sum(
-            (fi * ci for fi, ci in zip(form, inst.cost)), Fraction(0)
-        )
-        if value_here != linear_here:
-            raise VerificationError(
-                f"auxiliary optimum of the component on support {comp.support} "
-                "moves within the cone; its gap value is not linear here"
+        if check_linear:
+            value_here, _ = gap_value(comp, inst)
+            linear_here = sum(
+                (fi * ci for fi, ci in zip(form, inst.cost)), Fraction(0)
             )
+            if value_here != linear_here:
+                raise VerificationError(
+                    f"auxiliary optimum of the component on support {comp.support} "
+                    "moves within the cone; its gap value is not linear here"
+                )
         forms.append((comp, form))
     distinct = []
     for comp, form in forms:
@@ -227,7 +242,7 @@ def explore_cones(a, seeds, budget: int = 200) -> list[tuple[GroebnerBasis, Cone
     while queue:
         key = queue.pop(0)
         gb, cone = found[key]
-        center = cone.interior_point()
+        center = cone.center
         if center is None:
             continue
         p = _scaled_integer(center)

@@ -1,9 +1,15 @@
 """Exact rational linear programming by two-phase primal simplex.
 
-All arithmetic is fractions.Fraction; there is no floating point anywhere,
-so optima, duals and infeasibility/unboundedness verdicts are exact.  Bland's
-smallest-index rule is used for both the entering and the leaving choice,
-which guarantees termination and makes every run byte-reproducible.
+There is no floating point anywhere, so optima, duals and
+infeasibility/unboundedness verdicts are exact.  The tableau is kept
+fraction-free (Edmonds 1967; Bareiss 1968): each row is a list of Python
+ints whose last entry is a positive common denominator, and the row is
+divided by the gcd of all its entries after every update, so one row has
+one canonical form.  Signs are read from numerators and ratios are compared
+by integer cross-products; fractions.Fraction appears only in the returned
+values, duals and certificate.  Bland's smallest-index rule is used for
+both the entering and the leaving choice, which guarantees termination and
+makes every run byte-reproducible.
 
 The solver is written for the small dense problems this package produces
 (auxiliary programs over a lattice basis, relaxations of table problems,
@@ -14,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 from .errors import BadParameter, EmptyFiber, UnboundedProgram
 
@@ -75,13 +83,16 @@ class LPSolution:
     x and value refer to the caller's variables and sense.  dual holds one
     multiplier per constraint row of the problem (eq rows first, then ub
     rows) for the minimization reading of the problem; certificate() exposes
-    the standard-form data the multipliers verify against.
+    the standard-form data the multipliers verify against.  pivots counts
+    the simplex pivots of both phases, including those that drive leftover
+    artificials out of the basis.
     """
 
     status: str
     value: Fraction | None = None
     x: Vec | None = None
     dual: Vec | None = None
+    pivots: int = field(default=0, compare=False)
     _std: tuple | None = field(default=None, repr=False, compare=False)
 
     def certificate(self):
@@ -90,187 +101,208 @@ class LPSolution:
         At optimality these satisfy a.xstd == b, xstd >= 0, y.b == c.xstd,
         and componentwise c - y.a >= 0.  None unless status is optimal.
         """
-        return self._std
+        if self._std is None:
+            return None
+        rows, cost, y, xstd = self._std
+        ncol = len(xstd)
+        a = [[Fraction(v, row[-1]) for v in row[:ncol]] for row in rows]
+        b = [Fraction(row[-2], row[-1]) for row in rows]
+        c = [Fraction(v, cost[-1]) for v in cost[:ncol]]
+        return a, b, c, list(y), list(xstd)
+
+
+# Tableau rows (and the reduced-cost row) are int lists laid out as
+# [columns..., rhs, d]: the entries stand for the rationals v / d, d > 0.
+
+
+def _reduced(row):
+    """row divided by the gcd of its entries, the denominator included."""
+    if row[-1] == 1:
+        return row
+    # not gcd(*row): on CPython 3.11, star-calls with exactly 20 arguments
+    # fill the tuple free list without reusing it, up to 0.37 MB
+    g = reduce(gcd, row)
+    return row if g == 1 else [v // g for v in row]
+
+
+def _eliminate(row, p0, j):
+    """row minus row[j] times the pivot row, whose entry j is 1.
+
+    p0 is the pivot row with 0 in its denominator slot, so the result's
+    denominator comes out as row's denominator times p0[j].
+    """
+    pj, f = p0[j], row[j]
+    return _reduced([a * pj - f * b for a, b in zip(row, p0)])
 
 
 def _pivot(rows, obj, r, j):
-    pr = rows[r]
-    inv = Fraction(1) / pr[j]
-    rows[r] = [x * inv for x in pr]
-    pr = rows[r]
+    p = rows[r]
+    pj = p[j]
+    if pj < 0:
+        # a negative pivot (phase-1 cleanup) flips the row's sign so that
+        # its denominator stays positive
+        p = [-v for v in p]
+        pj = -pj
+    p = _reduced(p[:-1] + [pj])
+    rows[r] = p
+    p0 = p[:-1] + [0]
     for i, row in enumerate(rows):
         if i != r and row[j]:
-            f = row[j]
-            rows[i] = [a - f * p for a, p in zip(row, pr)]
+            rows[i] = _eliminate(row, p0, j)
     if obj[j]:
-        f = obj[j]
-        obj[:] = [a - f * p for a, p in zip(obj, pr)]
+        obj[:] = _eliminate(obj, p0, j)
+
+
+def _leaving_row(rows, basis, enter):
+    """Minimum-ratio row for the entering column, ties to the lowest basic index.
+
+    The ratio of row i is rhs_i / a_i in the row's own denominator, so two
+    ratios compare by cross-multiplying numerators (a_i > 0 throughout).
+    """
+    leave = None
+    for i, row in enumerate(rows):
+        a = row[enter]
+        if a > 0:
+            if leave is None:
+                leave, num, den = i, row[-2], a
+                continue
+            lhs, rhs = row[-2] * den, num * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave, num, den = i, row[-2], a
+    return leave
 
 
 def _run_simplex(rows, obj, basis, eligible):
     """Minimize until reduced costs on eligible columns are nonnegative.
 
-    Returns True on optimality, False on unboundedness.  obj is the reduced
-    cost row (last entry: minus the current value); rows carry the rhs in
-    their last entry.  Bland's rule throughout.
+    Returns (optimal, pivots): optimal is False on unboundedness.  obj is
+    the reduced cost row (rhs entry: minus the current value).  Bland's rule
+    throughout.
     """
-    rhs = len(obj) - 1
+    pivots = 0
     while True:
         enter = next((j for j in eligible if obj[j] < 0), None)
         if enter is None:
-            return True
-        leave = None
-        best = None
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                ratio = row[rhs] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            return True, pivots
+        leave = _leaving_row(rows, basis, enter)
         if leave is None:
-            return False
+            return False, pivots
         _pivot(rows, obj, leave, enter)
         basis[leave] = enter
+        pivots += 1
+
+
+def _scaled(coeffs):
+    """Numerators of a Fraction sequence over its least common denominator."""
+    scale = lcm(*(x.denominator for x in coeffs))
+    return [x.numerator * (scale // x.denominator) for x in coeffs], scale
 
 
 def solve(problem: LPProblem) -> LPSolution:
     """Solve exactly; statuses optimal / infeasible / unbounded."""
     n = problem.nvars
     minimize = problem.sense == "min"
-    c0 = list(problem.objective if minimize else tuple(-x for x in problem.objective))
+    c0 = problem.objective if minimize else tuple(-x for x in problem.objective)
 
-    # column layout: for each variable a plus column, then for each free
-    # variable a minus column, then one slack per ub row
-    plus = list(range(n))
+    # column layout: the n variables, then for each free variable a minus
+    # column, then one slack per ub row, then one artificial per row; the
+    # artificials double as the B-inverse tracker the dual is read from
     minus = {}
     ncol = n
     for i in range(n):
         if problem.free[i]:
             minus[i] = ncol
             ncol += 1
-    slack = {}
-    for k in range(len(problem.ub)):
-        slack[k] = ncol
-        ncol += 1
+    neq = len(problem.eq)
+    cons = problem.eq + problem.ub
+    m = len(cons)
+    ncol += m - neq
+    rhs = ncol + m
+    width = rhs + 2
 
-    c = [Fraction(0)] * ncol
-    for i in range(n):
-        c[plus[i]] = Fraction(c0[i])
-        if i in minus:
-            c[minus[i]] = -Fraction(c0[i])
-
-    arows = []
-    brhs = []
-    for r, b in problem.eq:
-        row = [Fraction(0)] * ncol
-        for i, a in enumerate(r):
-            row[plus[i]] = a
-            if i in minus:
-                row[minus[i]] = -a
-        arows.append(row)
-        brhs.append(Fraction(b))
-    for k, (r, b) in enumerate(problem.ub):
-        row = [Fraction(0)] * ncol
-        for i, a in enumerate(r):
-            row[plus[i]] = a
-            if i in minus:
-                row[minus[i]] = -a
-        row[slack[k]] = Fraction(1)
-        arows.append(row)
-        brhs.append(Fraction(b))
-
-    m = len(arows)
-    flipped = []
-    for i in range(m):
-        if brhs[i] < 0:
-            arows[i] = [-x for x in arows[i]]
-            brhs[i] = -brhs[i]
-            flipped.append(True)
-        else:
-            flipped.append(False)
-
-    # tableau with one artificial column per row; artificials double as the
-    # B-inverse tracker that the dual is read from at the end
-    T = ncol + m + 1
     rows = []
-    for i in range(m):
-        row = arows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [brhs[i]]
-        rows.append(row)
-    basis = [ncol + i for i in range(m)]
+    flipped = []
+    for k, (r, b) in enumerate(cons):
+        # negative right-hand sides are flipped so the artificial basis is
+        # feasible; the artificial's own entry keeps its sign
+        sign = -1 if b < 0 else 1
+        nums, scale = _scaled(r + (b,))
+        row = [sign * v for v in nums[:n]] + [0] * (width - n)
+        for i, col in minus.items():
+            row[col] = -row[i]
+        if k >= neq:
+            row[ncol - m + k] = sign * scale
+        row[ncol + k] = scale
+        row[rhs] = sign * nums[n]
+        row[-1] = scale
+        rows.append(_reduced(row))
+        flipped.append(sign < 0)
+    # the standard form for certificate(); pivots replace rows, never edit them
+    start = list(rows)
 
-    # phase 1: minimize the sum of artificials
-    obj = [Fraction(0)] * T
-    for j in range(ncol, ncol + m):
-        obj[j] = Fraction(1)
-    for row in rows:
-        obj = [a - b for a, b in zip(obj, row)]
-    eligible = list(range(ncol))
-    _run_simplex(rows, obj, basis, eligible)
-    if -obj[T - 1] != 0:
-        return LPSolution(status=INFEASIBLE)
+    # phase 1: minimize the sum of artificials, priced out of the start basis
+    basis = [ncol + i for i in range(m)]
+    obj = [0] * ncol + [1] * m + [0, 1]
+    for i, row in enumerate(rows):
+        obj = _eliminate(obj, row[:-1] + [0], ncol + i)
+    eligible = range(ncol)
+    _, pivots = _run_simplex(rows, obj, basis, eligible)
+    if obj[rhs]:
+        return LPSolution(status=INFEASIBLE, pivots=pivots)
 
     # drive leftover artificials out of the basis; rows that cannot pivot
     # are redundant originals and get dropped
     drop = []
     for i in range(m):
         if basis[i] >= ncol:
-            j = next((j for j in range(ncol) if rows[i][j] != 0), None)
+            j = next((j for j in eligible if rows[i][j]), None)
             if j is None:
                 drop.append(i)
             else:
                 _pivot(rows, obj, i, j)
                 basis[i] = j
+                pivots += 1
     if drop:
         rows = [row for i, row in enumerate(rows) if i not in drop]
         basis = [bv for i, bv in enumerate(basis) if i not in drop]
 
     # phase 2: the real objective, artificial columns frozen out
-    obj = c + [Fraction(0)] * m + [Fraction(0)]
-    for i, bv in enumerate(basis):
+    nums, scale = _scaled(c0)
+    cost = nums + [0] * (width - n - 1) + [scale]
+    for i, col in minus.items():
+        cost[col] = -cost[i]
+    cost = _reduced(cost)
+    std_cost = cost[:]  # obj below is updated in place
+    obj = cost
+    for row, bv in zip(rows, basis):
         if obj[bv]:
-            f = obj[bv]
-            obj = [a - f * p for a, p in zip(obj, rows[i])]
-    ok = _run_simplex(rows, obj, basis, eligible)
+            obj = _eliminate(obj, row[:-1] + [0], bv)
+    ok, more = _run_simplex(rows, obj, basis, eligible)
+    pivots += more
     if not ok:
-        return LPSolution(status=UNBOUNDED)
+        return LPSolution(status=UNBOUNDED, pivots=pivots)
 
     xstd = [Fraction(0)] * ncol
-    for i, bv in enumerate(basis):
-        if bv < ncol:
-            xstd[bv] = rows[i][T - 1]
-    x = []
-    for i in range(n):
-        xi = xstd[plus[i]]
-        if i in minus:
-            xi -= xstd[minus[i]]
-        x.append(xi)
-    value = sum(ci * xi for ci, xi in zip(c0, x)) if n else Fraction(0)
+    for row, bv in zip(rows, basis):
+        xstd[bv] = Fraction(row[rhs], row[-1])
+    x = tuple(xstd[i] - xstd[minus[i]] if i in minus else xstd[i] for i in range(n))
+    value = Fraction(-obj[rhs], obj[-1])
 
     # dual per standard row: minus the reduced cost at that row's artificial
     # column (artificial cost is 0 in phase 2); dropped rows carry 0
-    ystd_kept = [-obj[ncol + i] for i in range(m)]
-    ystd = []
-    kept = [i for i in range(m) if i not in drop]
-    pos = {orig: k for k, orig in enumerate(kept)}
-    for i in range(m):
-        ystd.append(ystd_kept[i] if i in pos else Fraction(0))
+    ystd = [
+        Fraction(0) if i in drop else Fraction(-obj[ncol + i], obj[-1])
+        for i in range(m)
+    ]
     # undo the sign flips so multipliers refer to the rows as entered
-    dual = tuple(-y if flipped[i] else y for i, y in enumerate(ystd))
-
-    std = (
-        [r[:ncol] for r in (arows)],
-        list(brhs),
-        list(c),
-        list(ystd),
-        list(xstd),
-    )
+    dual = tuple(-y if f else y for y, f in zip(ystd, flipped))
     return LPSolution(
         status=OPTIMAL,
         value=value if minimize else -value,
-        x=tuple(x),
+        x=x,
         dual=dual,
-        _std=std,
+        pivots=pivots,
+        _std=(start, std_cost, ystd, xstd),
     )
 
 

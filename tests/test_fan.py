@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ipgap import fan
 from ipgap.errors import BadParameter, DegenerateCone, TrivialInstance
 from ipgap.exactmath import IntMatrix
 from ipgap.fan import (
@@ -239,3 +240,50 @@ def test_degenerate_cone_detected():
     )
     with pytest.raises(DegenerateCone):
         gap_fan_subdivide(broken)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_fan_solves_each_center_once(monkeypatch):
+    interior = _counting(monkeypatch, Cone, "interior_point")
+    values = _counting(monkeypatch, fan, "gap_value")
+    cones = coin_cones()
+    before = len(interior)
+    components = 0
+    for _, cone in cones:
+        inst = GapInstance.from_matrix(COIN_A, cone.center)
+        gap_fan_subdivide(inst, cone)
+        components += len(inst.components)
+    # exploration already solved some centers; subdividing reuses them all
+    assert len(interior) == len(cones) >= before
+    # at the center the linearity re-check is skipped: one solve each
+    assert len(values) == components
+
+
+def test_subdivide_off_center_still_checks_linearity(monkeypatch):
+    _, cone = coin_cones()[0]
+    centered = GapInstance.from_matrix(COIN_A, cone.center)
+    scaled = GapInstance.from_matrix(COIN_A, tuple(2 * x for x in cone.center))
+    values = _counting(monkeypatch, fan, "gap_value")
+    pieces = gap_fan_subdivide(centered, cone)
+    assert len(values) == len(centered.components)
+    values.clear()
+    assert gap_fan_subdivide(scaled, cone) == pieces
+    assert len(values) == 2 * len(scaled.components)
+
+
+def test_subdivide_rejects_a_foreign_cone():
+    (_, first), (_, second) = coin_cones()[:2]
+    inst = GapInstance.from_matrix(COIN_A, first.center)
+    with pytest.raises(BadParameter):
+        gap_fan_subdivide(inst, second)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -160,3 +161,277 @@ def test_float_oracle_agreement():
             assert abs(float(sol.value) - res.fun) < 1e-7
         else:
             assert sol.status == lp.INFEASIBLE
+
+
+# ------------------------------------------------ textbook reference tableau
+#
+# The two-phase simplex on a tableau of Fraction cells, with the same
+# column layout, Bland's rule, artificial cleanup and drop path as lp.solve.
+# lp.solve must agree with it on everything, pivot count included, which
+# pins the pivot sequence.  `seen` collects the paths a problem exercised.
+
+
+def _ref_pivot(rows, obj, r, j):
+    inv = Fraction(1) / rows[r][j]
+    rows[r] = pr = [x * inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[j]:
+            f = row[j]
+            rows[i] = [a - f * p for a, p in zip(row, pr)]
+    if obj[j]:
+        f = obj[j]
+        obj[:] = [a - f * p for a, p in zip(obj, pr)]
+
+
+def _ref_simplex(rows, obj, basis, eligible, seen):
+    rhs = len(obj) - 1
+    pivots = 0
+    while True:
+        enter = next((j for j in eligible if obj[j] < 0), None)
+        if enter is None:
+            return True, pivots
+        leave = best = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                ratio = row[rhs] / a
+                if best is not None and ratio == best:
+                    seen.add("tie")
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            return False, pivots
+        _ref_pivot(rows, obj, leave, enter)
+        basis[leave] = enter
+        pivots += 1
+
+
+def reference_solve(problem, seen=None):
+    """(status, value, x, dual, certificate, pivots) from the Fraction tableau."""
+    seen = set() if seen is None else seen
+    n = problem.nvars
+    minimize = problem.sense == "min"
+    c0 = problem.objective if minimize else tuple(-x for x in problem.objective)
+    minus = {}
+    ncol = n
+    for i in range(n):
+        if problem.free[i]:
+            minus[i] = ncol
+            ncol += 1
+    slack = {}
+    for k in range(len(problem.ub)):
+        slack[k] = ncol
+        ncol += 1
+    c = [Fraction(0)] * ncol
+    for i in range(n):
+        c[i] = c0[i]
+        if i in minus:
+            c[minus[i]] = -c0[i]
+    arows, brhs = [], []
+    for k, (r, b) in enumerate(problem.eq + problem.ub):
+        row = [Fraction(0)] * ncol
+        for i, a in enumerate(r):
+            row[i] = a
+            if i in minus:
+                row[minus[i]] = -a
+        if k >= len(problem.eq):
+            row[slack[k - len(problem.eq)]] = Fraction(1)
+        arows.append(row)
+        brhs.append(b)
+    m = len(arows)
+    flipped = [b < 0 for b in brhs]
+    if any(flipped):
+        seen.add("flip")
+    arows = [[-x for x in r] if f else r for r, f in zip(arows, flipped)]
+    brhs = [-b if f else b for b, f in zip(brhs, flipped)]
+    T = ncol + m + 1
+    rows = [
+        arows[i] + [Fraction(int(j == i)) for j in range(m)] + [brhs[i]]
+        for i in range(m)
+    ]
+    basis = [ncol + i for i in range(m)]
+    obj = [Fraction(0)] * ncol + [Fraction(1)] * m + [Fraction(0)]
+    for row in rows:
+        obj = [a - b for a, b in zip(obj, row)]
+    eligible = range(ncol)
+    _, pivots = _ref_simplex(rows, obj, basis, eligible, seen)
+    if obj[T - 1] != 0:
+        seen.add("infeasible")
+        return lp.INFEASIBLE, None, None, None, None, pivots
+    drop = []
+    for i in range(m):
+        if basis[i] >= ncol:
+            j = next((j for j in eligible if rows[i][j] != 0), None)
+            if j is None:
+                drop.append(i)
+            else:
+                if rows[i][j] < 0:
+                    seen.add("negative cleanup pivot")
+                _ref_pivot(rows, obj, i, j)
+                basis[i] = j
+                pivots += 1
+    if drop:
+        seen.add("drop")
+        rows = [row for i, row in enumerate(rows) if i not in drop]
+        basis = [bv for i, bv in enumerate(basis) if i not in drop]
+    obj = c + [Fraction(0)] * (m + 1)
+    for i, bv in enumerate(basis):
+        if obj[bv]:
+            f = obj[bv]
+            obj = [a - f * p for a, p in zip(obj, rows[i])]
+    ok, more = _ref_simplex(rows, obj, basis, eligible, seen)
+    pivots += more
+    if not ok:
+        seen.add("unbounded")
+        return lp.UNBOUNDED, None, None, None, None, pivots
+    xstd = [Fraction(0)] * ncol
+    for i, bv in enumerate(basis):
+        xstd[bv] = rows[i][T - 1]
+    x = tuple(xstd[i] - xstd[minus[i]] if i in minus else xstd[i] for i in range(n))
+    value = sum((ci * xi for ci, xi in zip(c0, x)), Fraction(0))
+    ystd = [Fraction(0) if i in drop else -obj[ncol + i] for i in range(m)]
+    dual = tuple(-y if f else y for y, f in zip(ystd, flipped))
+    cert = ([r[:ncol] for r in arows], brhs, c, ystd, xstd)
+    return lp.OPTIMAL, value if minimize else -value, x, dual, cert, pivots
+
+
+def _fields(sol):
+    return sol.status, sol.value, sol.x, sol.dual, sol.certificate(), sol.pivots
+
+
+def _random_problem(rng):
+    """A small LP mixing every path of the solver; see test_cross_check_coverage."""
+    n = rng.randint(1, 5)
+
+    def coeff():
+        r = rng.random()
+        if r < 0.3:
+            return 0
+        if r < 0.9:
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**15))
+
+    x0 = [rng.choice((0, 0, 1, 2, Fraction(1, 3))) for _ in range(n)]
+
+    def rhs(row, slack):
+        r = rng.random()
+        if r < 0.15:
+            return coeff()  # arbitrary: may be infeasible
+        dot = sum(a * x for a, x in zip(row, x0))
+        return dot + (slack if r < 0.5 else 0)  # 0 slack: degenerate vertex
+
+    eq = []
+    for _ in range(rng.randint(0, 3)):
+        row = [coeff() for _ in range(n)]
+        eq.append((row, rhs(row, 0)))
+    if eq and rng.random() < 0.35:
+        # redundant row: a combination of existing ones, consistent or not
+        k = rng.randint(-2, 2) or 1
+        (r1, b1), (r2, b2) = rng.choice(eq), rng.choice(eq)
+        eq.append(([k * a + b for a, b in zip(r1, r2)], k * b1 + b2))
+    ub = []
+    for _ in range(rng.randint(0, 3)):
+        row = [coeff() for _ in range(n)]
+        ub.append((row, rhs(row, rng.randint(0, 3))))
+    return lp.LPProblem(
+        objective=[coeff() for _ in range(n)],
+        sense=rng.choice(("min", "max")),
+        eq=tuple((tuple(r), b) for r, b in eq),
+        ub=tuple((tuple(r), b) for r, b in ub),
+        free=tuple(rng.random() < 0.3 for _ in range(n)),
+    )
+
+
+CROSS_CHECK = [_random_problem(random.Random(seed)) for seed in range(320)]
+
+
+class _Runaway(Exception):
+    pass
+
+
+def _disagreements(problems):
+    """Indices of the problems on which lp.solve differs from the reference."""
+    bad = []
+    for k, prob in enumerate(problems):
+        want = reference_solve(prob)
+        try:
+            got = _fields(lp.solve(prob))
+        except _Runaway:
+            got = None
+        if got != want:
+            bad.append(k)
+    return bad
+
+
+def _capped(pivot):
+    """Wrap a pivot function so a cycling faulty kernel raises instead of hanging."""
+    calls = iter(range(50_000))
+
+    def wrapped(*args):
+        if next(calls, None) is None:
+            raise _Runaway
+        pivot(*args)
+
+    return wrapped
+
+
+def test_cross_check_against_fraction_tableau():
+    assert _disagreements(CROSS_CHECK) == []
+
+
+def test_cross_check_coverage():
+    seen = set()
+    for prob in CROSS_CHECK:
+        reference_solve(prob, seen)
+        if prob.eq:
+            seen.add("eq")
+        if any(prob.free):
+            seen.add("free")
+        if any(b < 0 for _, b in prob.ub):
+            seen.add("negative ub rhs")
+        if any(Fraction(a).denominator > 10**6 for r, _ in prob.eq + prob.ub for a in r):
+            seen.add("large denominators")
+    assert seen >= {
+        "eq", "free", "negative ub rhs", "large denominators", "flip", "tie",
+        "drop", "negative cleanup pivot", "infeasible", "unbounded",
+    }
+
+
+def test_cross_check_catches_inverted_tie_break(monkeypatch):
+    leaving = lp._leaving_row
+    # ties then go to the largest basic index instead of the smallest
+    monkeypatch.setattr(
+        lp, "_leaving_row", lambda rows, basis, enter: leaving(rows, [-b for b in basis], enter)
+    )
+    monkeypatch.setattr(lp, "_pivot", _capped(lp._pivot))
+    assert _disagreements(CROSS_CHECK)
+
+
+def test_cross_check_catches_negative_denominator(monkeypatch):
+    pivot = lp._pivot
+
+    def negated(rows, obj, r, j):
+        # same rationals, but the pivot row's denominator ends up negative
+        pivot(rows, obj, r, j)
+        rows[r] = [-v for v in rows[r]]
+
+    monkeypatch.setattr(lp, "_pivot", _capped(negated))
+    assert _disagreements(CROSS_CHECK)
+
+
+def test_exact_near_2_to_the_70():
+    # max x + y st (a+1)x + ay <= a^2, ax + (a+1)y <= a^2: optimum at
+    # x = y = a^2/(2a+1), both rows tight with multipliers 1/(2a+1)
+    a = 2**70
+    prob = lp.LPProblem(
+        objective=(1, 1),
+        sense="max",
+        ub=(((a + 1, a), a * a), ((a, a + 1), a * a)),
+    )
+    sol = lp.solve(prob)
+    t = Fraction(a * a, 2 * a + 1)
+    assert sol.status == lp.OPTIMAL
+    assert sol.value == 2 * t
+    assert sol.x == (t, t)
+    assert sol.dual == (Fraction(-1, 2 * a + 1),) * 2
+    assert _fields(sol) == reference_solve(prob)
