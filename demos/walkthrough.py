@@ -74,7 +74,7 @@ def main():
     if "--full" in sys.argv[1:]:
         print()
         print("binary four-way tables, all six two-way margins fixed"
-              " (about ten seconds)...")
+              " (about 1.5 s)...")
         rep = gap_report(entry_instance(k4_model()))
         assert rep.gap == Fraction(5, 3)
         print(f"largest relaxed cell entry exceeds the integer bound by"

@@ -31,14 +31,7 @@ from .errors import (
     WitnessMismatch,
     ZeroIdeal,
 )
-from .exactmath import (
-    IntMatrix,
-    hermite_normal_form,
-    kernel_lattice,
-    lattice_contains,
-    lattice_span_equal,
-    solve_rational,
-)
+from .exactmath import IntMatrix, hermite_normal_form, kernel_lattice
 from .fan import (
     Cone,
     GapFanPiece,
@@ -74,11 +67,8 @@ from .models import (
 from .monomial import (
     IrreducibleComponent,
     MonomialIdeal,
-    StandardPair,
-    intersection_of_components,
     irreducible_decomposition,
     minimal_generators,
-    standard_pairs,
 )
 from .oracle import brute_gap_box, brute_ip, enumerate_fiber
 from .toric import (
@@ -116,7 +106,6 @@ __all__ = [
     "MonomialIdeal",
     "NonTerminatingOrder",
     "ParseError",
-    "StandardPair",
     "TermOrder",
     "TrivialInstance",
     "UnboundedAux",
@@ -144,22 +133,17 @@ __all__ = [
     "gap_witness",
     "groebner_cone",
     "hermite_normal_form",
-    "intersection_of_components",
     "ip_optimum",
     "irreducible_decomposition",
     "is_generic",
     "k4_model",
     "kernel_lattice",
-    "lattice_contains",
     "lattice_family",
     "lattice_ideal_generators",
-    "lattice_span_equal",
     "margin_matrix",
     "minimal_generators",
     "non_optimal_ideal",
     "schrijver_bound",
     "simplicial_model_representatives",
-    "solve_rational",
-    "standard_pairs",
     "transportation_model",
 ]

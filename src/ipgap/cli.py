@@ -33,14 +33,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from operator import itemgetter
 
 from . import lp, oracle
-from .errors import BadParameter, InfiniteFiber, IpgapError, ParseError, VerificationError
+from .errors import BadParameter, IpgapError, ParseError, VerificationError
 from .exactmath import IntMatrix
 from .fan import explore_cones, gap_fan_subdivide
 from .gapcore import GapInstance, GapReport, gap_report
-from .models import MarginalModel, cells, entry_instance, margin_matrix
+from .models import MarginalModel, _entry_cost, cells, entry_instance, margin_matrix
 from .monomial import IrreducibleComponent
 from .toric import TIEBREAKS, ip_optimum
 
@@ -105,14 +106,17 @@ def parse_instance_text(text: str) -> InstanceSpec:
         key, sep, _ = line.partition(":")
         if not sep:
             row = _ints(line, lineno, indent + 1)
-            if block == "matrix":
-                matrix_rows.append(row)
-            elif block == "lattice":
-                lattice_rows.append(row)
-            else:
+            rows = {"matrix": matrix_rows, "lattice": lattice_rows}.get(block)
+            if rows is None:
                 raise ParseError(
                     "numeric row outside a matrix/lattice block", lineno, indent + 1
                 )
+            if rows and len(row) != len(rows[0]):
+                raise ParseError(
+                    f"row has {len(row)} entries, the block's first row {len(rows[0])}",
+                    lineno, indent + 1,
+                )
+            rows.append(row)
             continue
         key = key.strip().lower()
         colon = content.index(":")
@@ -150,7 +154,10 @@ def parse_instance_text(text: str) -> InstanceSpec:
         elif key == "box":
             fields["box"] = _ints(value, lineno, vcol)
         elif key == "budget":
-            fields["budget"] = _ints(value, lineno, vcol)[0]
+            budget = _ints(value, lineno, vcol)
+            if not budget:
+                raise ParseError("budget needs an integer", lineno, vcol)
+            fields["budget"] = budget[0]
         else:
             raise ParseError(f"unknown field {key!r}", lineno, indent + 1)
     sources = sum(x is not None for x in (matrix_rows, lattice_rows, dims))
@@ -409,52 +416,23 @@ def cmd_margins(spec: InstanceSpec, args) -> tuple[list[str], dict]:
 # ------------------------------------------------------------------- oracle
 
 
-def _oracle_slice(rows, cost, box, first, cap):
-    """Scan the sub-box with fixed first coordinate; runs in a worker."""
-    a = IntMatrix(rows)
-    c = tuple(Fraction(x) for x in cost)
-    best = best_z = None
-    seen: dict = {}
-    for rest in product(*(range(x + 1) for x in box[1:])):
-        z = (first,) + rest
-        b = a.mul_vector(z)
-        if b not in seen:
-            ip = oracle.brute_ip(a, b, c, cap)
-            relax = lp.lp_value(a, b, c)
-            if relax.status != lp.OPTIMAL:
-                raise InfiniteFiber("relaxation unbounded below on a box fiber")
-            seen[b] = ip - relax.value
-        if best is None or seen[b] > best:
-            best, best_z = seen[b], z
-    return str(best), best_z
-
-
 def _oracle_gap(a: IntMatrix, cost, box) -> tuple[Fraction, tuple[int, ...]]:
     threads = max(1, int(os.environ.get("IPGAP_THREADS", "1") or 1))
     if threads == 1 or box[0] == 0:
         return oracle.brute_gap_box(a, cost, box)
-    rows = [list(r) for r in a.rows]
-    cost_s = [str(c) for c in cost]
-    best = best_z = None
     with ProcessPoolExecutor(max_workers=min(threads, box[0] + 1)) as pool:
         slices = pool.map(
-            _oracle_slice,
-            *zip(*((rows, cost_s, box, v, oracle.DEFAULT_POINT_CAP)
-                   for v in range(box[0] + 1))),
+            oracle._gap_slice, repeat(a), repeat(cost), repeat(box),
+            product(range(box[0] + 1)), repeat(oracle.DEFAULT_POINT_CAP),
         )
-        for gap_s, z in slices:
-            g = Fraction(gap_s)
-            if best is None or g > best:
-                best, best_z = g, tuple(z)
-    return best, best_z
+        # max keeps the first of equal values, as the serial scan does
+        return max(slices, key=itemgetter(0))
 
 
 def cmd_oracle(spec: InstanceSpec, args) -> tuple[list[str], dict]:
     if spec.model is not None:
         a = margin_matrix(spec.model)
-        sense = getattr(args, "sense", None) or spec.sense or "max"
-        lead = Fraction(-1) if sense == "max" else Fraction(1)
-        cost = (lead,) + (Fraction(0),) * (a.ncols - 1)
+        cost = _entry_cost(spec.model, getattr(args, "sense", None) or spec.sense or "max")
     elif spec.matrix is not None:
         a = spec.matrix
         if spec.cost is None:
@@ -467,12 +445,7 @@ def cmd_oracle(spec: InstanceSpec, args) -> tuple[list[str], dict]:
         raise BadParameter("the oracle needs --box bounds")
     if len(box) == 1:
         box = box * a.ncols
-    if len(box) != a.ncols:
-        raise BadParameter(
-            f"box has {len(box)} bounds for {a.ncols} columns"
-        )
-    if any(x < 0 for x in box):
-        raise BadParameter("box bounds must be nonnegative")
+    box = oracle._check_box(a, box)
     value, z = _oracle_gap(a, cost, box)
     lines = [
         f"instance: matrix {a.nrows} x {a.ncols}",
@@ -620,7 +593,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="instance file path")
         p.add_argument(
-            "--format", choices=("text", "json", "json-like-structured"),
+            "--format", choices=("text", "json"),
             default="text", help="report format (default text)",
         )
         if name in ("gap", "decompose", "gb", "witness", "oracle"):
@@ -661,7 +634,7 @@ def main(argv=None) -> int:
     except IpgapError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    if args.format in ("json", "json-like-structured"):
+    if args.format == "json":
         out = json.dumps(data, indent=2)
     else:
         out = "\n".join(lines)

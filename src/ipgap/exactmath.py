@@ -8,6 +8,9 @@ The two workhorses are:
 * hermite_normal_form -- row-style HNF H = U.M with unimodular U,
 * kernel_lattice      -- a canonical basis of ker(A) intersected with Z^n.
 
+Rational vectors become integer ones in one place, _scaled (over the least
+common denominator), with _primitive_vector on top of it.
+
 Convention for the HNF used throughout the package: nonzero rows first,
 pivot columns strictly increasing, pivots positive, and every entry above a
 pivot reduced into [0, pivot).  This makes the HNF of a given row lattice
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -73,10 +78,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * ncols for _ in range(nrows)), ncols)
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.rows)
 
@@ -129,9 +130,6 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in r) for r in self.rows) or f"(0x{self.ncols})"
@@ -215,61 +213,17 @@ def kernel_lattice(a: IntMatrix) -> LatticeBasis:
     return IntMatrix(basis_rows, n).transpose()
 
 
-def lattice_contains(basis: LatticeBasis, v) -> bool:
-    """Does v lie in the integer column span of basis?"""
-    if len(v) != basis.nrows:
-        raise ValueError("length mismatch")
-    h, _ = hermite_normal_form(basis.transpose())
-    vec = list(v)
-    rows = [r for r in h.rows if any(r)]
-    for row in rows:
-        c = next(j for j, x in enumerate(row) if x)
-        if vec[c] % row[c] != 0:
-            return False
-        q = vec[c] // row[c]
-        if q:
-            vec = [a - q * b for a, b in zip(vec, row)]
-    return not any(vec)
+def _scaled(v) -> tuple[list[int], int]:
+    """Numerators of an int/Fraction sequence over its least common denominator.
 
-
-def lattice_span_equal(b1: LatticeBasis, b2: LatticeBasis) -> bool:
-    """Do two column bases generate the same sublattice of Z^n?"""
-    if b1.nrows != b2.nrows:
-        return False
-
-    def canon(b: LatticeBasis):
-        h, _ = hermite_normal_form(b.transpose())
-        return tuple(r for r in h.rows if any(r))
-
-    return canon(b1) == canon(b2)
-
-
-def solve_rational(a: IntMatrix, b) -> tuple[Fraction, ...] | None:
-    """One rational solution x of a.x = b, or None if inconsistent.
-
-    Free coordinates are set to zero.  Used for sanity checks and witnesses,
-    not on any hot path.
+    Returns (numerators, denominator).
     """
-    nr, nc = a.nrows, a.ncols
-    m = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a.rows, b)]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(nc):
-        sel = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, nr):
-        if m[i][nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(piv_cols):
-        x[c] = m[i][nc]
-    return tuple(x)
+    scale = lcm(*(x.denominator for x in v))
+    return [x.numerator * (scale // x.denominator) for x in v], scale
+
+
+def _primitive_vector(v) -> tuple[int, ...]:
+    """The shortest integer vector on the ray of a rational vector (zero stays zero)."""
+    ints, _ = _scaled([Fraction(x) for x in v])
+    g = reduce(gcd, ints, 0)
+    return tuple(x // g for x in ints) if g else tuple(ints)

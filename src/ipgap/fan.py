@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
 
 from . import lp
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     TrivialInstance,
     VerificationError,
 )
-from .exactmath import IntMatrix, kernel_lattice
+from .exactmath import IntMatrix, _primitive_vector, _scaled, kernel_lattice
 from .gapcore import GapInstance, gap_report, gap_value
 from .monomial import IrreducibleComponent
 from .toric import (
@@ -34,14 +33,6 @@ from .toric import (
     is_generic,
     lattice_ideal_generators,
 )
-
-
-def _primitive(v) -> tuple[int, ...]:
-    fr = [Fraction(x) for x in v]
-    mult = lcm(*(f.denominator for f in fr)) if fr else 1
-    ints = [int(f * mult) for f in fr]
-    g = gcd(*ints) if any(ints) else 1
-    return tuple(x // max(g, 1) for x in ints)
 
 
 @dataclass(frozen=True)
@@ -54,7 +45,7 @@ class Cone:
     def __init__(self, nvars: int, inequalities=()):
         rows = []
         for h in inequalities:
-            h = _primitive(h)
+            h = _primitive_vector(h)
             if len(h) != nvars:
                 raise BadParameter("inequality length does not match dimension")
             if any(h) and h not in rows:
@@ -64,6 +55,8 @@ class Cone:
 
     def contains(self, c) -> bool:
         c = tuple(Fraction(x) for x in c)
+        if len(c) != self.nvars:
+            raise BadParameter("point length does not match the cone's dimension")
         return all(
             sum((hi * ci for hi, ci in zip(h, c)), Fraction(0)) >= 0
             for h in self.inequalities
@@ -181,7 +174,7 @@ def gap_fan_subdivide(inst: GapInstance, cone: Cone | None = None) -> list[GapFa
             for _, other in distinct
             if other != form
         ]
-        region = cone.inequalities + tuple(_primitive(d) for d in dominance)
+        region = cone.inequalities + tuple(_primitive_vector(d) for d in dominance)
         if _strict_point(inst.nvars, region) is None:
             continue
         pieces.append(GapFanPiece(Cone(inst.nvars, region), comp, form))
@@ -202,12 +195,6 @@ def gap_function_eval(a, c, tiebreak: str = "grevlex"):
         if piece.cone.contains(inst.cost):
             return report.gap, piece
     raise DegenerateCone("no piece contains the instance's own cost")
-
-
-def _scaled_integer(v) -> tuple[int, ...]:
-    fr = [Fraction(x) for x in v]
-    mult = lcm(*(f.denominator for f in fr)) if fr else 1
-    return tuple(int(f * mult) for f in fr)
 
 
 def explore_cones(a, seeds, budget: int = 200) -> list[tuple[GroebnerBasis, Cone]]:
@@ -245,7 +232,7 @@ def explore_cones(a, seeds, budget: int = 200) -> list[tuple[GroebnerBasis, Cone
         center = cone.center
         if center is None:
             continue
-        p = _scaled_integer(center)
+        p, _ = _scaled(center)
         for h in cone.inequalities:
             hh = sum(x * x for x in h)
             hp = sum(x * y for x, y in zip(h, p))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import floor
+from operator import mul
 from typing import NamedTuple
 
 from . import lp
@@ -137,34 +138,19 @@ def gap_value(
     callers probing other points of the same cone.
     """
     cols = inst.lattice.columns()
-    m = len(cols)
-    n = inst.nvars
     u = comp.bound
     c = inst.cost if cost is None else tuple(Fraction(x) for x in cost)
-    if m == 0:
+    if not cols:
         return Fraction(0), tuple(Fraction(x) for x in u)
-    w = tuple(
-        sum((c[i] * cols[k][i] for i in range(n)), Fraction(0)) for k in range(m)
-    )
-    prob = lp.LPProblem(
-        objective=w,
-        sense="max",
-        ub=tuple(
-            (tuple(Fraction(cols[k][i]) for k in range(m)), Fraction(u[i]))
-            for i in comp.support
-        ),
-        free=(True,) * m,
-    )
-    sol = lp.solve(prob)
+    sol = lp._coefficient_lp(cols, c, u, comp.support)
     if sol.status == lp.UNBOUNDED:
         raise UnboundedAux(
             f"auxiliary program unbounded for the component on support "
             f"{comp.support}; the instance violates the boundedness precondition"
         )
-    t = sol.x
     v = tuple(
-        Fraction(u[i]) - sum((Fraction(cols[k][i]) * t[k] for k in range(m)), Fraction(0))
-        for i in range(n)
+        ui - sum(map(mul, row, sol.x), Fraction(0))
+        for ui, row in zip(u, inst.lattice.rows)
     )
     return sol.value, v
 
@@ -172,28 +158,13 @@ def gap_value(
 def _relaxation_value(inst: GapInstance, z) -> Fraction:
     """min c.v over v >= 0 congruent to z modulo the lattice's real span."""
     cols = inst.lattice.columns()
-    m = len(cols)
-    n = inst.nvars
-    c = inst.cost
-    base = sum((c[i] * z[i] for i in range(n)), Fraction(0))
-    if m == 0:
+    base = sum(map(mul, inst.cost, z), Fraction(0))
+    if not cols:
         return base
-    w = tuple(
-        sum((c[i] * cols[k][i] for i in range(n)), Fraction(0)) for k in range(m)
-    )
-    prob = lp.LPProblem(
-        objective=w,
-        sense="min",
-        ub=tuple(
-            (tuple(Fraction(-cols[k][i]) for k in range(m)), Fraction(z[i]))
-            for i in range(n)
-        ),
-        free=(True,) * m,
-    )
-    sol = lp.solve(prob)
+    sol = lp._coefficient_lp(cols, inst.cost, z, range(inst.nvars))
     if sol.status != lp.OPTIMAL:
         raise UnboundedProgram("relaxation unbounded below; preconditions violated")
-    return base + sol.value
+    return base - sol.value
 
 
 def _integer_value(inst: GapInstance, z) -> Fraction:
@@ -223,10 +194,18 @@ def gap_witness(report: GapReport, inst: GapInstance) -> tuple[int, ...]:
     return z
 
 
-def _assemble_report(inst: GapInstance, bound: Fraction | None) -> GapReport:
+def gap_report(inst: GapInstance) -> GapReport:
+    """Report for an already-built instance (matrix or lattice flavored).
+
+    Equals the maximum gap value over the irreducible components of the
+    non-optimal ideal; zero (with an empty component list) when that
+    ideal is zero.
+    """
+    bound = (
+        schrijver_bound(inst.matrix, inst.cost) if inst.matrix is not None else None
+    )
     if not inst.components:
-        report = GapReport((), Fraction(0), None, (), (0,) * inst.nvars, bound)
-        return report
+        return GapReport((), Fraction(0), None, (), (0,) * inst.nvars, bound)
     per = tuple(
         ComponentGap(comp, *gap_value(comp, inst)) for comp in inst.components
     )
@@ -238,28 +217,13 @@ def _assemble_report(inst: GapInstance, bound: Fraction | None) -> GapReport:
 
 
 def gap(a, c, tiebreak: str = "grevlex") -> GapReport:
-    """The integer programming gap of (A, c): worst case over all b.
-
-    Equals the maximum gap value over the irreducible components of the
-    non-optimal ideal; zero (with an empty component list) when that
-    ideal is zero.
-    """
-    inst = GapInstance.from_matrix(a, c, tiebreak)
-    return _assemble_report(inst, schrijver_bound(inst.matrix, inst.cost))
+    """The integer programming gap of (A, c): worst case over all b."""
+    return gap_report(GapInstance.from_matrix(a, c, tiebreak))
 
 
 def gap_lattice(l, c, tiebreak: str = "grevlex") -> GapReport:
     """The lattice programming gap: fibers are residue classes z + L."""
-    inst = GapInstance.from_lattice(l, c, tiebreak)
-    return _assemble_report(inst, None)
-
-
-def gap_report(inst: GapInstance) -> GapReport:
-    """Report for an already-built instance (matrix or lattice flavored)."""
-    bound = (
-        schrijver_bound(inst.matrix, inst.cost) if inst.matrix is not None else None
-    )
-    return _assemble_report(inst, bound)
+    return gap_report(GapInstance.from_lattice(l, c, tiebreak))
 
 
 def schrijver_bound(a: IntMatrix, c) -> Fraction:

@@ -21,9 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 
-from .errors import BadParameter, EmptyFiber, UnboundedProgram
+from .errors import BadParameter
+from .exactmath import _scaled
 
 Vec = tuple[Fraction, ...]
 
@@ -192,12 +194,6 @@ def _run_simplex(rows, obj, basis, eligible):
         pivots += 1
 
 
-def _scaled(coeffs):
-    """Numerators of a Fraction sequence over its least common denominator."""
-    scale = lcm(*(x.denominator for x in coeffs))
-    return [x.numerator * (scale // x.denominator) for x in coeffs], scale
-
-
 def solve(problem: LPProblem) -> LPSolution:
     """Solve exactly; statuses optimal / infeasible / unbounded."""
     n = problem.nvars
@@ -313,6 +309,8 @@ def lp_value(a, b, c) -> LPSolution:
     the full LPSolution; statuses cover infeasible and unbounded outcomes.
     """
     rows = a.rows if hasattr(a, "rows") else tuple(tuple(r) for r in a)
+    if len(b) != len(rows):
+        raise BadParameter("right-hand side length does not match the row count")
     prob = LPProblem(
         objective=_fracvec(c),
         sense="min",
@@ -321,14 +319,27 @@ def lp_value(a, b, c) -> LPSolution:
     return solve(prob)
 
 
-def relaxation_value(a, b, c) -> Fraction:
-    """lp_value for callers that require an optimum to exist.
+def _coefficient_lp(vectors, cost, base, rows, extra=()) -> LPSolution:
+    """max cost.(base - v) over v = base - B t, t free, B = vectors as columns.
 
-    Raises EmptyFiber when infeasible, UnboundedProgram when unbounded.
+    The constraints are v_i >= 0 for i in rows and a.v <= r for each (a, r)
+    in extra.  Posed over the coefficients t this is
+        max (B^T cost).t  s.t.  (row i of B).t <= base_i,
+                                -(B^T a).t <= r - a.base,
+    a program in only len(vectors) free variables; the solution's x is t.
     """
-    sol = lp_value(a, b, c)
-    if sol.status == INFEASIBLE:
-        raise EmptyFiber("relaxation is infeasible for this right-hand side")
-    if sol.status == UNBOUNDED:
-        raise UnboundedProgram("relaxation is unbounded below")
-    return sol.value
+    def image(a):  # B^T a
+        return tuple(sum(map(mul, a, col), Fraction(0)) for col in vectors)
+
+    brows = tuple(zip(*vectors))
+    prob = LPProblem(
+        objective=image(cost),
+        sense="max",
+        ub=tuple((brows[i], base[i]) for i in rows)
+        + tuple(
+            (tuple(-x for x in image(a)), r - sum(map(mul, a, base)))
+            for a, r in extra
+        ),
+        free=(True,) * len(vectors),
+    )
+    return solve(prob)

@@ -4,13 +4,11 @@ Monomials are plain tuples of nonnegative ints.  A MonomialIdeal stores its
 unique minimal generating set in a canonical order, so equality of objects
 is equality of ideals.  irreducible_decomposition returns the irredundant
 components ``<x_i^(bound_i + 1) : i in support>``; these are the data the
-gap computation optimizes over.  standard_pairs is a direct enumeration
-meant for small ideals and cross-checking, not for production sizes.
+gap computation optimizes over.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import le, lt
 
@@ -198,71 +196,3 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
         bound = [0 if x is None else x for x in row]
         comps.append(IrreducibleComponent(support, bound))
     return tuple(sorted(comps))
-
-
-def intersection_of_components(comps, nvars: int) -> MonomialIdeal:
-    ideal = None
-    for q in comps:
-        ideal = q.ideal() if ideal is None else ideal.intersect(q.ideal())
-    if ideal is None:
-        raise BadParameter("no components to intersect")
-    return ideal
-
-
-@dataclass(frozen=True, order=True)
-class StandardPair:
-    """A maximal free set of monomials outside an ideal.
-
-    root is an exponent vector supported off free; the pair stands for all
-    monomials root + w with w supported on free, none of which lie in the
-    ideal, and no larger pair (bigger free set after zeroing, or different
-    root giving a strictly larger family) stays outside.
-    """
-
-    root: tuple[int, ...]
-    free: tuple[int, ...]
-
-
-def _admissible(gens, root, free_set) -> bool:
-    for g in gens:
-        if not any(g[i] > root[i] for i in range(len(root)) if i not in free_set):
-            return False
-    return True
-
-
-def standard_pairs(ideal: MonomialIdeal) -> tuple[StandardPair, ...]:
-    """All standard pairs, by direct enumeration (exponential; small inputs).
-
-    For the zero ideal this is the single pair with every variable free.
-    The unit ideal has none.
-    """
-    n = ideal.nvars
-    if ideal.is_zero:
-        return (StandardPair((0,) * n, tuple(range(n))),)
-    if ideal.is_unit:
-        return ()
-    gens = ideal.gens
-    degree_cap = [max((g[i] for g in gens), default=0) for i in range(n)]
-    pairs = []
-    for free in itertools.chain.from_iterable(
-        itertools.combinations(range(n), k) for k in range(n + 1)
-    ):
-        free_set = set(free)
-        fixed = [i for i in range(n) if i not in free_set]
-        ranges = [range(max(degree_cap[i], 1)) for i in fixed]
-        for combo in itertools.product(*ranges):
-            root = [0] * n
-            for i, v in zip(fixed, combo):
-                root[i] = v
-            root = tuple(root)
-            if not _admissible(gens, root, free_set):
-                continue
-            maximal = True
-            for i in fixed:
-                bigger = root[:i] + (0,) + root[i + 1 :]
-                if _admissible(gens, bigger, free_set | {i}):
-                    maximal = False
-                    break
-            if maximal:
-                pairs.append(StandardPair(root, tuple(free)))
-    return tuple(sorted(pairs))

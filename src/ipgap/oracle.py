@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import floor, prod
+from operator import itemgetter
 
 from . import lp
 from .errors import BadParameter, EmptyFiber, FiberCapExceeded, InfiniteFiber
@@ -91,6 +92,8 @@ def enumerate_fiber(a, b, cap: int = DEFAULT_POINT_CAP) -> list[tuple[int, ...]]
 def brute_ip(a, b, c, cap: int = DEFAULT_POINT_CAP) -> Fraction:
     """Optimal integer value min c.z over the fiber of b, by exhaustion."""
     a = _as_matrix(a)
+    if len(c) != a.ncols:
+        raise BadParameter("cost length does not match the column count")
     points = enumerate_fiber(a, b, cap)
     if not points:
         raise EmptyFiber(f"no nonnegative integer point solves A z = {tuple(b)}")
@@ -98,25 +101,17 @@ def brute_ip(a, b, c, cap: int = DEFAULT_POINT_CAP) -> Fraction:
     return min(sum((ci * zi for ci, zi in zip(c, z)), Fraction(0)) for z in points)
 
 
-def brute_gap_box(a, c, box, cap: int = DEFAULT_POINT_CAP) -> tuple[Fraction, tuple[int, ...]]:
-    """Worst IP-minus-LP difference over right-hand sides seen in a box.
+def _gap_slice(a: IntMatrix, c, box, head: tuple, cap: int, seen=None):
+    """Worst IP-minus-LP difference over the points of the box starting with head.
 
-    Scans every z below the componentwise bounds, groups by b = A z, and
-    exhausts each fiber once.  The result is a lower bound on the true
-    gap, exact whenever the box contains a gap-attaining point.  Returns
-    the value and the first z (lexicographically) attaining it.
+    Returns (value, first z attaining it), scanning lexicographically.  seen
+    caches each fiber's difference by b = A z and may be shared across
+    slices; the parallel CLI scan maps this function over a worker pool.
     """
-    a = _as_matrix(a)
-    box = tuple(int(x) for x in box)
-    if len(box) != a.ncols:
-        raise BadParameter("box length does not match the column count")
-    if any(x < 0 for x in box):
-        raise BadParameter("box bounds must be nonnegative")
-    c = tuple(Fraction(x) for x in c)
-    seen: dict[tuple[int, ...], Fraction] = {}
-    best = None
-    best_z = None
-    for z in product(*(range(x + 1) for x in box)):
+    seen = {} if seen is None else seen
+    best = best_z = None
+    for rest in product(*(range(x + 1) for x in box[len(head):])):
+        z = head + rest
         b = a.mul_vector(z)
         if b not in seen:
             ip = brute_ip(a, b, c, cap)
@@ -125,6 +120,34 @@ def brute_gap_box(a, c, box, cap: int = DEFAULT_POINT_CAP) -> tuple[Fraction, tu
                 raise InfiniteFiber("relaxation unbounded below on a box fiber")
             seen[b] = ip - relax.value
         if best is None or seen[b] > best:
-            best = seen[b]
-            best_z = z
+            best, best_z = seen[b], z
     return best, best_z
+
+
+def _check_box(a: IntMatrix, box) -> tuple[int, ...]:
+    """box as ints, one nonnegative bound per column of a."""
+    box = tuple(int(x) for x in box)
+    if len(box) != a.ncols:
+        raise BadParameter(f"box has {len(box)} bounds for {a.ncols} columns")
+    if any(x < 0 for x in box):
+        raise BadParameter("box bounds must be nonnegative")
+    return box
+
+
+def brute_gap_box(a, c, box, cap: int = DEFAULT_POINT_CAP) -> tuple[Fraction, tuple[int, ...]]:
+    """Worst IP-minus-LP difference over right-hand sides seen in a box.
+
+    Scans every z below the componentwise bounds, one slice per value of
+    the first coordinate, groups by b = A z, and exhausts each fiber once
+    (one cache serves every slice).  The result is a lower bound on the
+    true gap, exact whenever the box contains a gap-attaining point.
+    Returns the value and the first z (lexicographically) attaining it.
+    """
+    a = _as_matrix(a)
+    box = _check_box(a, box)
+    c = tuple(Fraction(x) for x in c)
+    seen: dict[tuple[int, ...], Fraction] = {}
+    heads = product(*(range(x + 1) for x in box[:1]))
+    slices = (_gap_slice(a, c, box, head, cap, seen) for head in heads)
+    # max keeps the first of equal values, so ties go to the earliest slice
+    return max(slices, key=itemgetter(0))

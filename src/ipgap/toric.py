@@ -20,11 +20,10 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import lp
 from .errors import BadParameter, NonTerminatingOrder, UnboundedProgram
-from .exactmath import LatticeBasis
+from .exactmath import LatticeBasis, _scaled
 from .monomial import Monomial, MonomialIdeal, divides
 
 
@@ -54,10 +53,7 @@ class Binomial:
 
     @classmethod
     def from_vector(cls, v) -> "Binomial":
-        return cls(
-            tuple(max(x, 0) for x in v),
-            tuple(max(-x, 0) for x in v),
-        )
+        return cls(*_split(v))
 
     @property
     def nvars(self) -> int:
@@ -97,12 +93,6 @@ def _tiebreak_cmp(a: Monomial, b: Monomial, kind: str) -> int:
     return 0
 
 
-def _scale_to_int(row) -> tuple[int, ...]:
-    fr = [Fraction(x) for x in row]
-    mult = lcm(*(f.denominator for f in fr)) if fr else 1
-    return tuple(int(f * mult) for f in fr)
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """Compare exponent vectors by cost rows in sequence, then a tiebreak.
@@ -132,7 +122,7 @@ class TermOrder:
         object.__setattr__(self, "costs", rows)
         object.__setattr__(self, "tiebreak", tiebreak)
         object.__setattr__(
-            self, "_int_costs", tuple(_scale_to_int(r) for r in rows)
+            self, "_int_costs", tuple(tuple(_scaled(r)[0]) for r in rows)
         )
         # rows actually consulted by compare(); refined() trims rows that
         # restate the tiebreak, which compare() then handles directly
@@ -443,10 +433,6 @@ def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
     return out
 
 
-def _span_columns(gens) -> list[tuple[int, ...]]:
-    return [g.vector() for g in gens]
-
-
 def check_order_preconditions(gens, order: TermOrder) -> None:
     """Reject cost/order combinations for which no optimum need exist.
 
@@ -455,50 +441,35 @@ def check_order_preconditions(gens, order: TermOrder) -> None:
     primary cost there makes fibers unbounded below (UnboundedProgram); a
     nonzero direction of zero cost leaves infinitely many equal-cost points,
     which only a degree-compatible tiebreak well-orders (otherwise
-    NonTerminatingOrder).  Both tests are exact LPs in the span parameters.
+    NonTerminatingOrder).  Both tests are exact LPs over the coefficients
+    of the generators' vectors; the second runs only under lex, the one
+    tiebreak it can reject.
     """
-    vectors = [v for v in _span_columns(gens) if any(v)]
+    vectors = [v for v in (g.vector() for g in gens) if any(v)]
     if not vectors or not order.costs:
         return
     n = len(vectors[0])
-    m = len(vectors)
-    c = order.cost
-    # v = sum t_k vec_k, t free; rows of the parameterization
-    coord_rows = [tuple(Fraction(vectors[k][i]) for k in range(m)) for i in range(n)]
-    w = tuple(
-        sum((c[i] * coord_rows[i][k] for i in range(n)), Fraction(0))
-        for k in range(m)
-    )
-    prob = lp.LPProblem(
-        objective=w,
-        sense="min",
-        ub=tuple((tuple(-x for x in row), Fraction(0)) for row in coord_rows),
-        free=(True,) * m,
-    )
-    sol = lp.solve(prob)
-    if sol.status == lp.UNBOUNDED:
+    if order.nvars != n:
+        raise BadParameter("cost length does not match the variable count")
+    c, zero = order.cost, (0,) * n
+    # v = -sum t_k vec_k over free t: max -c.v is unbounded on v >= 0
+    # exactly when some nonnegative direction has negative cost
+    if lp._coefficient_lp(vectors, c, zero, range(n)).status == lp.UNBOUNDED:
         raise UnboundedProgram(
             "the nonnegative kernel cone has a direction of negative cost; "
             "fibers are unbounded below"
         )
-    # zero-cost ray: maximize total coordinate sum at cost <= 0, capped
-    total = tuple(
-        sum((coord_rows[i][k] for i in range(n)), Fraction(0)) for k in range(m)
+    if order.tiebreak != "lex":
+        return
+    # zero-cost ray: maximize the coordinate sum at cost <= 0, capped at 1
+    sol = lp._coefficient_lp(
+        vectors, (-1,) * n, zero, range(n), extra=((c, 0), ((1,) * n, 1))
     )
-    prob2 = lp.LPProblem(
-        objective=total,
-        sense="max",
-        ub=tuple((tuple(-x for x in row), Fraction(0)) for row in coord_rows)
-        + ((w, Fraction(0)), (total, Fraction(1))),
-        free=(True,) * m,
-    )
-    sol2 = lp.solve(prob2)
-    if sol2.status == lp.OPTIMAL and sol2.value > 0:
-        if order.tiebreak == "lex":
-            raise NonTerminatingOrder(
-                "a nonzero nonnegative direction of zero cost exists; "
-                "use a degree-compatible tiebreak (grevlex, grlex, or revgrevlex)"
-            )
+    if sol.status == lp.OPTIMAL and sol.value > 0:
+        raise NonTerminatingOrder(
+            "a nonzero nonnegative direction of zero cost exists; "
+            "use a degree-compatible tiebreak (grevlex, grlex, or revgrevlex)"
+        )
 
 
 def buchberger(gens, order: TermOrder) -> GroebnerBasis:
@@ -568,16 +539,12 @@ def _positive_orthogonal_weight(columns) -> tuple[int, ...] | None:
     sol = lp.solve(prob)
     if sol.status != lp.OPTIMAL:
         return None
-    mult = lcm(*(x.denominator for x in sol.x))
-    return tuple(int(x * mult) for x in sol.x)
+    return tuple(_scaled(sol.x)[0])
 
 
-def _strip_common(lead: Monomial, trail: Monomial) -> tuple[Monomial, Monomial]:
-    common = tuple(min(a, b) for a, b in zip(lead, trail))
-    if any(common):
-        lead = tuple(a - c for a, c in zip(lead, common))
-        trail = tuple(b - c for b, c in zip(trail, common))
-    return lead, trail
+def _split(v) -> tuple[Monomial, Monomial]:
+    """Positive and negative parts of an integer vector, as two exponents."""
+    return tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v)
 
 
 def _saturate_all_vars(elements: list[_Elt], weights: tuple[int, ...]) -> list[_Elt]:
@@ -622,35 +589,17 @@ def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
         return ()
     n = basis.nrows
     weights = _positive_orthogonal_weight(columns)
-    if weights is not None:
-        elements = [(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v)) for v in columns]
-        elements = _saturate_all_vars(elements, weights)
-        result = []
-        for lead, trail in elements:
-            lead, trail = _strip_common(lead, trail)
-            if lead != trail:
-                result.append(Binomial.from_vector(tuple(a - b for a, b in zip(lead, trail))))
-    else:
-        lifted = [v + (-sum(v),) for v in columns]
-        elements = [
-            (tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
-            for v in lifted
-        ]
-        elements = _saturate_all_vars(elements, (1,) * (n + 1))
-        result = []
-        for lead, trail in elements:
-            lead, trail = _strip_common(lead[:n], trail[:n])
-            if lead != trail:
-                result.append(Binomial.from_vector(tuple(a - b for a, b in zip(lead, trail))))
-    seen = set()
-    out = []
-    for b in result:
-        v = max(b.vector(), tuple(-x for x in b.vector()))
-        if v not in seen:
-            seen.add(v)
-            out.append(Binomial.from_vector(v))
-    out.sort(key=lambda b: (sum(b.plus) + sum(b.minus), b.plus, b.minus))
-    return tuple(out)
+    if weights is None:
+        columns = [v + (-sum(v),) for v in columns]
+        weights = (1,) * (n + 1)
+    elements = _saturate_all_vars([_split(v) for v in columns], weights)
+    vectors = set()
+    for lead, trail in elements:
+        v = tuple(a - b for a, b in zip(lead[:n], trail[:n]))
+        if any(v):
+            vectors.add(max(v, tuple(-x for x in v)))
+    out = map(Binomial.from_vector, vectors)
+    return tuple(sorted(out, key=lambda b: (sum(b.plus) + sum(b.minus), b.plus, b.minus)))
 
 
 def is_generic(gb: GroebnerBasis) -> bool:
@@ -717,6 +666,8 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
 def ip_optimum(gb: GroebnerBasis, z) -> tuple[int, ...]:
     """Normal form of the exponent z: the optimal point of z's fiber."""
     cur = tuple(int(x) for x in z)
+    if gb.nvars is not None and len(cur) != gb.nvars:
+        raise BadParameter("starting point length does not match the variable count")
     if any(x < 0 for x in cur):
         raise BadParameter("negative exponent in starting point")
     changed = True

@@ -14,6 +14,7 @@ from math import prod
 import pytest
 
 import test_models
+from _reference import standard_pairs
 from ipgap import lp, oracle
 from ipgap.errors import UnboundedProgram
 from ipgap.exactmath import IntMatrix
@@ -27,11 +28,7 @@ from ipgap.models import (
     lattice_family,
     transportation_model,
 )
-from ipgap.monomial import (
-    IrreducibleComponent,
-    irreducible_decomposition,
-    standard_pairs,
-)
+from ipgap.monomial import IrreducibleComponent, irreducible_decomposition
 from ipgap.toric import TermOrder, ip_optimum
 
 COIN_A, COIN_COST = coin_instance()

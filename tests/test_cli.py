@@ -68,6 +68,9 @@ def test_parse_model_block():
         ("matrix:\n1 2 x\n", 2, 5),
         ("matrix:\n1 2\ncost: 1 oops\n", 3, 9),
         ("model:\ndims: 2 2\nface: 1\nbox: -1 nine\n", 4, 9),
+        ("matrix:\n1 2 3\n1 2\n", 3, 1),
+        ("lattice:\n1 0\n 0 1 1\n", 3, 2),
+        ("matrix:\n1 2\nbudget:\n", 3, 8),
     ],
 )
 def test_parse_errors_carry_position(text, line, column):
@@ -143,10 +146,14 @@ def test_gap_json_round_trip(capsys):
         assert str(Fraction(s)) == s
 
 
-def test_format_alias_matches_json(capsys):
-    _, a, _ = run(capsys, "gap", COIN, "--format", "json")
-    _, b, _ = run(capsys, "gap", COIN, "--format", "json-like-structured")
-    assert canonical(a) == canonical(b)
+def test_format_choices_are_text_and_json():
+    parser = cli._parser()
+    for cmd in cli.COMMANDS:
+        for fmt in ("text", "json"):
+            assert parser.parse_args([cmd, COIN, "--format", fmt]).format == fmt
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([cmd, COIN, "--format", "json-like-structured"])
+        assert exc.value.code == 2
 
 
 def test_decompose_coin(capsys):
@@ -257,6 +264,14 @@ def test_fan_seed_file(capsys, tmp_path):
     assert code == 0
     assert "seeds: 2" in out
     assert "cones discovered: 7" in out
+
+
+def test_fan_seed_of_wrong_length_exits_2(capsys, tmp_path):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0 1 0\n")
+    code, out, err = run(capsys, "fan", COIN, "--seeds", str(seeds))
+    assert code == 2 and not out
+    assert "cost length does not match" in err
 
 
 def test_model_gap_small(capsys, tmp_path):

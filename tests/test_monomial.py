@@ -3,15 +3,13 @@ import random
 
 import pytest
 
+from _reference import StandardPair, intersection_of_components, standard_pairs
 from ipgap.errors import UnitIdeal, ZeroIdeal
 from ipgap.monomial import (
     IrreducibleComponent,
     MonomialIdeal,
-    StandardPair,
-    intersection_of_components,
     irreducible_decomposition,
     minimal_generators,
-    standard_pairs,
 )
 
 

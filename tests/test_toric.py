@@ -5,8 +5,9 @@ from itertools import combinations, product
 
 import pytest
 
+from _reference import lattice_contains
 from ipgap.errors import BadParameter, NonTerminatingOrder, UnboundedProgram
-from ipgap.exactmath import IntMatrix, kernel_lattice, lattice_contains
+from ipgap.exactmath import IntMatrix, kernel_lattice
 from ipgap.monomial import MonomialIdeal, irreducible_decomposition
 from ipgap.toric import (
     TIEBREAKS,
