@@ -185,6 +185,8 @@ def load_instance(path: str) -> InstanceSpec:
             return parse_instance_text(fh.read())
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: not UTF-8 text (byte {e.start})")
 
 
 # ---------------------------------------------------------------- rendering
@@ -417,7 +419,11 @@ def cmd_margins(spec: InstanceSpec, args) -> tuple[list[str], dict]:
 
 
 def _oracle_gap(a: IntMatrix, cost, box) -> tuple[Fraction, tuple[int, ...]]:
-    threads = max(1, int(os.environ.get("IPGAP_THREADS", "1") or 1))
+    raw = os.environ.get("IPGAP_THREADS", "1") or "1"
+    try:
+        threads = max(1, int(raw))
+    except ValueError:
+        raise BadParameter(f"IPGAP_THREADS must be an integer, got {raw!r}") from None
     if threads == 1 or box[0] == 0:
         return oracle.brute_gap_box(a, cost, box)
     with ProcessPoolExecutor(max_workers=min(threads, box[0] + 1)) as pool:
@@ -492,6 +498,8 @@ def _load_seeds(path: str) -> list[tuple[Fraction, ...]]:
                     seeds.append(_rats(line, lineno))
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: not UTF-8 text (byte {e.start})")
     if not seeds:
         raise ParseError(f"no seed costs in {path}")
     return seeds

@@ -213,6 +213,53 @@ def kernel_lattice(a: IntMatrix) -> LatticeBasis:
     return IntMatrix(basis_rows, n).transpose()
 
 
+def _max_maximal_minor(rows) -> int:
+    """Largest |det| over the r x r column submatrices of an r x n matrix.
+
+    rows are r integer sequences of length n >= r; no rows give 1, the
+    empty determinant.  The column subsets are walked depth-first in
+    increasing order with one fraction-free (Bareiss) elimination step
+    per depth, so subsets sharing a prefix share its elimination.  In the
+    working matrix rows before k are spent pivot rows and rows k.. are
+    live; after k steps the live entry in row i and column j is, up to
+    sign, the minor on the pivot rows plus i and the chosen columns plus
+    j.  So after r - 1 steps the last row holds the minors themselves,
+    and a column with no nonzero live entry makes every minor extending
+    the prefix zero: its whole subtree is skipped.
+    """
+    r = len(rows)
+    if r == 0:
+        return 1
+    n = len(rows[0])
+    best = 0
+
+    def walk(m, k, first, prev):
+        nonlocal best
+        if k == r - 1:
+            best = max(best, max(map(abs, m[k][first:])))
+            return
+        for j in range(first, n - r + k + 1):
+            p = next((i for i in range(k, r) if m[i][j]), None)
+            if p is None:
+                continue
+            pivot_row = m[p]
+            pivot = pivot_row[j]
+            child = m[:k]
+            child.append(pivot_row)
+            for i in range(k, r):
+                if i != p:
+                    row = m[i]
+                    f = row[j]
+                    child.append(row[: j + 1] + [
+                        (x * pivot - f * y) // prev
+                        for x, y in zip(row[j + 1:], pivot_row[j + 1:])
+                    ])
+            walk(child, k + 1, j + 1, pivot)
+
+    walk([list(row) for row in rows], 0, 0, 1)
+    return best
+
+
 def _scaled(v) -> tuple[list[int], int]:
     """Numerators of an int/Fraction sequence over its least common denominator.
 

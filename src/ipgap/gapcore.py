@@ -21,14 +21,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import floor
+from functools import reduce
+from math import floor, gcd
 from operator import mul
 from typing import NamedTuple
 
 from . import lp
 from .errors import BadParameter, UnboundedAux, UnboundedProgram, WitnessMismatch
-from .exactmath import IntMatrix, LatticeBasis, kernel_lattice
+from .exactmath import IntMatrix, LatticeBasis, _max_maximal_minor, kernel_lattice
 from .monomial import (
     IrreducibleComponent,
     MonomialIdeal,
@@ -229,29 +229,51 @@ def gap_lattice(l, c, tiebreak: str = "grevlex") -> GapReport:
 def schrijver_bound(a: IntMatrix, c) -> Fraction:
     """A-priori bound n D(A) sum|c_i|, D(A) the largest maximal minor.
 
-    Maximal minors are taken at the matrix's rank, on a maximal set of
-    linearly independent rows: redundant rows change neither the fibers
-    nor the gap, and the bound is only valid for a full-row-rank
-    presentation.
+    Maximal minors are taken at the matrix's rank r, on the rows a greedy
+    pass keeps: each row in order is kept iff it is independent of those
+    already kept (redundant rows change neither the fibers nor the gap,
+    and the bound is only valid for a full-row-rank presentation).  That
+    fraction-free echelon pass also yields pivot columns P with A_P
+    nonsingular.
+
+    D is the largest |det| over r-subsets of the kept rows' columns or,
+    when k = n - r is smaller than r, over k-subsets of the rows of the
+    saturated kernel basis B: Pluecker duality gives |det A_S| =
+    g |det B_(S^c)| for every S, with g = |det A_P| / |det B_(P^c)|.
+    Either way one depth-first walk shares the elimination of common
+    prefixes and skips every subset extending a prefix whose minors all
+    vanish (see exactmath._max_maximal_minor).
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
     c = tuple(Fraction(x) for x in c)
     if len(c) != a.ncols:
         raise BadParameter("cost length does not match the column count")
-    r = a.rank()
     total = sum((abs(x) for x in c), Fraction(0))
+    n = a.ncols
+    kept: list = []
+    echelon: list = []
+    pivots: list[int] = []
+    for row in a.rows:
+        v = list(row)
+        for p, e in zip(pivots, echelon):
+            f = v[p]
+            if f:
+                v = [x * e[p] - f * y for x, y in zip(v, e)]
+        content = reduce(gcd, v, 0)
+        if content:
+            kept.append(row)
+            echelon.append([x // content for x in v])
+            pivots.append(next(j for j, x in enumerate(v) if x))
+    r = len(kept)
     if r == 0:
         return Fraction(0)
-    kept: list = []
-    for row in a.rows:
-        trial = kept + [row]
-        if IntMatrix(trial, a.ncols).rank() == len(trial):
-            kept.append(row)
-        if len(kept) == r:
-            break
-    d = 0
-    for cols in combinations(range(a.ncols), r):
-        sub = IntMatrix([[row[j] for j in cols] for row in kept], r)
-        d = max(d, abs(sub.det()))
-    return a.ncols * d * total
+    if n - r >= r:
+        d = _max_maximal_minor(kept)
+    else:
+        b = kernel_lattice(a)
+        free = sorted(set(range(n)) - set(pivots))
+        g = abs(IntMatrix([[row[p] for p in pivots] for row in kept], r).det())
+        g //= abs(IntMatrix([b.rows[i] for i in free], n - r).det())
+        d = g * _max_maximal_minor(b.columns())
+    return n * d * total

@@ -1,8 +1,8 @@
 """Test-side reference implementations and cross-check oracles.
 
 Nothing in the package uses these: they restate lattice membership, rational
-solving, standard pairs, component intersection and the throwing form of the
-relaxation value directly, so tests can check the package's answers against
+solving, standard pairs, component intersection, the throwing form of the
+relaxation value and the Schrijver bound over every maximal minor directly, so tests can check the package's answers against
 them.  Each favours the plain textbook construction over speed.
 """
 
@@ -94,6 +94,40 @@ def relaxation_value(a, b, c) -> Fraction:
     if sol.status == lp.UNBOUNDED:
         raise UnboundedProgram("relaxation is unbounded below")
     return sol.value
+
+
+def maximal_minors(a: IntMatrix) -> list[int]:
+    """Every maximal minor of a, in column-subset order, at its rank.
+
+    The minors are those of the first maximal set of linearly independent
+    rows, kept greedily in row order; the zero-rank matrix has none.
+    """
+    r = a.rank()
+    if r == 0:
+        return []
+    kept: list = []
+    for row in a.rows:
+        trial = kept + [row]
+        if IntMatrix(trial, a.ncols).rank() == len(trial):
+            kept.append(row)
+        if len(kept) == r:
+            break
+    return [
+        IntMatrix([[row[j] for j in cols] for row in kept], r).det()
+        for cols in itertools.combinations(range(a.ncols), r)
+    ]
+
+
+def schrijver_bound(a: IntMatrix, c) -> Fraction:
+    """n D(A) sum|c_i| with D(A) the largest |maximal minor|, one det per subset."""
+    c = tuple(Fraction(x) for x in c)
+    if len(c) != a.ncols:
+        raise BadParameter("cost length does not match the column count")
+    minors = maximal_minors(a)
+    if not minors:
+        return Fraction(0)
+    total = sum((abs(x) for x in c), Fraction(0))
+    return a.ncols * max(map(abs, minors)) * total
 
 
 # ---------------------------------------------------------- monomial ideals

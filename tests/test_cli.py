@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +11,8 @@ import pytest
 from ipgap import cli
 from ipgap.errors import ParseError
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 COIN = str(DEMOS / "coin.txt")
 K4 = str(DEMOS / "k4.txt")
@@ -303,6 +307,43 @@ def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "gap", "/nonexistent/instance.txt")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_non_utf8_instance_exits_2(capsys, tmp_path):
+    inst = tmp_path / "latin1.txt"
+    inst.write_bytes(b"\xffmatrix:\n1 2\ncost: 1 0\n")
+    code, _, err = run(capsys, "gap", str(inst))
+    assert code == 2
+    assert "not UTF-8" in err
+
+
+def test_non_utf8_seed_file_exits_2(capsys, tmp_path):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_bytes(b"0 1 0 1\n\xff\n")
+    code, _, err = run(capsys, "fan", COIN, "--seeds", str(seeds))
+    assert code == 2
+    assert "not UTF-8" in err
+
+
+def test_bad_thread_count_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("IPGAP_THREADS", "abc")
+    code, _, err = run(capsys, "oracle", COIN, "--box", "1")
+    assert code == 2
+    assert "IPGAP_THREADS" in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "ipgap", "gap", COIN],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, out, _ = run(capsys, "gap", COIN)
+    assert canonical(proc.stdout) == canonical(out)
 
 
 def test_name_count_mismatch_exits_2(capsys, tmp_path):

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from math import gcd
 
 import pytest
 
+from _reference import maximal_minors
+from _reference import schrijver_bound as reference_schrijver_bound
 from ipgap import lp
 from ipgap.errors import UnboundedAux, WitnessMismatch
 from ipgap.exactmath import IntMatrix
@@ -17,6 +21,7 @@ from ipgap.gapcore import (
     gap_witness,
     schrijver_bound,
 )
+from ipgap.models import MarginalModel, margin_matrix
 from ipgap.monomial import IrreducibleComponent
 from ipgap.toric import TermOrder
 
@@ -115,6 +120,76 @@ def test_schrijver_bound_values():
     assert schrijver_bound(IntMatrix([[1, 5]]), (1, 0)) == 10
     assert schrijver_bound(COIN_A, (0, 0, 0, 0)) == 0
     assert schrijver_bound(COIN_A, COIN_COST) >= gap(COIN_A, COIN_COST).gap
+
+
+def _bound_case(rng, kind):
+    """One seeded (A, c) of the given kind for the Schrijver cross-check."""
+    d, n = rng.randint(1, 5), rng.randint(1, 8)
+    rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(d)]
+    if kind == "dependent" and d > 1:
+        k = rng.choice((-2, -1, 1, 2))
+        rows[rng.randrange(d)] = [k * x + y for x, y in zip(rows[0], rows[-1])]
+    elif kind == "scaled":
+        rows = [[3 * x for x in row] for row in rows]
+    elif kind == "zero-one":
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(d)]
+    elif kind == "zero row":
+        rows[rng.randrange(d)] = [0] * n
+    elif kind == "square":
+        rows = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(d)]
+    elif kind == "zero matrix":
+        rows = [[0] * n for _ in range(d)]
+    cost = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows[0]]
+    if kind == "zero cost":
+        cost = [0] * len(cost)
+    return IntMatrix(rows), cost
+
+
+BOUND_KINDS = (
+    "generic", "dependent", "scaled", "zero-one", "zero row", "square",
+    "zero matrix", "zero cost",
+)
+BOUND_CASES = [
+    _bound_case(random.Random(seed), BOUND_KINDS[seed % len(BOUND_KINDS)])
+    for seed in range(400)
+]
+
+
+def test_schrijver_bound_matches_every_minor_reference():
+    for a, c in BOUND_CASES:
+        assert schrijver_bound(a, c) == reference_schrijver_bound(a, c), (a.rows, c)
+
+
+def test_schrijver_bound_cross_check_coverage():
+    # the fast bound enumerates the kernel side when k = n - r < r and
+    # rescales by g = |det A_P| / |det B_(P^c)|, the gcd of the maximal
+    # minors; the cases must reach both sides, g > 1 there, k = 0 and r = 0
+    seen = set()
+    for a, c in BOUND_CASES:
+        minors = maximal_minors(a)
+        r = a.rank()
+        k = a.ncols - r
+        seen.add("rank 0" if r == 0 else "kernel side" if k < r else "row side")
+        if r and k == 0:
+            seen.add("square")
+        if k < r and reduce(gcd, minors) > 1:
+            seen.add("g > 1")
+        if 0 < r < a.nrows:
+            seen.add("dependent rows")
+        if not any(c):
+            seen.add("zero cost")
+    assert seen == {
+        "rank 0", "row side", "kernel side", "square", "g > 1",
+        "dependent rows", "zero cost",
+    }
+
+
+@pytest.mark.slow
+def test_schrijver_bound_3x3x3_no_three_way():
+    # 27 cells, rank 19: 2,220,075 maximal minors of size 19, or C(27, 8)
+    # of size 8 on the kernel side
+    a = margin_matrix(MarginalModel((3, 3, 3), ((1, 2), (1, 3), (2, 3))))
+    assert schrijver_bound(a, (1,) + (0,) * 26) == 54
 
 
 def test_gap_value_monotone_in_corner():
