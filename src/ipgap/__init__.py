@@ -55,7 +55,6 @@ from .models import (
     MarginalModel,
     cells,
     coin_instance,
-    entry_degree_bound_check,
     entry_gap,
     entry_instance,
     k4_model,
@@ -119,7 +118,6 @@ __all__ = [
     "buchberger",
     "cells",
     "coin_instance",
-    "entry_degree_bound_check",
     "entry_gap",
     "entry_instance",
     "enumerate_fiber",

@@ -179,14 +179,18 @@ def parse_instance_text(text: str) -> InstanceSpec:
     return InstanceSpec(**spec, **fields)
 
 
-def load_instance(path: str) -> InstanceSpec:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_instance_text(fh.read())
+            return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError as e:
         raise ParseError(f"cannot read {path}: not UTF-8 text (byte {e.start})")
+
+
+def load_instance(path: str) -> InstanceSpec:
+    return parse_instance_text(_read_text(path))
 
 
 # ---------------------------------------------------------------- rendering
@@ -490,16 +494,10 @@ def cmd_oracle(spec: InstanceSpec, args) -> tuple[list[str], dict]:
 
 def _load_seeds(path: str) -> list[tuple[Fraction, ...]]:
     seeds = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    seeds.append(_rats(line, lineno))
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e.strerror}")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"cannot read {path}: not UTF-8 text (byte {e.start})")
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            seeds.append(_rats(line, lineno))
     if not seeds:
         raise ParseError(f"no seed costs in {path}")
     return seeds

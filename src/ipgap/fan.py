@@ -23,16 +23,10 @@ from .errors import (
     TrivialInstance,
     VerificationError,
 )
-from .exactmath import IntMatrix, _primitive_vector, _scaled, kernel_lattice
-from .gapcore import GapInstance, gap_report, gap_value
+from .exactmath import _primitive_vector, _scaled
+from .gapcore import GapInstance, LatticeIdeal, gap_report, gap_value
 from .monomial import IrreducibleComponent
-from .toric import (
-    GroebnerBasis,
-    TermOrder,
-    buchberger,
-    is_generic,
-    lattice_ideal_generators,
-)
+from .toric import GroebnerBasis, TermOrder, buchberger, is_generic
 
 
 @dataclass(frozen=True)
@@ -207,8 +201,7 @@ def explore_cones(a, seeds, budget: int = 200) -> list[tuple[GroebnerBasis, Cone
     the seeds.  Complete exactly when the walk closes; callers asserting
     completeness must know their fan.
     """
-    a = a if isinstance(a, IntMatrix) else IntMatrix(a)
-    gens = lattice_ideal_generators(kernel_lattice(a))
+    gens = LatticeIdeal.from_matrix(a).generators
     found: dict = {}
     queue: list = []
 

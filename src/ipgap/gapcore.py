@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from math import floor, gcd
 from operator import mul
 from typing import NamedTuple
@@ -35,6 +35,7 @@ from .monomial import (
     irreducible_decomposition,
 )
 from .toric import (
+    Binomial,
     GroebnerBasis,
     TermOrder,
     buchberger,
@@ -50,19 +51,54 @@ def _as_order(cost, tiebreak: str) -> TermOrder:
     return TermOrder(cost, tiebreak)
 
 
+LATTICE_MEMO_SIZE = 64
+
+
+@dataclass(frozen=True)
+class LatticeIdeal:
+    """The cost-independent layer: a lattice and its saturated ideal.
+
+    matrix is None for a lattice given directly, else lattice is its
+    canonical kernel basis; lattice columns generate the fibers'
+    difference set.  generators are saturated on first read, a matrix's
+    by the ideal of its kernel basis.  from_matrix and from_lattice share
+    one object per matrix or basis via a bounded memo.
+    """
+
+    matrix: IntMatrix | None
+    lattice: LatticeBasis
+
+    @classmethod
+    def from_matrix(cls, a: IntMatrix) -> "LatticeIdeal":
+        return _lattice_ideal(a if isinstance(a, IntMatrix) else IntMatrix(a), None)
+
+    @classmethod
+    def from_lattice(cls, l: LatticeBasis) -> "LatticeIdeal":
+        return _lattice_ideal(None, l if isinstance(l, IntMatrix) else IntMatrix(l))
+
+    @cached_property
+    def generators(self) -> tuple[Binomial, ...]:
+        if self.matrix is not None:
+            return LatticeIdeal.from_lattice(self.lattice).generators
+        return lattice_ideal_generators(self.lattice)
+
+
+@lru_cache(maxsize=LATTICE_MEMO_SIZE)
+def _lattice_ideal(a, lattice) -> LatticeIdeal:
+    return LatticeIdeal(a, kernel_lattice(a) if lattice is None else lattice)
+
+
 @dataclass(frozen=True)
 class GapInstance:
     """Everything the gap computation derives from one (A, c) or (L, c).
 
-    matrix is None for instances given directly by a lattice.  lattice
-    columns generate the fibers' difference set; groebner is the reduced
+    lattice_ideal is the part no cost changes; groebner is the reduced
     basis under the cost-refined order, ideal the non-optimal monomial
     ideal, components its irredundant irreducible decomposition (empty
     exactly when the ideal is zero).
     """
 
-    matrix: IntMatrix | None
-    lattice: LatticeBasis
+    lattice_ideal: LatticeIdeal
     cost: tuple[Fraction, ...]
     groebner: GroebnerBasis
     ideal: MonomialIdeal
@@ -70,27 +106,30 @@ class GapInstance:
 
     @classmethod
     def from_matrix(cls, a: IntMatrix, cost, tiebreak: str = "grevlex") -> "GapInstance":
-        if not isinstance(a, IntMatrix):
-            a = IntMatrix(a)
-        return cls._build(a, kernel_lattice(a), cost, tiebreak)
+        return cls._build(LatticeIdeal.from_matrix(a), cost, tiebreak)
 
     @classmethod
     def from_lattice(cls, l: LatticeBasis, cost, tiebreak: str = "grevlex") -> "GapInstance":
-        if not isinstance(l, IntMatrix):
-            l = IntMatrix(l)
-        return cls._build(None, l, cost, tiebreak)
+        return cls._build(LatticeIdeal.from_lattice(l), cost, tiebreak)
 
     @classmethod
-    def _build(cls, a, lattice, cost, tiebreak) -> "GapInstance":
+    def _build(cls, lattice_ideal: LatticeIdeal, cost, tiebreak) -> "GapInstance":
         order = _as_order(cost, tiebreak)
-        n = lattice.nrows
+        n = lattice_ideal.lattice.nrows
         if order.nvars is not None and order.nvars != n:
             raise BadParameter("cost length does not match the variable count")
-        gens = lattice_ideal_generators(lattice)
-        gb = buchberger(gens, order)
+        gb = buchberger(lattice_ideal.generators, order)
         ideal = non_optimal_ideal(gb) if gb.elements else MonomialIdeal(n)
         comps = () if ideal.is_zero else irreducible_decomposition(ideal)
-        return cls(a, lattice, order.cost, gb, ideal, comps)
+        return cls(lattice_ideal, order.cost, gb, ideal, comps)
+
+    @property
+    def matrix(self) -> IntMatrix | None:
+        return self.lattice_ideal.matrix
+
+    @property
+    def lattice(self) -> LatticeBasis:
+        return self.lattice_ideal.lattice
 
     @property
     def nvars(self) -> int:
@@ -271,7 +310,7 @@ def schrijver_bound(a: IntMatrix, c) -> Fraction:
     if n - r >= r:
         d = _max_maximal_minor(kept)
     else:
-        b = kernel_lattice(a)
+        b = LatticeIdeal.from_matrix(a).lattice
         free = sorted(set(range(n)) - set(pivots))
         g = abs(IntMatrix([[row[p] for p in pivots] for row in kept], r).det())
         g //= abs(IntMatrix([b.rows[i] for i in free], n - r).det())

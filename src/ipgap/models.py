@@ -111,18 +111,6 @@ def entry_gap(model: MarginalModel, sense: str = "max") -> GapReport:
     return gap_report(entry_instance(model, sense))
 
 
-def entry_degree_bound_check(model: MarginalModel) -> bool:
-    """Lower-bound sanity link between the gap and the generators.
-
-    The minimization-sense gap plus one must cover the largest degree of
-    the first variable in any minimal generator of the non-optimal ideal.
-    """
-    inst = entry_instance(model, "min")
-    report = gap_report(inst)
-    maxdeg = max((g[0] for g in inst.ideal.gens), default=0)
-    return report.gap + 1 >= maxdeg
-
-
 def k4_model() -> MarginalModel:
     """All six 2-faces of a 2x2x2x2 table."""
     return MarginalModel((2, 2, 2, 2), tuple(combinations((1, 2, 3, 4), 2)))

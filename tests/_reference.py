@@ -2,8 +2,10 @@
 
 Nothing in the package uses these: they restate lattice membership, rational
 solving, standard pairs, component intersection, the throwing form of the
-relaxation value and the Schrijver bound over every maximal minor directly, so tests can check the package's answers against
-them.  Each favours the plain textbook construction over speed.
+relaxation value, the Schrijver bound over every maximal minor and the
+degree-bound link of a table model directly, so tests can check the
+package's answers against them.  Each favours the plain textbook
+construction over speed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from fractions import Fraction
 from ipgap import lp
 from ipgap.errors import BadParameter, EmptyFiber, UnboundedProgram
 from ipgap.exactmath import IntMatrix, LatticeBasis, hermite_normal_form
+from ipgap.gapcore import gap_report
+from ipgap.models import MarginalModel, entry_instance
 from ipgap.monomial import MonomialIdeal
 
 
@@ -199,3 +203,18 @@ def standard_pairs(ideal: MonomialIdeal) -> tuple[StandardPair, ...]:
             if maximal:
                 pairs.append(StandardPair(root, tuple(free)))
     return tuple(sorted(pairs))
+
+
+# ------------------------------------------------------------------ models
+
+
+def entry_degree_bound_check(model: MarginalModel) -> bool:
+    """Lower-bound sanity link between the gap and the generators.
+
+    The minimization-sense gap plus one must cover the largest degree of
+    the first variable in any minimal generator of the non-optimal ideal.
+    """
+    inst = entry_instance(model, "min")
+    report = gap_report(inst)
+    maxdeg = max((g[0] for g in inst.ideal.gens), default=0)
+    return report.gap + 1 >= maxdeg

@@ -14,7 +14,7 @@ from math import prod
 import pytest
 
 import test_models
-from _reference import standard_pairs
+from _reference import entry_degree_bound_check, standard_pairs
 from ipgap import lp, oracle
 from ipgap.errors import UnboundedProgram
 from ipgap.exactmath import IntMatrix
@@ -22,7 +22,6 @@ from ipgap.fan import explore_cones, gap_fan_subdivide
 from ipgap.gapcore import GapInstance, gap_report, gap_value, gap_witness
 from ipgap.models import (
     coin_instance,
-    entry_degree_bound_check,
     entry_instance,
     k4_model,
     lattice_family,

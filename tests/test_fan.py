@@ -13,7 +13,7 @@ from ipgap.fan import (
     gap_function_eval,
     groebner_cone,
 )
-from ipgap.gapcore import GapInstance, gap, gap_value
+from ipgap.gapcore import GapInstance, LatticeIdeal, gap, gap_value
 from ipgap.toric import Binomial, GroebnerBasis, TermOrder
 
 COIN_A = IntMatrix([[1, 1, 1, 1], [1, 5, 10, 25]])
@@ -231,8 +231,7 @@ def test_degenerate_cone_detected():
         (Binomial((1, 0), (0, 1)), Binomial((0, 1), (1, 0))), order
     )
     broken = GapInstance(
-        matrix=None,
-        lattice=IntMatrix([[1], [-1]]),
+        lattice_ideal=LatticeIdeal(matrix=None, lattice=IntMatrix([[1], [-1]])),
         cost=(Fraction(1), Fraction(1)),
         groebner=flat,
         ideal=base.ideal,

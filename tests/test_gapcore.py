@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -8,12 +9,14 @@ import pytest
 
 from _reference import maximal_minors
 from _reference import schrijver_bound as reference_schrijver_bound
-from ipgap import lp
+from ipgap import gapcore, lp
 from ipgap.errors import UnboundedAux, WitnessMismatch
-from ipgap.exactmath import IntMatrix
+from ipgap.exactmath import IntMatrix, kernel_lattice
+from ipgap.fan import explore_cones
 from ipgap.gapcore import (
     GapInstance,
     GapReport,
+    LatticeIdeal,
     gap,
     gap_lattice,
     gap_report,
@@ -21,7 +24,12 @@ from ipgap.gapcore import (
     gap_witness,
     schrijver_bound,
 )
-from ipgap.models import MarginalModel, margin_matrix
+from ipgap.models import (
+    MarginalModel,
+    entry_instance,
+    margin_matrix,
+    transportation_model,
+)
 from ipgap.monomial import IrreducibleComponent
 from ipgap.toric import TermOrder
 
@@ -223,8 +231,7 @@ def test_unbounded_aux_detected():
     # cost points down a direction the component's support cannot see
     lattice = IntMatrix([[1], [1]])
     inst = GapInstance(
-        matrix=None,
-        lattice=lattice,
+        lattice_ideal=LatticeIdeal(matrix=None, lattice=lattice),
         cost=(Fraction(-1), Fraction(0)),
         groebner=None,
         ideal=None,
@@ -271,3 +278,30 @@ def test_random_instances_respect_bound_and_squarefree_rule():
         # the witness was verified on construction; re-verify through the
         # public entry point for good measure
         assert gap_witness(r, inst) == r.witness_z
+
+
+def test_one_saturation_per_lattice(monkeypatch):
+    # lattices no other test builds, so the shared memo starts cold for
+    # both whatever order the tests run in
+    calls = Counter()
+    original = gapcore.lattice_ideal_generators
+
+    def counted(basis):
+        calls[basis] += 1
+        return original(basis)
+
+    monkeypatch.setattr(gapcore, "lattice_ideal_generators", counted)
+    a = IntMatrix([[2, 3, 7, 11]])
+    GapInstance.from_matrix(a, (1, 2, 3, 4))
+    GapInstance.from_matrix(a, (4, 3, 2, 1))
+    cones = explore_cones(a, [(7, 19, 31, 53)], budget=4)
+    assert len(cones) > 1
+    for _, cone in cones:
+        GapInstance.from_matrix(a, cone.center)
+    model = transportation_model(2, 4)
+    for sense in ("max", "min"):
+        entry_instance(model, sense)
+    assert calls == {
+        kernel_lattice(a): 1,
+        kernel_lattice(margin_matrix(model)): 1,
+    }

@@ -7,13 +7,13 @@ from math import prod
 
 import pytest
 
+from _reference import entry_degree_bound_check
 from ipgap.errors import BadParameter
 from ipgap.gapcore import GapInstance, gap_report, gap_value
 from ipgap.models import (
     MarginalModel,
     cells,
     coin_instance,
-    entry_degree_bound_check,
     entry_gap,
     entry_instance,
     k4_model,
