@@ -274,3 +274,33 @@ def _primitive_vector(v) -> tuple[int, ...]:
     ints, _ = _scaled([Fraction(x) for x in v])
     g = reduce(gcd, ints, 0)
     return tuple(x // g for x in ints) if g else tuple(ints)
+
+
+def _span_basis(vectors) -> tuple[tuple[int, ...], ...]:
+    """The reduced row echelon basis of the vectors' real span.
+
+    Rows are primitive integer vectors with a positive pivot, ordered by
+    pivot column, so vectors with equal real spans give equal bases.
+    Fraction-free Gauss-Jordan: each incoming vector is cleared at the
+    kept pivots, and a new pivot column is cleared from the kept rows.
+    """
+    rows: list[tuple[int, list[int]]] = []
+    for v in vectors:
+        v = list(v)
+        for p, e in rows:
+            f = v[p]
+            if f:
+                v = [x * e[p] - f * y for x, y in zip(v, e)]
+        content = reduce(gcd, v, 0)
+        if not content:
+            continue
+        p = next(j for j, x in enumerate(v) if x)
+        v = [x // (content if v[p] > 0 else -content) for x in v]
+        for k, (q, e) in enumerate(rows):
+            f = e[p]
+            if f:
+                e = [x * v[p] - f * y for x, y in zip(e, v)]
+                content = reduce(gcd, e, 0)
+                rows[k] = (q, [x // content for x in e])
+        rows.append((p, v))
+    return tuple(tuple(v) for _, v in sorted(rows))

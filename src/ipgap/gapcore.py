@@ -39,6 +39,7 @@ from .toric import (
     GroebnerBasis,
     TermOrder,
     buchberger,
+    check_order_preconditions,
     ip_optimum,
     lattice_ideal_generators,
     non_optimal_ideal,
@@ -118,6 +119,9 @@ class GapInstance:
         n = lattice_ideal.lattice.nrows
         if order.nvars is not None and order.nvars != n:
             raise BadParameter("cost length does not match the variable count")
+        # a rejected cost saturates nothing; a passed check is remembered,
+        # so buchberger does not repeat it on the saturated generators
+        check_order_preconditions(lattice_ideal.lattice.columns(), order)
         gb = buchberger(lattice_ideal.generators, order)
         ideal = non_optimal_ideal(gb) if gb.elements else MonomialIdeal(n)
         comps = () if ideal.is_zero else irreducible_decomposition(ideal)
@@ -241,7 +245,9 @@ def gap_report(inst: GapInstance) -> GapReport:
     ideal is zero.
     """
     bound = (
-        schrijver_bound(inst.matrix, inst.cost) if inst.matrix is not None else None
+        schrijver_bound(inst.lattice_ideal, inst.cost)
+        if inst.matrix is not None
+        else None
     )
     if not inst.components:
         return GapReport((), Fraction(0), None, (), (0,) * inst.nvars, bound)
@@ -265,8 +271,11 @@ def gap_lattice(l, c, tiebreak: str = "grevlex") -> GapReport:
     return gap_report(GapInstance.from_lattice(l, c, tiebreak))
 
 
-def schrijver_bound(a: IntMatrix, c) -> Fraction:
+def schrijver_bound(a: "IntMatrix | LatticeIdeal", c) -> Fraction:
     """A-priori bound n D(A) sum|c_i|, D(A) the largest maximal minor.
+
+    a is the matrix, or a matrix's LatticeIdeal, whose kernel basis is
+    then reused instead of computed again.
 
     Maximal minors are taken at the matrix's rank r, on the rows a greedy
     pass keeps: each row in order is kept iff it is independent of those
@@ -283,7 +292,12 @@ def schrijver_bound(a: IntMatrix, c) -> Fraction:
     prefixes and skips every subset extending a prefix whose minors all
     vanish (see exactmath._max_maximal_minor).
     """
-    if not isinstance(a, IntMatrix):
+    held = a if isinstance(a, LatticeIdeal) else None
+    if held is not None:
+        if held.matrix is None:
+            raise BadParameter("the Schrijver bound needs a matrix")
+        a = held.matrix
+    elif not isinstance(a, IntMatrix):
         a = IntMatrix(a)
     c = tuple(Fraction(x) for x in c)
     if len(c) != a.ncols:
@@ -310,7 +324,7 @@ def schrijver_bound(a: IntMatrix, c) -> Fraction:
     if n - r >= r:
         d = _max_maximal_minor(kept)
     else:
-        b = LatticeIdeal.from_matrix(a).lattice
+        b = kernel_lattice(a) if held is None else held.lattice
         free = sorted(set(range(n)) - set(pivots))
         g = abs(IntMatrix([[row[p] for p in pivots] for row in kept], r).det())
         g //= abs(IntMatrix([b.rows[i] for i in free], n - r).det())

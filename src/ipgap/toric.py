@@ -6,6 +6,14 @@ rows and then a fixed tiebreak, buchberger() produces the unique reduced
 basis, and non_optimal_ideal() extracts the monomial ideal of all exponent
 vectors that lose to a cheaper point in their own fiber.
 
+The lattice ideal is the saturation of the ideal of a lattice basis by
+every variable.  A variable needs no round of its own once the lemma of
+_close_saturated proves the current ideal saturated in it: if I is
+saturated in the variables of S and holds x^u - x^w with supp(u) in S,
+then I is saturated in supp(w).  The generators returned are the reduced
+basis under one fixed order, the grading with the first variable
+revlex-cheapest, so they do not depend on which rounds ran.
+
 Cost rows may have negative entries, so the refined comparison is not a
 global well-order.  Every comparison Buchberger makes here is between two
 monomials in the same fiber, where the precondition checks (no direction of
@@ -20,10 +28,11 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import lp
 from .errors import BadParameter, NonTerminatingOrder, UnboundedProgram
-from .exactmath import LatticeBasis, _scaled
+from .exactmath import LatticeBasis, _scaled, _span_basis
 from .monomial import Monomial, MonomialIdeal, divides
 
 
@@ -433,28 +442,36 @@ def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
     return out
 
 
-def check_order_preconditions(gens, order: TermOrder) -> None:
+def check_order_preconditions(vectors, order: TermOrder) -> None:
     """Reject cost/order combinations for which no optimum need exist.
 
-    Over the real span of the generators' vectors, the nonnegative cone is
-    the recession cone of every fiber polyhedron.  A direction of negative
+    Over the real span of the lattice vectors, the nonnegative cone is the
+    recession cone of every fiber polyhedron.  A direction of negative
     primary cost there makes fibers unbounded below (UnboundedProgram); a
     nonzero direction of zero cost leaves infinitely many equal-cost points,
     which only a degree-compatible tiebreak well-orders (otherwise
     NonTerminatingOrder).  Both tests are exact LPs over the coefficients
-    of the generators' vectors; the second runs only under lex, the one
-    tiebreak it can reject.
+    of the span's reduced echelon basis, so they pose rank-many free
+    variables however many vectors come in; the second runs only under
+    lex, the one tiebreak it can reject.  A passed check is remembered per
+    span and order: a lattice basis checked before saturation spares the
+    check of its saturated generators.
     """
-    vectors = [v for v in (g.vector() for g in gens) if any(v)]
+    vectors = [v for v in vectors if any(v)]
     if not vectors or not order.costs:
         return
-    n = len(vectors[0])
-    if order.nvars != n:
+    if order.nvars != len(vectors[0]):
         raise BadParameter("cost length does not match the variable count")
+    _check_span(_span_basis(vectors), order)
+
+
+@lru_cache(maxsize=64)
+def _check_span(span: tuple[tuple[int, ...], ...], order: TermOrder) -> None:
+    n = len(span[0])
     c, zero = order.cost, (0,) * n
     # v = -sum t_k vec_k over free t: max -c.v is unbounded on v >= 0
     # exactly when some nonnegative direction has negative cost
-    if lp._coefficient_lp(vectors, c, zero, range(n)).status == lp.UNBOUNDED:
+    if lp._coefficient_lp(span, c, zero, range(n)).status == lp.UNBOUNDED:
         raise UnboundedProgram(
             "the nonnegative kernel cone has a direction of negative cost; "
             "fibers are unbounded below"
@@ -463,7 +480,7 @@ def check_order_preconditions(gens, order: TermOrder) -> None:
         return
     # zero-cost ray: maximize the coordinate sum at cost <= 0, capped at 1
     sol = lp._coefficient_lp(
-        vectors, (-1,) * n, zero, range(n), extra=((c, 0), ((1,) * n, 1))
+        span, (-1,) * n, zero, range(n), extra=((c, 0), ((1,) * n, 1))
     )
     if sol.status == lp.OPTIMAL and sol.value > 0:
         raise NonTerminatingOrder(
@@ -478,7 +495,7 @@ def buchberger(gens, order: TermOrder) -> GroebnerBasis:
     Checks the order preconditions first; see check_order_preconditions.
     """
     gens = tuple(gens)
-    check_order_preconditions(gens, order)
+    check_order_preconditions((g.vector() for g in gens), order)
     elements = []
     for g in gens:
         e = _orient(g.plus, g.minus, order.compare)
@@ -547,30 +564,96 @@ def _split(v) -> tuple[Monomial, Monomial]:
     return tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v)
 
 
-def _saturate_all_vars(elements: list[_Elt], weights: tuple[int, ...]) -> list[_Elt]:
-    """Saturate by every variable in turn, highest index first.
+def _saturation_round(
+    elements: list[_Elt], weights: tuple[int, ...], i: int
+) -> tuple[list[_Elt], bool]:
+    """Generators of I : x_i^oo from weights-homogeneous generators of I.
 
-    elements must be weights-homogeneous binomials.  Each round runs one
-    Groebner basis under the weights-graded order with the target variable
-    revlex-cheapest and divides that variable out of every element.
+    One Groebner basis under the weights-graded order with x_i
+    revlex-cheapest, then x_i divided out of every element.  Also says
+    whether any element was divided; if none was, I is saturated in x_i
+    and the generators are its reduced basis.
+    """
+    cmp = _graded_revlex_cmp(weights, i)
+    oriented = []
+    for lead, trail in elements:
+        e = _orient(lead, trail, cmp)
+        if e is not None:
+            oriented.append(e)
+    out = []
+    divided = False
+    for lead, trail in _buchberger_core(oriented, cmp):
+        k = min(lead[i], trail[i])
+        if k:
+            divided = True
+            lead = tuple(x - k if j == i else x for j, x in enumerate(lead))
+            trail = tuple(x - k if j == i else x for j, x in enumerate(trail))
+        if lead != trail:
+            out.append((lead, trail))
+    return out, divided
+
+
+def _close_saturated(saturated: int, sides: list[tuple[int, int]]) -> int:
+    """Every variable the lemma proves saturated, as a bitmask.
+
+    If I is saturated in the variables of `saturated` and holds
+    x^u - x^w with supp(u) among them, then I is saturated in supp(w):
+    f x_j^k in I with w_j >= 1 gives f x^(kw) in I, x^(kw) = x^(ku)
+    modulo I, so f x^(ku) is in I and f is.  sides holds the support
+    masks (supp(u), supp(w)) of generators of I; either side may be u.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for a, b in sides:
+            if not a & ~saturated and b & ~saturated:
+                saturated |= b
+                changed = True
+            elif not b & ~saturated and a & ~saturated:
+                saturated |= a
+                changed = True
+    return saturated
+
+
+def _saturate_all_vars(elements: list[_Elt], weights: tuple[int, ...]) -> list[_Elt]:
+    """Saturate in every variable, running rounds only where needed.
+
+    elements must be weights-homogeneous binomials.  The set S of
+    variables the current ideal is proven saturated in starts at those no
+    element uses and is closed by _close_saturated after every round; no
+    round runs for a variable of S.  The next round's variable is the one
+    whose addition to S grows the closure over the current elements most,
+    ties to the highest index.  Saturation in one variable keeps the
+    others, so once S holds every variable the ideal is the full
+    saturation.  The result is its reduced basis under the graded order
+    with x_0 revlex-cheapest: a final pass, unless the last round, on
+    x_0, already left that basis.
     """
     n = len(weights)
-    for i in range(n - 1, -1, -1):
-        cmp = _graded_revlex_cmp(weights, i)
-        oriented = []
-        for lead, trail in elements:
-            e = _orient(lead, trail, cmp)
-            if e is not None:
-                oriented.append(e)
-        gb = _buchberger_core(oriented, cmp)
-        elements = []
-        for lead, trail in gb:
-            k = min(lead[i], trail[i])
-            if k:
-                lead = tuple(x - k if j == i else x for j, x in enumerate(lead))
-                trail = tuple(x - k if j == i else x for j, x in enumerate(trail))
-            if lead != trail:
-                elements.append((lead, trail))
+    full = (1 << n) - 1
+    sides = [(_support(lead), _support(trail)) for lead, trail in elements]
+    saturated = full
+    for a, b in sides:
+        saturated &= ~(a | b)
+    reduced = False
+    while saturated != full:
+        grown, i = max(
+            (
+                (_close_saturated(saturated | 1 << i, sides), i)
+                for i in range(n)
+                if not saturated >> i & 1
+            ),
+            key=lambda t: (t[0].bit_count(), t[1]),
+        )
+        elements, divided = _saturation_round(elements, weights, i)
+        # a round on x_0 is the final pass already when it divided nothing
+        # (its basis is the reduced one) or when it ran last in the
+        # one-round-per-variable order, on an ideal saturated in the rest
+        reduced = i == 0 and (not divided or saturated | 1 == full)
+        sides = [(_support(lead), _support(trail)) for lead, trail in elements]
+        saturated = _close_saturated(grown, sides)
+    if elements and not reduced:
+        elements, _ = _saturation_round(elements, weights, 0)
     return elements
 
 
@@ -582,7 +665,11 @@ def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
     When a strictly positive grading orthogonal to the lattice exists the
     per-variable saturation runs directly; otherwise (finite-index
     lattices) the computation is lifted by one homogenizing variable,
-    saturated there, and mapped back.
+    saturated there, and mapped back.  Rounds run only for variables the
+    ideal is not yet proven saturated in: holding x^u - x^w with supp(u)
+    among the saturated variables proves saturation in supp(w) too.  The
+    generators are those of the reduced basis under the grading with the
+    first variable revlex-cheapest, whichever rounds ran.
     """
     columns = [c for c in basis.columns() if any(c)]
     if not columns:

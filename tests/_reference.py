@@ -1,11 +1,11 @@
 """Test-side reference implementations and cross-check oracles.
 
-Nothing in the package uses these: they restate lattice membership, rational
-solving, standard pairs, component intersection, the throwing form of the
-relaxation value, the Schrijver bound over every maximal minor and the
-degree-bound link of a table model directly, so tests can check the
-package's answers against them.  Each favours the plain textbook
-construction over speed.
+Nothing in the package uses these: they restate lattice membership,
+saturation by every variable in turn, rational solving, standard pairs,
+component intersection, the throwing form of the relaxation value, the
+Schrijver bound over every maximal minor and the degree-bound link of a
+table model directly, so tests can check the package's answers against
+them.  Each favours the plain textbook construction over speed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,14 @@ from ipgap.exactmath import IntMatrix, LatticeBasis, hermite_normal_form
 from ipgap.gapcore import gap_report
 from ipgap.models import MarginalModel, entry_instance
 from ipgap.monomial import MonomialIdeal
+from ipgap.toric import (
+    Binomial,
+    _buchberger_core,
+    _graded_revlex_cmp,
+    _orient,
+    _positive_orthogonal_weight,
+    _split,
+)
 
 
 # ------------------------------------------------------------------ lattices
@@ -52,6 +60,43 @@ def lattice_span_equal(b1: LatticeBasis, b2: LatticeBasis) -> bool:
         return tuple(r for r in h.rows if any(r))
 
     return canon(b1) == canon(b2)
+
+
+def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
+    """toric.lattice_ideal_generators with one round per variable.
+
+    Saturates by every variable in turn, highest index first, each round
+    one Groebner basis under the weights-graded order with the target
+    variable revlex-cheapest, then that variable divided out; finite-index
+    lattices are lifted by one homogenizing variable.  Returns the same
+    generator set in the same order as the package.
+    """
+    columns = [c for c in basis.columns() if any(c)]
+    if not columns:
+        return ()
+    n = basis.nrows
+    weights = _positive_orthogonal_weight(columns)
+    if weights is None:
+        columns = [v + (-sum(v),) for v in columns]
+        weights = (1,) * (n + 1)
+    elements = [_split(v) for v in columns]
+    for i in range(len(weights) - 1, -1, -1):
+        cmp = _graded_revlex_cmp(weights, i)
+        oriented = [_orient(lead, trail, cmp) for lead, trail in elements]
+        elements = []
+        for lead, trail in _buchberger_core([e for e in oriented if e], cmp):
+            k = min(lead[i], trail[i])
+            lead = tuple(x - k if j == i else x for j, x in enumerate(lead))
+            trail = tuple(x - k if j == i else x for j, x in enumerate(trail))
+            if lead != trail:
+                elements.append((lead, trail))
+    vectors = set()
+    for lead, trail in elements:
+        v = tuple(a - b for a, b in zip(lead[:n], trail[:n]))
+        if any(v):
+            vectors.add(max(v, tuple(-x for x in v)))
+    out = map(Binomial.from_vector, vectors)
+    return tuple(sorted(out, key=lambda b: (sum(b.plus) + sum(b.minus), b.plus, b.minus)))
 
 
 def solve_rational(a: IntMatrix, b) -> tuple[Fraction, ...] | None:

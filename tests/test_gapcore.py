@@ -10,7 +10,12 @@ import pytest
 from _reference import maximal_minors
 from _reference import schrijver_bound as reference_schrijver_bound
 from ipgap import gapcore, lp
-from ipgap.errors import UnboundedAux, WitnessMismatch
+from ipgap.errors import (
+    NonTerminatingOrder,
+    UnboundedAux,
+    UnboundedProgram,
+    WitnessMismatch,
+)
 from ipgap.exactmath import IntMatrix, kernel_lattice
 from ipgap.fan import explore_cones
 from ipgap.gapcore import (
@@ -192,6 +197,23 @@ def test_schrijver_bound_cross_check_coverage():
     }
 
 
+def test_schrijver_bound_leaves_the_lattice_memo_alone():
+    # direct calls take the kernel basis from kernel_lattice, so the
+    # cross-check's matrices cannot evict a held lattice ideal; gap_report
+    # hands over the LatticeIdeal it holds instead
+    before = gapcore._lattice_ideal.cache_info()
+    kernel_side = [
+        (a, c) for a, c in BOUND_CASES[:80] if 0 < a.ncols - a.rank() < a.rank()
+    ]
+    bounds = [schrijver_bound(a, c) for a, c in kernel_side]
+    after = gapcore._lattice_ideal.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert len(kernel_side) >= 5
+    for (a, c), bound in zip(kernel_side, bounds):
+        held = LatticeIdeal(matrix=a, lattice=kernel_lattice(a))
+        assert schrijver_bound(held, c) == bound
+
+
 @pytest.mark.slow
 def test_schrijver_bound_3x3x3_no_three_way():
     # 27 cells, rank 19: 2,220,075 maximal minors of size 19, or C(27, 8)
@@ -305,3 +327,42 @@ def test_one_saturation_per_lattice(monkeypatch):
         kernel_lattice(a): 1,
         kernel_lattice(margin_matrix(model)): 1,
     }
+
+
+def test_rejected_costs_saturate_nothing(monkeypatch):
+    # the cost is checked on the lattice basis before the ideal is
+    # saturated; a lattice no other test builds, so the memo starts cold
+    calls = Counter()
+    original = gapcore.lattice_ideal_generators
+
+    def counted(basis):
+        calls[basis] += 1
+        return original(basis)
+
+    monkeypatch.setattr(gapcore, "lattice_ideal_generators", counted)
+    a = IntMatrix([[2, -2, 3, 7]])
+    # (1, 1, 0, 0) lies in the kernel: cost -2 along it, then cost 0
+    with pytest.raises(UnboundedProgram):
+        GapInstance.from_matrix(a, (0, -2, 1, 1))
+    with pytest.raises(NonTerminatingOrder):
+        GapInstance.from_matrix(a, (1, -1, 2, 4), "lex")
+    assert not calls
+    GapInstance.from_matrix(a, (1, -1, 2, 4))
+    assert calls == {kernel_lattice(a): 1}
+
+
+def test_cost_is_checked_once_per_instance(monkeypatch):
+    # the verdict on the lattice basis carries over to buchberger on the
+    # saturated generators, which span the same space: under lex that is
+    # one unbounded-direction LP and one zero-cost-ray LP in all
+    calls = []
+    original = lp._coefficient_lp
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_coefficient_lp", counted)
+    inst = GapInstance.from_matrix(IntMatrix([[4, 7, 10, 13]]), (2, 1, 3, 1), "lex")
+    assert len(inst.lattice_ideal.generators) > 3
+    assert calls == [3, 3]

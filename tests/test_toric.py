@@ -5,9 +5,17 @@ from itertools import combinations, product
 
 import pytest
 
+import _reference
 from _reference import lattice_contains
+from ipgap import toric
 from ipgap.errors import BadParameter, NonTerminatingOrder, UnboundedProgram
 from ipgap.exactmath import IntMatrix, kernel_lattice
+from ipgap.models import (
+    MarginalModel,
+    k4_model,
+    margin_matrix,
+    transportation_model,
+)
 from ipgap.monomial import MonomialIdeal, irreducible_decomposition
 from ipgap.toric import (
     TIEBREAKS,
@@ -17,6 +25,7 @@ from ipgap.toric import (
     _buchberger_core,
     _graded_revlex_cmp,
     _orient,
+    _positive_orthogonal_weight,
     buchberger,
     ip_optimum,
     is_generic,
@@ -462,3 +471,70 @@ def test_core_matches_reference_buchberger():
         elements = _random_elements(rng, n, cmp, monomials=kind == 2)
         want = _reference_buchberger(elements, cmp)
         assert _buchberger_core(elements, cmp) == want, (trial, elements)
+
+
+def _saturation_case(rng, trial):
+    """A graded kernel lattice with n <= 6, or a basis of rank <= n <= 4.
+
+    The kernel matrices have a positive first row, so their lattices take
+    the graded branch; the bases, finite-index ones among them, mostly
+    take the lifted branch.
+    """
+    if trial % 2:
+        n = rng.randint(2, 6)
+        rows = [[rng.randint(1, 4) for _ in range(n)]]
+        rows += [[rng.randint(-3, 4) for _ in range(n)] for _ in range(rng.randint(0, n - 2))]
+        return kernel_lattice(IntMatrix(rows))
+    n = rng.randint(1, 4)
+    k = rng.randint(1, n)
+    while True:
+        basis = IntMatrix([[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)], k)
+        if basis.rank() == k:
+            return basis
+
+
+def test_saturation_matches_one_round_per_variable_reference():
+    # skipped rounds and the greedy variable order must leave the
+    # generator set as one round per variable makes it, on both branches:
+    # graded kernel lattices and lifted ones, finite-index lattices among
+    # them
+    rng = random.Random(20261018)
+    lifted = finite_index = 0
+    for trial in range(320):
+        basis = _saturation_case(rng, trial)
+        columns = [c for c in basis.columns() if any(c)]
+        if columns and _positive_orthogonal_weight(columns) is None:
+            lifted += 1
+        if basis.nrows == basis.ncols and abs(basis.det()) > 1:
+            finite_index += 1
+        want = _reference.lattice_ideal_generators(basis)
+        assert lattice_ideal_generators(basis) == want, basis.rows
+    assert lifted >= 100 and finite_index >= 50
+
+
+@pytest.mark.parametrize(
+    "model, most_rounds",
+    [
+        (k4_model(), 9),
+        (transportation_model(3, 4), 5),
+        (MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3))), 13),
+    ],
+    ids=["k4", "transport 3x4", "2x3x3"],
+)
+def test_model_saturation_skips_proven_variables(monkeypatch, model, most_rounds):
+    # one round per variable runs 16, 12 and 18 Groebner bases here;
+    # rounds for variables the lemma proves saturated are skipped, and
+    # the generators stay those of the one-round-per-variable reference
+    runs = []
+    core = toric._buchberger_core
+
+    def counted(elements, cmp):
+        runs.append(len(elements))
+        return core(elements, cmp)
+
+    basis = kernel_lattice(margin_matrix(model))
+    monkeypatch.setattr(toric, "_buchberger_core", counted)
+    gens = lattice_ideal_generators(basis)
+    monkeypatch.undo()
+    assert len(runs) <= most_rounds
+    assert gens == _reference.lattice_ideal_generators(basis)
