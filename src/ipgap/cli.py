@@ -10,10 +10,11 @@ present:
                        cost: 1 1 1        sense: max
 
 Rows of a matrix or lattice block are bare integer lines.  Other fields:
-cost (rationals like 3/4 or -2), names (one label per variable), tiebreak,
-sense (models only), box (oracle bounds, one integer or one per column),
-budget (fan exploration cap).  '#' starts a comment.  Command-line flags
-override file fields.
+cost (rationals like 3/4 or -2; matrices and lattices only), names (one
+label per variable), tiebreak, sense (models only), box (oracle bounds,
+one integer or one per column), budget (fan exploration cap, a
+nonnegative integer).  A cost in a model, or a sense outside one, is
+an error.  '#' starts a comment.  Command-line flags override file fields.
 
 Reports are deterministic: equal inputs and flags give byte-identical
 output, except lines starting with '#', which carry advisory timing.
@@ -96,6 +97,8 @@ def parse_instance_text(text: str) -> InstanceSpec:
     dims = None
     faces: list[tuple[int, ...]] = []
     fields: dict = {}
+    # where each field was first given, for the source block's checks
+    where: dict = {}
     block = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         content = raw.split("#", 1)[0]
@@ -123,6 +126,7 @@ def parse_instance_text(text: str) -> InstanceSpec:
         vraw = content[colon + 1 :]
         vcol = colon + 2 + (len(vraw) - len(vraw.lstrip()))
         value = vraw.strip()
+        where.setdefault(key, (lineno, indent + 1))
         if key == "matrix":
             block, matrix_rows = "matrix", []
         elif key == "lattice":
@@ -157,6 +161,8 @@ def parse_instance_text(text: str) -> InstanceSpec:
             budget = _ints(value, lineno, vcol)
             if not budget:
                 raise ParseError("budget needs an integer", lineno, vcol)
+            if budget[0] < 0:
+                raise ParseError("budget must be nonnegative", lineno, vcol)
             fields["budget"] = budget[0]
         else:
             raise ParseError(f"unknown field {key!r}", lineno, indent + 1)
@@ -165,6 +171,13 @@ def parse_instance_text(text: str) -> InstanceSpec:
         raise ParseError(
             "an instance needs exactly one of a matrix, a lattice, or a model"
         )
+    if dims is not None and "cost" in fields:
+        raise ParseError(
+            "cost belongs to a matrix or lattice; a model's cost is set by sense",
+            *where["cost"],
+        )
+    if dims is None and "sense" in fields:
+        raise ParseError("sense belongs inside a model block", *where["sense"])
     spec = {}
     if matrix_rows is not None:
         if not matrix_rows:
@@ -513,7 +526,9 @@ def cmd_fan(spec: InstanceSpec, args) -> tuple[list[str], dict]:
         seeds = [spec.cost[0]]
     else:
         raise ParseError("fan needs a cost field or a --seeds file")
-    budget = args.budget if args.budget is not None else (spec.budget or 200)
+    budget = spec.budget if args.budget is None else args.budget
+    if budget is None:
+        budget = 200
     names = _default_names(spec, a.ncols)
     cones = explore_cones(a, seeds, budget)
     lines = [

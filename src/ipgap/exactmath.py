@@ -276,31 +276,42 @@ def _primitive_vector(v) -> tuple[int, ...]:
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
+def _echelon(vectors) -> list[tuple[int, int, list[int]]]:
+    """Fraction-free forward elimination over the vectors, in order given.
+
+    Returns (index, pivot, row) for each vector independent of those
+    before it: the vector cleared at the earlier pivots, made primitive
+    with a positive pivot, its first nonzero column.
+    """
+    rows: list[tuple[int, int, list[int]]] = []
+    for i, v in enumerate(vectors):
+        v = list(v)
+        for _, p, e in rows:
+            f = v[p]
+            if f:
+                v = [x * e[p] - f * y for x, y in zip(v, e)]
+        content = reduce(gcd, v, 0)
+        if content:
+            p = next(j for j, x in enumerate(v) if x)
+            rows.append((i, p, [x // (content if v[p] > 0 else -content) for x in v]))
+    return rows
+
+
 def _span_basis(vectors) -> tuple[tuple[int, ...], ...]:
     """The reduced row echelon basis of the vectors' real span.
 
     Rows are primitive integer vectors with a positive pivot, ordered by
     pivot column, so vectors with equal real spans give equal bases.
-    Fraction-free Gauss-Jordan: each incoming vector is cleared at the
-    kept pivots, and a new pivot column is cleared from the kept rows.
+    _echelon's rows, sorted by pivot, have each pivot column cleared from
+    the rows above it, in increasing pivot order.
     """
-    rows: list[tuple[int, list[int]]] = []
-    for v in vectors:
-        v = list(v)
-        for p, e in rows:
-            f = v[p]
-            if f:
-                v = [x * e[p] - f * y for x, y in zip(v, e)]
-        content = reduce(gcd, v, 0)
-        if not content:
-            continue
-        p = next(j for j, x in enumerate(v) if x)
-        v = [x // (content if v[p] > 0 else -content) for x in v]
-        for k, (q, e) in enumerate(rows):
+    rows = sorted((p, v) for _, p, v in _echelon(vectors))
+    for k, (p, v) in enumerate(rows):
+        for j in range(k):
+            q, e = rows[j]
             f = e[p]
             if f:
                 e = [x * v[p] - f * y for x, y in zip(e, v)]
                 content = reduce(gcd, e, 0)
-                rows[k] = (q, [x // content for x in e])
-        rows.append((p, v))
-    return tuple(tuple(v) for _, v in sorted(rows))
+                rows[j] = (q, [x // content for x in e])
+    return tuple(tuple(v) for _, v in rows)

@@ -201,6 +201,8 @@ def explore_cones(a, seeds, budget: int = 200) -> list[tuple[GroebnerBasis, Cone
     the seeds.  Complete exactly when the walk closes; callers asserting
     completeness must know their fan.
     """
+    if budget < 0:
+        raise BadParameter("the exploration budget must be nonnegative")
     gens = LatticeIdeal.from_matrix(a).generators
     found: dict = {}
     queue: list = []

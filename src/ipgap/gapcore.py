@@ -21,14 +21,20 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from math import floor, gcd
+from functools import cached_property, lru_cache
+from math import floor
 from operator import mul
 from typing import NamedTuple
 
 from . import lp
 from .errors import BadParameter, UnboundedAux, UnboundedProgram, WitnessMismatch
-from .exactmath import IntMatrix, LatticeBasis, _max_maximal_minor, kernel_lattice
+from .exactmath import (
+    IntMatrix,
+    LatticeBasis,
+    _echelon,
+    _max_maximal_minor,
+    kernel_lattice,
+)
 from .monomial import (
     IrreducibleComponent,
     MonomialIdeal,
@@ -281,7 +287,7 @@ def schrijver_bound(a: "IntMatrix | LatticeIdeal", c) -> Fraction:
     pass keeps: each row in order is kept iff it is independent of those
     already kept (redundant rows change neither the fibers nor the gap,
     and the bound is only valid for a full-row-rank presentation).  That
-    fraction-free echelon pass also yields pivot columns P with A_P
+    pass, exactmath._echelon, also yields pivot columns P with A_P
     nonsingular.
 
     D is the largest |det| over r-subsets of the kept rows' columns or,
@@ -304,20 +310,9 @@ def schrijver_bound(a: "IntMatrix | LatticeIdeal", c) -> Fraction:
         raise BadParameter("cost length does not match the column count")
     total = sum((abs(x) for x in c), Fraction(0))
     n = a.ncols
-    kept: list = []
-    echelon: list = []
-    pivots: list[int] = []
-    for row in a.rows:
-        v = list(row)
-        for p, e in zip(pivots, echelon):
-            f = v[p]
-            if f:
-                v = [x * e[p] - f * y for x, y in zip(v, e)]
-        content = reduce(gcd, v, 0)
-        if content:
-            kept.append(row)
-            echelon.append([x // content for x in v])
-            pivots.append(next(j for j, x in enumerate(v) if x))
+    echelon = _echelon(a.rows)
+    kept = [a.rows[i] for i, _, _ in echelon]
+    pivots = [p for _, p, _ in echelon]
     r = len(kept)
     if r == 0:
         return Fraction(0)

@@ -6,6 +6,19 @@ rows and then a fixed tiebreak, buchberger() produces the unique reduced
 basis, and non_optimal_ideal() extracts the monomial ideal of all exponent
 vectors that lose to a cheaper point in their own fiber.
 
+Every order here is weight rows followed by a tiebreak sequence of
+(variable, direction) pairs (Robbiano 1985); _comparator builds each one.
+Between monomials equal on every row, the first variable of the sequence
+in which they differ decides: direction 1 favours the larger exponent,
+-1 the smaller.  On n variables, lex is (x1, 1), ..., (xn, 1); grlex is
+the same after the degree row (1, ..., 1); grevlex is (xn, -1), ...,
+(x1, -1) after the degree row, and revgrevlex (x1, -1), ..., (xn, -1).
+TermOrder.refined spells the same sequence as rows after the costs: the
+degree row, if any, then the row direction * e_x for each pair, the last
+pair dropped when the degree fixes it.  Saturation uses the w-graded
+order with sequence (x_cheap, -1), then (x, -1) for the other variables
+from xn down.
+
 The lattice ideal is the saturation of the ideal of a lattice basis by
 every variable.  A variable needs no round of its own once the lemma of
 _close_saturated proves the current ideal saturated in it: if I is
@@ -29,6 +42,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import lp
 from .errors import BadParameter, NonTerminatingOrder, UnboundedProgram
@@ -79,27 +93,52 @@ class Binomial:
 TIEBREAKS = ("grevlex", "grlex", "lex", "revgrevlex")
 
 
-def _tiebreak_cmp(a: Monomial, b: Monomial, kind: str) -> int:
-    if a == b:
-        return 0
-    if kind != "lex":
-        da, db = sum(a), sum(b)
-        if da != db:
-            return 1 if da > db else -1
-    if kind == "grevlex":
-        for x, y in zip(reversed(a), reversed(b)):
+def _tiebreak(name: str, n: int):
+    """A tiebreak on n variables as (degree row or None, sequence).
+
+    The one place a tiebreak's name is read; see the module docstring.
+    """
+    if name not in TIEBREAKS:
+        raise BadParameter(f"unknown tiebreak {name!r}")
+    degree = None if name == "lex" else (1,) * n
+    if name in ("lex", "grlex"):
+        return degree, tuple((i, 1) for i in range(n))
+    variables = reversed(range(n)) if name == "grevlex" else range(n)
+    return degree, tuple((i, -1) for i in variables)
+
+
+def _comparator(rows, degree, sequence):
+    """cmp(a, b) in {-1, 0, 1} for the order rows, degree, sequence spell.
+
+    rows are integer weight rows and degree, unless None, one more; the
+    first row on which a and b differ decides, the larger dot product
+    winning.  Then the first variable of the (variable, direction) pairs
+    of sequence in which the exponents differ decides: the larger exponent
+    wins for direction 1 and loses for -1.
+    """
+    unit = degree is not None and set(degree) <= {1}
+    if degree is not None and not unit:
+        rows = rows + (degree,)
+
+    def cmp(a: Monomial, b: Monomial) -> int:
+        for w in rows:
+            da = sum(map(mul, w, a))
+            db = sum(map(mul, w, b))
+            if da != db:
+                return 1 if da > db else -1
+        if unit:
+            da = sum(a)
+            db = sum(b)
+            if da != db:
+                return 1 if da > db else -1
+        for i, s in sequence:
+            x = a[i]
+            y = b[i]
             if x != y:
-                return 1 if x < y else -1
+                return s if x > y else -s
         return 0
-    if kind == "revgrevlex":
-        for x, y in zip(a, b):
-            if x != y:
-                return 1 if x < y else -1
-        return 0
-    for x, y in zip(a, b):
-        if x != y:
-            return 1 if x > y else -1
-    return 0
+
+    return cmp
 
 
 @dataclass(frozen=True)
@@ -109,18 +148,21 @@ class TermOrder:
     cost may be a single rational vector (the usual case) or a sequence of
     vectors applied lexicographically; the latter expresses optimality
     notions like "degree lexicographically smallest", where the ordering
-    itself defines the optimum.  The tiebreak is grevlex, grlex, or lex,
+    itself defines the optimum.  The tiebreak is grevlex, grlex or lex,
     all reading the variables as x1 > x2 > ... > xn, or revgrevlex, which
     is grevlex over the reversed variable list: after degree, ties go to
     the point with more mass on early variables.
+
+    compare(a, b) is 1, 0 or -1.  It weighs the cost rows, scaled to
+    integers, and then the tiebreak's degree row and sequence (see the
+    module docstring).  Without cost rows it takes any number of
+    variables.  Equality and hashing read costs and tiebreak only.
     """
 
     costs: tuple[tuple[Fraction, ...], ...]
     tiebreak: str
 
     def __init__(self, cost=(), tiebreak: str = "grevlex"):
-        if tiebreak not in TIEBREAKS:
-            raise BadParameter(f"unknown tiebreak {tiebreak!r}")
         cost = tuple(cost)
         if cost and not isinstance(cost[0], (tuple, list)):
             cost = (cost,)
@@ -128,14 +170,20 @@ class TermOrder:
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise BadParameter("cost rows of unequal length")
+        degree, sequence = _tiebreak(tiebreak, len(rows[0]) if rows else 0)
         object.__setattr__(self, "costs", rows)
         object.__setattr__(self, "tiebreak", tiebreak)
-        object.__setattr__(
-            self, "_int_costs", tuple(tuple(_scaled(r)[0]) for r in rows)
-        )
-        # rows actually consulted by compare(); refined() trims rows that
-        # restate the tiebreak, which compare() then handles directly
-        object.__setattr__(self, "_cmp_costs", self._int_costs)
+        if rows:
+            scaled = tuple(tuple(_scaled(r)[0]) for r in rows)
+            compare = _comparator(scaled, degree, sequence)
+        else:
+            def compare(a: Monomial, b: Monomial) -> int:
+                return _comparator((), *_tiebreak(tiebreak, len(a)))(a, b)
+        object.__setattr__(self, "compare", compare)
+
+    def __reduce__(self):
+        # compare is a closure; a refined order's rows sort like its own
+        return TermOrder, (self.costs, self.tiebreak)
 
     @classmethod
     def degree_lexicographic(cls, n: int) -> "TermOrder":
@@ -149,39 +197,25 @@ class TermOrder:
     def refined(cls, cost, tiebreak: str = "grevlex") -> "TermOrder":
         """Total order with the tiebreak spelled out as weight rows.
 
-        Sorts points exactly like TermOrder(cost, tiebreak), but because
-        the tiebreak rows are part of the cost sequence, tie resolution
-        counts as optimality: the non-optimal ideal becomes the full
-        leading-term ideal rather than its strictly-suboptimal part.
+        Sorts points exactly like TermOrder(cost, tiebreak), and compares
+        them with that order's comparator, but because the tiebreak rows
+        are part of the cost sequence, tie resolution counts as
+        optimality: the non-optimal ideal becomes the full leading-term
+        ideal rather than its strictly-suboptimal part.
         """
-        cost = tuple(cost)
-        if cost and not isinstance(cost[0], (tuple, list)):
-            cost = (cost,)
-        if not cost:
+        base = cls(cost, tiebreak)
+        if not base.costs:
             raise BadParameter("refined order needs at least one cost row")
-        n = len(cost[0])
-        rows = list(cost)
-        if tiebreak == "lex":
-            rows += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        elif tiebreak == "grlex":
-            rows.append((1,) * n)
-            rows += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n - 1)]
-        elif tiebreak == "grevlex":
-            rows.append((1,) * n)
-            rows += [
-                tuple(-1 if j == i else 0 for j in range(n))
-                for i in range(n - 1, 0, -1)
-            ]
-        elif tiebreak == "revgrevlex":
-            rows.append((1,) * n)
-            rows += [
-                tuple(-1 if j == i else 0 for j in range(n))
-                for i in range(n - 1)
-            ]
-        else:
-            raise BadParameter(f"unknown tiebreak {tiebreak!r}")
+        n = base.nvars
+        degree, sequence = _tiebreak(tiebreak, n)
+        rows = list(base.costs)
+        if degree is not None:
+            rows.append(degree)
+        # a fixed degree determines the sequence's last variable
+        for i, s in sequence[: n - (degree is not None)]:
+            rows.append(tuple(s if j == i else 0 for j in range(n)))
         order = cls(tuple(rows), tiebreak)
-        object.__setattr__(order, "_cmp_costs", order._int_costs[: len(cost)])
+        object.__setattr__(order, "compare", base.compare)
         return order
 
     @property
@@ -194,14 +228,6 @@ class TermOrder:
     @property
     def nvars(self) -> int | None:
         return len(self.costs[0]) if self.costs else None
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        for w in self._cmp_costs:
-            da = sum(wi * ai for wi, ai in zip(w, a))
-            db = sum(wi * bi for wi, bi in zip(w, b))
-            if da != db:
-                return 1 if da > db else -1
-        return _tiebreak_cmp(a, b, self.tiebreak)
 
     def cost_drop(self, g: Binomial) -> Fraction:
         """Primary-cost difference lead minus trail (> 0 means strict win)."""
@@ -256,59 +282,42 @@ def _support(m: Monomial) -> int:
     return mask
 
 
+def _divisor(m: Monomial, basis: list[_Elt], masks: list[int], skip: int = -1):
+    """Index of the first element of basis but skip whose lead divides m.
+
+    None if there is none.  Tests the support masks before divides.
+    """
+    outside = ~_support(m)
+    for i, mask in enumerate(masks):
+        if not mask & outside and i != skip and divides(basis[i][0], m):
+            return i
+    return None
+
+
 def _head_reduce(
     elt: _Elt, basis: list[_Elt], masks: list[int], cmp, skip: int = -1
 ) -> _Elt | None:
-    lead, trail = elt
-    changed = True
-    while changed:
-        changed = False
-        outside = ~_support(lead)
-        for i, mask in enumerate(masks):
-            if mask & outside or i == skip:
-                continue
-            gl, gt = basis[i]
-            if not divides(gl, lead):
-                continue
-            if gt is None:
-                if trail is None:
-                    return None
-                lead, trail = trail, None
-            else:
-                lead = tuple(l - a + b for l, a, b in zip(lead, gl, gt))
-                if trail is not None:
-                    c = cmp(lead, trail)
-                    if c == 0:
-                        return None
-                    if c < 0:
-                        lead, trail = trail, lead
-            changed = True
-            break
-    return (lead, trail)
+    """Reduce elt until no lead of basis divides its lead; None for zero.
 
-
-def _tail_reduce(
-    elt: _Elt, basis: list[_Elt], masks: list[int], cmp, skip: int = -1
-) -> _Elt | None:
+    A binomial is reoriented by cmp after every step.  For a monomial
+    element (m, None) cmp is never called and the result is m's normal
+    form, or None when a monomial element divides on the way.
+    """
     lead, trail = elt
-    changed = True
-    while changed and trail is not None:
-        changed = False
-        outside = ~_support(trail)
-        for i, mask in enumerate(masks):
-            if mask & outside or i == skip:
-                continue
-            gl, gt = basis[i]
-            if not divides(gl, trail):
-                continue
-            if gt is None:
-                trail = None
-            else:
-                trail = tuple(t - a + b for t, a, b in zip(trail, gl, gt))
-                if trail == lead:
+    while (k := _divisor(lead, basis, masks, skip)) is not None:
+        gl, gt = basis[k]
+        if gt is None:
+            if trail is None:
+                return None
+            lead, trail = trail, None
+        else:
+            lead = tuple(l - a + b for l, a, b in zip(lead, gl, gt))
+            if trail is not None:
+                c = cmp(lead, trail)
+                if c == 0:
                     return None
-            changed = True
-            break
+                if c < 0:
+                    lead, trail = trail, lead
     return (lead, trail)
 
 
@@ -330,20 +339,22 @@ def _s_element(f: _Elt, g: _Elt, cmp) -> _Elt | None:
 def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
     """Completion plus full interreduction; deterministic output order.
 
-    Pair selection is the normal strategy: smallest lcm degree first, ties
-    by the lcm exponent vector.  Pairs are pruned by the criteria of
-    Gebauer and Moeller (J. Symbolic Comput. 6, 1988).  When an element is
-    added, its pairs with the earlier elements are queued one per minimal
-    lcm (criteria M and F), and not at all for an lcm that a pair with
-    coprime leads attains.  A queued pair (i, j) is dropped when it comes
-    up if some element k added after it has a lead dividing lcm(i, j)
-    while lcm(i, k) and lcm(j, k) both differ from it (criterion B; the
-    elements added while the pair waited are exactly those after j).
+    None entries of elements are skipped.  Pair selection is the normal
+    strategy: smallest lcm degree first, ties by the lcm exponent vector.
+    Pairs are pruned by the criteria of Gebauer and Moeller (J. Symbolic
+    Comput. 6, 1988).  When an element is added, its pairs with the
+    earlier elements are queued one per minimal lcm (criteria M and F),
+    and not at all for an lcm that a pair with coprime leads attains.  A
+    queued pair (i, j) is dropped when it comes up if some element k added
+    after it has a lead dividing lcm(i, j) while lcm(i, k) and lcm(j, k)
+    both differ from it (criterion B; the elements added while the pair
+    waited are exactly those after j).
 
     masks[k] is the support bitmask of basis[k]'s lead.  A divisor's
     support is a subset of its multiple's, so ``masks[k] & ~support(m)``
-    being nonzero rules out ``divides(lead_k, m)``; every scan over the
-    basis makes that test before it calls divides.
+    being nonzero rules out ``divides(lead_k, m)``; every test of a lead
+    against the basis makes that test before it calls divides, and every
+    search for a dividing lead is _divisor.
     """
     basis: list[_Elt] = []
     for e in elements:
@@ -406,38 +417,28 @@ def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
         masks.append(_support(s[0]))
         add_pairs(len(basis) - 1)
 
-    # interreduce: drop head-reducible elements, then fully reduce tails;
-    # among equal leads a monomial element outranks a binomial, then the
-    # earlier survives, so exactly one per minimal lead remains
-    def outranked(e, i, other, j):
-        if other[0] != e[0]:
-            return True  # strict divisor
-        if (other[1] is None) != (e[1] is None):
-            return other[1] is None
-        return j < i
-
+    # interreduce: one element per minimal lead survives; among equal
+    # leads a monomial element outranks a binomial, then the earlier wins.
+    # Visited by lead degree and then that rank, an element is kept iff no
+    # lead kept before it divides its own.  No kept lead divides another,
+    # so only the trails are reduced: each to its normal form modulo the
+    # kept elements, a Groebner basis, so the reducers' order is immaterial.
     keep: list[_Elt] = []
     kept_masks: list[int] = []
-    for i, e in enumerate(basis):
-        outside = ~masks[i]
-        if not any(
-            not masks[j] & outside
-            and i != j
-            and divides(other[0], e[0])
-            and outranked(e, i, other, j)
-            for j, other in enumerate(basis)
-        ):
-            keep.append(e)
+    for i in sorted(
+        range(len(basis)), key=lambda i: (sum(basis[i][0]), basis[i][1] is not None, i)
+    ):
+        if _divisor(basis[i][0], keep, kept_masks) is None:
+            keep.append(basis[i])
             kept_masks.append(masks[i])
     out: list[_Elt] = []
-    for i, e in enumerate(keep):
-        r = _head_reduce(e, keep, kept_masks, cmp, skip=i)
-        if r is None:
-            continue
-        r = _tail_reduce(r, keep, kept_masks, cmp, skip=i)
-        if r is None:
-            continue
-        out.append(r)
+    for i, (lead, trail) in enumerate(keep):
+        if trail is not None:
+            r = _head_reduce((trail, None), keep, kept_masks, cmp, skip=i)
+            trail = None if r is None else r[0]
+            if trail == lead:
+                continue
+        out.append((lead, trail))
     out.sort(key=lambda e: (sum(e[0]), e[0]))
     return out
 
@@ -454,21 +455,22 @@ def check_order_preconditions(vectors, order: TermOrder) -> None:
     of the span's reduced echelon basis, so they pose rank-many free
     variables however many vectors come in; the second runs only under
     lex, the one tiebreak it can reject.  A passed check is remembered per
-    span and order: a lattice basis checked before saturation spares the
-    check of its saturated generators.
+    span, primary cost and tiebreak, the only parts of the order it reads
+    (the memo holds no TermOrder): a lattice basis checked before
+    saturation spares the check of its saturated generators.
     """
     vectors = [v for v in vectors if any(v)]
     if not vectors or not order.costs:
         return
     if order.nvars != len(vectors[0]):
         raise BadParameter("cost length does not match the variable count")
-    _check_span(_span_basis(vectors), order)
+    _check_span(_span_basis(vectors), order.cost, order.tiebreak)
 
 
 @lru_cache(maxsize=64)
-def _check_span(span: tuple[tuple[int, ...], ...], order: TermOrder) -> None:
+def _check_span(span: tuple[tuple[int, ...], ...], c, tiebreak: str) -> None:
     n = len(span[0])
-    c, zero = order.cost, (0,) * n
+    zero = (0,) * n
     # v = -sum t_k vec_k over free t: max -c.v is unbounded on v >= 0
     # exactly when some nonnegative direction has negative cost
     if lp._coefficient_lp(span, c, zero, range(n)).status == lp.UNBOUNDED:
@@ -476,8 +478,8 @@ def _check_span(span: tuple[tuple[int, ...], ...], order: TermOrder) -> None:
             "the nonnegative kernel cone has a direction of negative cost; "
             "fibers are unbounded below"
         )
-    if order.tiebreak != "lex":
-        return
+    if _tiebreak(tiebreak, n)[0] is not None:
+        return  # a graded tiebreak well-orders the zero-cost directions
     # zero-cost ray: maximize the coordinate sum at cost <= 0, capped at 1
     sol = lp._coefficient_lp(
         span, (-1,) * n, zero, range(n), extra=((c, 0), ((1,) * n, 1))
@@ -496,14 +498,9 @@ def buchberger(gens, order: TermOrder) -> GroebnerBasis:
     """
     gens = tuple(gens)
     check_order_preconditions((g.vector() for g in gens), order)
-    elements = []
-    for g in gens:
-        e = _orient(g.plus, g.minus, order.compare)
-        if e is not None:
-            elements.append(e)
-    out = _buchberger_core(elements, order.compare)
     binomials = []
-    for lead, trail in out:
+    oriented = [_orient(g.plus, g.minus, order.compare) for g in gens]
+    for lead, trail in _buchberger_core(oriented, order.compare):
         if trail is None:
             raise BadParameter("generators produced a monomial element; "
                               "input did not generate a lattice ideal")
@@ -518,21 +515,8 @@ def _graded_revlex_cmp(weights: tuple[int, ...], cheap: int):
     if the cheap variable divides a leading term it divides the whole
     element.
     """
-    def cmp(a: Monomial, b: Monomial) -> int:
-        if a == b:
-            return 0
-        da = sum(w * x for w, x in zip(weights, a))
-        db = sum(w * x for w, x in zip(weights, b))
-        if da != db:
-            return 1 if da > db else -1
-        if a[cheap] != b[cheap]:
-            return 1 if a[cheap] < b[cheap] else -1
-        for i in range(len(a) - 1, -1, -1):
-            if i != cheap and a[i] != b[i]:
-                return 1 if a[i] < b[i] else -1
-        return 0
-
-    return cmp
+    rest = tuple((i, -1) for i in reversed(range(len(weights))) if i != cheap)
+    return _comparator((), tuple(weights), ((cheap, -1),) + rest)
 
 
 def _positive_orthogonal_weight(columns) -> tuple[int, ...] | None:
@@ -575,11 +559,7 @@ def _saturation_round(
     and the generators are its reduced basis.
     """
     cmp = _graded_revlex_cmp(weights, i)
-    oriented = []
-    for lead, trail in elements:
-        e = _orient(lead, trail, cmp)
-        if e is not None:
-            oriented.append(e)
+    oriented = [_orient(lead, trail, cmp) for lead, trail in elements]
     out = []
     divided = False
     for lead, trail in _buchberger_core(oriented, cmp):
@@ -696,14 +676,6 @@ def is_generic(gb: GroebnerBasis) -> bool:
     return all(gb.order.cost_drop(g) > 0 for g in gb.elements)
 
 
-def _resolved_by_costs(order: TermOrder, g: Binomial) -> bool:
-    v = g.vector()
-    for w in order.costs:
-        if sum(wi * vi for wi, vi in zip(w, v)) != 0:
-            return True
-    return False
-
-
 def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     """The ideal of all monomials beaten within their fiber.
 
@@ -723,15 +695,16 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     forms: list[_Elt] = []
     all_monomial = True
     for g in gb.elements:
-        if _resolved_by_costs(gb.order, g):
+        v = g.vector()
+        if any(sum(map(mul, w, v)) for w in gb.order.costs):
             forms.append((g.plus, None))
         else:
             forms.append((g.plus, g.minus))
             all_monomial = False
     if all_monomial:
         return MonomialIdeal(n, (g.plus for g in gb.elements))
-    pure = TermOrder((), gb.order.tiebreak)
-    completed = _buchberger_core(forms, pure.compare)
+    pure = _comparator((), *_tiebreak(gb.order.tiebreak, n))
+    completed = _buchberger_core(forms, pure)
     monomials = [lead for lead, trail in completed if trail is None]
     binomials = [(lead, trail) for lead, trail in completed if trail is not None]
     ideal = MonomialIdeal(n, monomials)
@@ -757,12 +730,6 @@ def ip_optimum(gb: GroebnerBasis, z) -> tuple[int, ...]:
         raise BadParameter("starting point length does not match the variable count")
     if any(x < 0 for x in cur):
         raise BadParameter("negative exponent in starting point")
-    changed = True
-    while changed:
-        changed = False
-        for g in gb.elements:
-            if divides(g.plus, cur):
-                cur = tuple(c - p + m for c, p, m in zip(cur, g.plus, g.minus))
-                changed = True
-                break
-    return cur
+    elements = [(g.plus, g.minus) for g in gb.elements]
+    masks = [_support(plus) for plus, _ in elements]
+    return _head_reduce((cur, None), elements, masks, None)[0]

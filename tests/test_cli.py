@@ -360,3 +360,55 @@ def test_box_validation(capsys):
     assert "box" in err
     code, _, err = run(capsys, "oracle", K4)
     assert code == 2
+
+
+def test_fan_budget_zero_in_file_acts_like_the_flag(capsys, tmp_path):
+    inst = tmp_path / "coin0.txt"
+    inst.write_text((DEMOS / "coin.txt").read_text() + "budget: 0\n")
+    code, from_file, _ = run(capsys, "fan", str(inst))
+    assert code == 0
+    assert "cones discovered: 1" in from_file
+    code, from_flag, _ = run(capsys, "fan", COIN, "--budget", "0")
+    assert code == 0
+    assert canonical(from_file) == canonical(from_flag)
+
+
+def test_negative_budget_in_file_is_a_parse_error(capsys, tmp_path):
+    text = "matrix:\n1 5\ncost: 1 0\nbudget:  -3\n"
+    with pytest.raises(ParseError) as exc:
+        cli.parse_instance_text(text)
+    assert (exc.value.line, exc.value.column) == (4, 10)
+    inst = tmp_path / "negative.txt"
+    inst.write_text(text)
+    code, out, err = run(capsys, "fan", str(inst))
+    assert code == 2 and not out
+    assert "line 4, column 10" in err
+
+
+def test_negative_budget_flag_exits_2(capsys):
+    code, out, err = run(capsys, "fan", COIN, "--budget", "-1")
+    assert code == 2 and not out
+    assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # a model's cost is its entry bound, so a cost row would be
+        # printed in the report header but never used
+        ("model:\ndims: 2 2\nface: 1\nface: 2\ncost: 5 5 5 5\n", 5),
+        ("cost: 1 1 1 1\nmodel:\ndims: 2 2\nface: 1\nface: 2\n", 1),
+        # sense only chooses a model's entry bound
+        ("matrix:\n1 5\ncost: 1 0\nsense: min\n", 4),
+        ("lattice:\n5 4\n5 6\nsense: max\ncost: 1 1\n", 4),
+    ],
+)
+def test_fields_the_source_ignores_are_rejected(capsys, tmp_path, text, line):
+    with pytest.raises(ParseError) as exc:
+        cli.parse_instance_text(text)
+    assert (exc.value.line, exc.value.column) == (line, 1)
+    inst = tmp_path / "ignored.txt"
+    inst.write_text(text)
+    code, out, err = run(capsys, "gap", str(inst))
+    assert code == 2 and not out
+    assert f"line {line}, column 1" in err

@@ -23,7 +23,7 @@ CASES = [
     (cmd, demo)
     for demo in ("coin", "lattice_r5", "k4")
     for cmd in ("gap", "decompose", "gb", "witness")
-] + [("fan", "coin")]
+] + [("fan", "coin"), ("fan", "knapsack")]
 
 
 @pytest.mark.parametrize("cmd, demo", CASES)

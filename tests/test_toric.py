@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -538,3 +539,64 @@ def test_model_saturation_skips_proven_variables(monkeypatch, model, most_rounds
     monkeypatch.undo()
     assert len(runs) <= most_rounds
     assert gens == _reference.lattice_ideal_generators(basis)
+
+
+def _monomials(n, degree):
+    return [m for m in product(range(degree + 1), repeat=n) if sum(m) <= degree]
+
+
+def _tiebreak_key(tiebreak, m):
+    # written out from the definitions, independent of the package: the
+    # larger key is the larger monomial
+    if tiebreak == "lex":
+        return tuple(m)
+    if tiebreak == "grlex":
+        return (sum(m),) + tuple(m)
+    if tiebreak == "grevlex":
+        return (sum(m),) + tuple(-x for x in reversed(m))
+    return (sum(m),) + tuple(-x for x in m)
+
+
+def _assert_sorts_like(cmp, key, monomials):
+    assert sorted(monomials, key=cmp_to_key(cmp)) == sorted(monomials, key=key)
+    for a in monomials:
+        for b in monomials:
+            ka, kb = key(a), key(b)
+            assert cmp(a, b) == (ka > kb) - (ka < kb), (a, b)
+
+
+def test_orders_match_their_definitions():
+    # every comparator the package builds, against a sort key written here:
+    # each tiebreak with and without cost rows (refined ones included), on
+    # every monomial of degree <= 3 in 4 variables
+    monomials = _monomials(4, 3)
+    for tb in TIEBREAKS:
+        for n in (2, 4, 5):
+            _assert_sorts_like(
+                TermOrder((), tb).compare,
+                lambda m: _tiebreak_key(tb, m),
+                _monomials(n, 3),
+            )
+        for cost in [(1, 0, 2, 1), (Fraction(1, 2), 0, 1, Fraction(1, 2)), (2, -1, 0, 1)]:
+            def key(m):
+                return (sum(c * x for c, x in zip(cost, m)),) + _tiebreak_key(tb, m)
+
+            for order in (TermOrder(cost, tb), TermOrder.refined(cost, tb)):
+                _assert_sorts_like(order.compare, key, monomials)
+                # a copy through pickle is the same order
+                copy = pickle.loads(pickle.dumps(order))
+                assert copy == order
+                _assert_sorts_like(copy.compare, key, monomials)
+        rows = ((1, 1, 0, 0), (0, 0, 1, 0))
+        _assert_sorts_like(
+            TermOrder(rows, tb).compare,
+            lambda m: (m[0] + m[1], m[2]) + _tiebreak_key(tb, m),
+            monomials,
+        )
+    for weights in [(1, 1, 1, 1), (3, 5, 7, 11), (2, 1, 1, 3)]:
+        for cheap in range(4):
+            def key(m):
+                rest = tuple(-m[i] for i in reversed(range(4)) if i != cheap)
+                return (sum(w * x for w, x in zip(weights, m)), -m[cheap]) + rest
+
+            _assert_sorts_like(_graded_revlex_cmp(weights, cheap), key, monomials)
