@@ -40,7 +40,7 @@ from operator import itemgetter
 from . import lp, oracle
 from .errors import BadParameter, IpgapError, ParseError, VerificationError
 from .exactmath import IntMatrix
-from .fan import explore_cones, gap_fan_subdivide
+from .fan import DEFAULT_BUDGET, explore_cones, gap_fan_subdivide
 from .gapcore import GapInstance, GapReport, gap_report
 from .models import MarginalModel, _entry_cost, cells, entry_instance, margin_matrix
 from .monomial import IrreducibleComponent
@@ -261,10 +261,24 @@ def _default_names(spec: InstanceSpec, nvars: int) -> tuple[str, ...]:
 # ----------------------------------------------------------- construction
 
 
+def _sense(spec: InstanceSpec, args) -> str | None:
+    """A model's entry bound sense: --sense, else the field, else max.
+
+    None for a matrix or lattice instance, which --sense, like the sense
+    field, does not apply to.
+    """
+    flag = getattr(args, "sense", None)
+    if spec.model is None:
+        if flag is not None:
+            raise BadParameter("--sense applies to model instances only")
+        return None
+    return flag or spec.sense or "max"
+
+
 def _build_instance(spec: InstanceSpec, args) -> GapInstance:
     tiebreak = getattr(args, "tiebreak", None) or spec.tiebreak
+    sense = _sense(spec, args)
     if spec.model is not None:
-        sense = getattr(args, "sense", None) or spec.sense or "max"
         return entry_instance(spec.model, sense, tiebreak or "revgrevlex")
     if spec.cost is None:
         raise ParseError("matrix and lattice instances need a cost field")
@@ -453,9 +467,10 @@ def _oracle_gap(a: IntMatrix, cost, box) -> tuple[Fraction, tuple[int, ...]]:
 
 
 def cmd_oracle(spec: InstanceSpec, args) -> tuple[list[str], dict]:
+    sense = _sense(spec, args)
     if spec.model is not None:
         a = margin_matrix(spec.model)
-        cost = _entry_cost(spec.model, getattr(args, "sense", None) or spec.sense or "max")
+        cost = _entry_cost(spec.model, sense)
     elif spec.matrix is not None:
         a = spec.matrix
         if spec.cost is None:
@@ -528,7 +543,7 @@ def cmd_fan(spec: InstanceSpec, args) -> tuple[list[str], dict]:
         raise ParseError("fan needs a cost field or a --seeds file")
     budget = spec.budget if args.budget is None else args.budget
     if budget is None:
-        budget = 200
+        budget = DEFAULT_BUDGET
     names = _default_names(spec, a.ncols)
     cones = explore_cones(a, seeds, budget)
     lines = [
@@ -630,7 +645,8 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--seeds", default=None, help="file of seed cost rows")
             p.add_argument(
                 "--budget", type=int, default=None,
-                help="cap on exploration basis computations (default 200)",
+                help="cap on exploration basis computations"
+                f" (default {DEFAULT_BUDGET})",
             )
         if name == "oracle":
             p.add_argument(

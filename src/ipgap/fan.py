@@ -191,7 +191,13 @@ def gap_function_eval(a, c, tiebreak: str = "grevlex"):
     raise DegenerateCone("no piece contains the instance's own cost")
 
 
-def explore_cones(a, seeds, budget: int = 200) -> list[tuple[GroebnerBasis, Cone]]:
+# exploration runs after the seeds when neither caller nor instance caps them
+DEFAULT_BUDGET = 200
+
+
+def explore_cones(
+    a, seeds, budget: int = DEFAULT_BUDGET
+) -> list[tuple[GroebnerBasis, Cone]]:
     """Discover distinct marked bases by reflecting across cone facets.
 
     Runs the basis computation at every seed, then repeatedly takes a

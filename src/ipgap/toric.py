@@ -3,8 +3,10 @@
 A lattice program's algebra lives here: binomials x^plus - x^minus encode
 lattice vectors, a TermOrder compares exponent vectors by one or more cost
 rows and then a fixed tiebreak, buchberger() produces the unique reduced
-basis, and non_optimal_ideal() extracts the monomial ideal of all exponent
-vectors that lose to a cheaper point in their own fiber.
+basis, and non_optimal_ideal() reads off that basis the monomial ideal of
+all exponent vectors that lose to a cheaper point in their own fiber: the
+leads the cost rows resolve, pulled back along the elements they leave
+tied.  The Groebner core only ever holds binomials.
 
 Every order here is weight rows followed by a tiebreak sequence of
 (variable, direction) pairs (Robbiano 1985); _comparator builds each one.
@@ -258,8 +260,8 @@ class GroebnerBasis:
         return MonomialIdeal(self.nvars, (g.plus for g in self.elements))
 
 
-# internal Buchberger elements: (lead, trail) with trail None for a monomial
-_Elt = tuple[Monomial, "Monomial | None"]
+# internal Buchberger elements: binomials as (lead, trail)
+_Elt = tuple[Monomial, Monomial]
 
 
 def _orient(a: Monomial, b: Monomial, cmp) -> _Elt | None:
@@ -295,29 +297,24 @@ def _divisor(m: Monomial, basis: list[_Elt], masks: list[int], skip: int = -1):
 
 
 def _head_reduce(
-    elt: _Elt, basis: list[_Elt], masks: list[int], cmp, skip: int = -1
+    elt: tuple[Monomial, Monomial | None], basis: list[_Elt], masks: list[int], cmp,
+    skip: int = -1,
 ) -> _Elt | None:
     """Reduce elt until no lead of basis divides its lead; None for zero.
 
     A binomial is reoriented by cmp after every step.  For a monomial
-    element (m, None) cmp is never called and the result is m's normal
-    form, or None when a monomial element divides on the way.
+    (m, None) cmp is never called and the result is (m's normal form, None).
     """
     lead, trail = elt
     while (k := _divisor(lead, basis, masks, skip)) is not None:
         gl, gt = basis[k]
-        if gt is None:
-            if trail is None:
+        lead = tuple(l - a + b for l, a, b in zip(lead, gl, gt))
+        if trail is not None:
+            c = cmp(lead, trail)
+            if c == 0:
                 return None
-            lead, trail = trail, None
-        else:
-            lead = tuple(l - a + b for l, a, b in zip(lead, gl, gt))
-            if trail is not None:
-                c = cmp(lead, trail)
-                if c == 0:
-                    return None
-                if c < 0:
-                    lead, trail = trail, lead
+            if c < 0:
+                lead, trail = trail, lead
     return (lead, trail)
 
 
@@ -325,12 +322,6 @@ def _s_element(f: _Elt, g: _Elt, cmp) -> _Elt | None:
     fl, ft = f
     gl, gt = g
     lcm_e = tuple(max(a, b) for a, b in zip(fl, gl))
-    if ft is None and gt is None:
-        return None
-    if ft is None:
-        return (tuple(l - a + b for l, a, b in zip(lcm_e, gl, gt)), None)
-    if gt is None:
-        return (tuple(l - a + b for l, a, b in zip(lcm_e, fl, ft)), None)
     m1 = tuple(l - a + b for l, a, b in zip(lcm_e, fl, ft))
     m2 = tuple(l - a + b for l, a, b in zip(lcm_e, gl, gt))
     return _orient(m2, m1, cmp)
@@ -417,28 +408,23 @@ def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
         masks.append(_support(s[0]))
         add_pairs(len(basis) - 1)
 
-    # interreduce: one element per minimal lead survives; among equal
-    # leads a monomial element outranks a binomial, then the earlier wins.
-    # Visited by lead degree and then that rank, an element is kept iff no
+    # interreduce: one element per minimal lead survives, the earliest
+    # among equal leads.  Visited by lead degree, an element is kept iff no
     # lead kept before it divides its own.  No kept lead divides another,
     # so only the trails are reduced: each to its normal form modulo the
     # kept elements, a Groebner basis, so the reducers' order is immaterial.
+    # A reduction step lowers a monomial in the order, so a trail's normal
+    # form stays below its lead.
     keep: list[_Elt] = []
     kept_masks: list[int] = []
-    for i in sorted(
-        range(len(basis)), key=lambda i: (sum(basis[i][0]), basis[i][1] is not None, i)
-    ):
+    for i in sorted(range(len(basis)), key=lambda i: sum(basis[i][0])):
         if _divisor(basis[i][0], keep, kept_masks) is None:
             keep.append(basis[i])
             kept_masks.append(masks[i])
-    out: list[_Elt] = []
-    for i, (lead, trail) in enumerate(keep):
-        if trail is not None:
-            r = _head_reduce((trail, None), keep, kept_masks, cmp, skip=i)
-            trail = None if r is None else r[0]
-            if trail == lead:
-                continue
-        out.append((lead, trail))
+    out = [
+        (lead, _head_reduce((trail, None), keep, kept_masks, cmp, skip=i)[0])
+        for i, (lead, trail) in enumerate(keep)
+    ]
     out.sort(key=lambda e: (sum(e[0]), e[0]))
     return out
 
@@ -498,14 +484,9 @@ def buchberger(gens, order: TermOrder) -> GroebnerBasis:
     """
     gens = tuple(gens)
     check_order_preconditions((g.vector() for g in gens), order)
-    binomials = []
     oriented = [_orient(g.plus, g.minus, order.compare) for g in gens]
-    for lead, trail in _buchberger_core(oriented, order.compare):
-        if trail is None:
-            raise BadParameter("generators produced a monomial element; "
-                              "input did not generate a lattice ideal")
-        binomials.append(Binomial(lead, trail))
-    return GroebnerBasis(tuple(binomials), order)
+    core = _buchberger_core(oriented, order.compare)
+    return GroebnerBasis(tuple(Binomial(lead, trail) for lead, trail in core), order)
 
 
 def _graded_revlex_cmp(weights: tuple[int, ...], cheap: int):
@@ -680,39 +661,31 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     """The ideal of all monomials beaten within their fiber.
 
     A point is non-optimal when some fiber-mate is strictly better under
-    the order's cost rows (the tiebreak does not participate).  When every
-    basis element is resolved by the cost rows this is the leading-term
-    ideal.  Otherwise the unresolved elements survive as binomials in the
-    cost-initial ideal: the leading forms are completed to a basis of that
-    ideal under the pure tiebreak order, and the monomials it contains are
-    grown from the monomial elements by colon pullback until stable.
+    the order's cost rows (the tiebreak does not participate): this is
+    the monomial part of the cost-initial ideal in_c(I).  The cost-initial
+    forms of the reduced basis are the reduced basis of in_c(I) under the
+    tiebreak (Sturmfels, Groebner Bases and Convex Polytopes, Prop. 1.13):
+    the lead of an element some cost row resolves, and an element tied on
+    every cost row as it stands.  So the ideal is generated by the resolved
+    leads, grown by colon pullback along the tied binomials until stable:
+    x^u - x^w in in_c(I) and x^w m beaten make x^u m beaten, and back.
+    When every element is resolved this is the leading-term ideal.
     """
-    if not gb.elements:
-        if gb.nvars is None:
-            raise BadParameter("cannot size the zero ideal without cost rows")
-        return MonomialIdeal(gb.nvars)
     n = gb.nvars
-    forms: list[_Elt] = []
-    all_monomial = True
+    if n is None:
+        raise BadParameter("cannot size the zero ideal without cost rows")
+    leads: list[Monomial] = []
+    tied: list[_Elt] = []
     for g in gb.elements:
         v = g.vector()
         if any(sum(map(mul, w, v)) for w in gb.order.costs):
-            forms.append((g.plus, None))
+            leads.append(g.plus)
         else:
-            forms.append((g.plus, g.minus))
-            all_monomial = False
-    if all_monomial:
-        return MonomialIdeal(n, (g.plus for g in gb.elements))
-    pure = _comparator((), *_tiebreak(gb.order.tiebreak, n))
-    completed = _buchberger_core(forms, pure)
-    monomials = [lead for lead, trail in completed if trail is None]
-    binomials = [(lead, trail) for lead, trail in completed if trail is not None]
-    ideal = MonomialIdeal(n, monomials)
-    if ideal.is_zero:
-        return ideal
+            tied.append((g.plus, g.minus))
+    ideal = MonomialIdeal(n, leads)
     while True:
         grown = ideal
-        for lead, trail in binomials:
+        for lead, trail in tied:
             part1 = grown.colon_monomial(trail)
             part2 = grown.colon_monomial(lead)
             extra = [tuple(a + b for a, b in zip(g, lead)) for g in part1.gens]

@@ -1,11 +1,13 @@
 """Test-side reference implementations and cross-check oracles.
 
 Nothing in the package uses these: they restate lattice membership,
-saturation by every variable in turn, rational solving, standard pairs,
-component intersection, the throwing form of the relaxation value, the
-Schrijver bound over every maximal minor and the degree-bound link of a
-table model directly, so tests can check the package's answers against
-them.  Each favours the plain textbook construction over speed.
+saturation by every variable in turn, rational solving, Buchberger
+without pair criteria, the non-optimal ideal by completing the
+cost-initial forms, standard pairs, component intersection, the throwing
+form of the relaxation value, the Schrijver bound over every maximal
+minor and the degree-bound link of a table model directly, so tests can
+check the package's answers against them.  Each favours the plain
+textbook construction over speed.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from operator import mul
 
 from ipgap import lp
 from ipgap.errors import BadParameter, EmptyFiber, UnboundedProgram
@@ -22,6 +26,8 @@ from ipgap.models import MarginalModel, entry_instance
 from ipgap.monomial import MonomialIdeal
 from ipgap.toric import (
     Binomial,
+    GroebnerBasis,
+    TermOrder,
     _buchberger_core,
     _graded_revlex_cmp,
     _orient,
@@ -127,6 +133,135 @@ def solve_rational(a: IntMatrix, b) -> tuple[Fraction, ...] | None:
     for i, c in enumerate(piv_cols):
         x[c] = m[i][nc]
     return tuple(x)
+
+
+# ------------------------------------------------------------------ groebner
+
+
+def buchberger_core(elements, cmp):
+    """toric._buchberger_core by textbook Buchberger on polynomials as dicts.
+
+    elements are (lead, trail) pairs, trail None for a monomial element,
+    which the package's core does not take.  Every pair is reduced (no
+    criterion prunes any), divisibility is tested coordinate by
+    coordinate, and the basis is made minimal and reduced only at the
+    end.  Returns (lead, trail) pairs, trail None for a monomial, sorted
+    by lead degree, then lead.
+    """
+    key = cmp_to_key(cmp)
+
+    def lead(f):
+        return max(f, key=key)
+
+    def shift(m, q):
+        return tuple(a + b for a, b in zip(m, q))
+
+    def normal_form(f, basis):
+        f, out = dict(f), {}
+        while f:
+            m = lead(f)
+            for g in basis:
+                gl = lead(g)
+                if all(a <= b for a, b in zip(gl, m)):
+                    q = tuple(b - a for a, b in zip(gl, m))
+                    r = f[m] / g[gl]
+                    for t, c in g.items():
+                        t = shift(t, q)
+                        f[t] = f.get(t, 0) - r * c
+                        if not f[t]:
+                            del f[t]
+                    break
+            else:
+                out[m] = f.pop(m)
+        return out
+
+    polys = []
+    for l, t in elements:
+        f = {l: Fraction(1)}
+        if t is not None:
+            f[t] = Fraction(-1)
+        polys.append(f)
+    pairs = list(itertools.combinations(range(len(polys)), 2))
+    while pairs:
+        # smallest lcm degree first: a selection order only, nothing is pruned
+        pairs.sort(
+            key=lambda p: -sum(map(max, lead(polys[p[0]]), lead(polys[p[1]])))
+        )
+        i, j = pairs.pop()
+        f, g = polys[i], polys[j]
+        lcm_e = tuple(map(max, lead(f), lead(g)))
+        s = {}
+        for p, sign in ((f, 1), (g, -1)):
+            pl = lead(p)
+            q = tuple(a - b for a, b in zip(lcm_e, pl))
+            for t, c in p.items():
+                t = shift(t, q)
+                s[t] = s.get(t, 0) + sign * c / p[pl]
+        r = normal_form({t: c for t, c in s.items() if c}, polys)
+        if r:
+            polys.append(r)
+            pairs += [(k, len(polys) - 1) for k in range(len(polys) - 1)]
+    polys = [{t: c / p[lead(p)] for t, c in p.items()} for p in polys]
+    minimal = []
+    for p in polys:
+        pl = lead(p)
+        if not any(
+            all(a <= b for a, b in zip(lead(q), pl)) for q in minimal
+        ):
+            minimal = [
+                q for q in minimal if not all(a <= b for a, b in zip(pl, lead(q)))
+            ]
+            minimal.append(p)
+    out = []
+    for p in minimal:
+        pl = lead(p)
+        tail = normal_form({t: c for t, c in p.items() if t != pl}, minimal)
+        assert set(tail.values()) <= {Fraction(-1)} and len(tail) <= 1
+        out.append((pl, next(iter(tail), None)))
+    out.sort(key=lambda e: (sum(e[0]), e[0]))
+    return out
+
+
+def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
+    """toric.non_optimal_ideal by completing the cost-initial forms.
+
+    Each element's cost-initial form, its lead as a monomial when some
+    cost row resolves it and the binomial itself when every row ties, is
+    completed by buchberger_core under the pure tiebreak order to the
+    reduced basis of in_c(I); its monomials are then grown by colon
+    pullback along its binomials until stable.
+    """
+    if not gb.elements:
+        if gb.nvars is None:
+            raise BadParameter("cannot size the zero ideal without cost rows")
+        return MonomialIdeal(gb.nvars)
+    n = gb.nvars
+    forms = []
+    for g in gb.elements:
+        v = g.vector()
+        if any(sum(map(mul, w, v)) for w in gb.order.costs):
+            forms.append((g.plus, None))
+        else:
+            forms.append((g.plus, g.minus))
+    if all(trail is None for _, trail in forms):
+        return MonomialIdeal(n, (g.plus for g in gb.elements))
+    completed = buchberger_core(forms, TermOrder((), gb.order.tiebreak).compare)
+    monomials = [lead for lead, trail in completed if trail is None]
+    binomials = [(lead, trail) for lead, trail in completed if trail is not None]
+    ideal = MonomialIdeal(n, monomials)
+    if ideal.is_zero:
+        return ideal
+    while True:
+        grown = ideal
+        for lead, trail in binomials:
+            part1 = grown.colon_monomial(trail)
+            part2 = grown.colon_monomial(lead)
+            extra = [tuple(a + b for a, b in zip(g, lead)) for g in part1.gens]
+            extra += [tuple(a + b for a, b in zip(g, trail)) for g in part2.gens]
+            grown = grown.add(extra)
+        if grown == ideal:
+            return ideal
+        ideal = grown
 
 
 # ------------------------------------------------------------------- programs

@@ -412,3 +412,12 @@ def test_fields_the_source_ignores_are_rejected(capsys, tmp_path, text, line):
     code, out, err = run(capsys, "gap", str(inst))
     assert code == 2 and not out
     assert f"line {line}, column 1" in err
+
+
+@pytest.mark.parametrize("cmd", ["gap", "decompose", "gb", "witness", "oracle"])
+def test_sense_flag_outside_a_model_exits_2(capsys, cmd):
+    # --sense, like the sense field, only chooses a model's entry bound
+    box = ("--box", "2") if cmd == "oracle" else ()
+    code, out, err = run(capsys, cmd, COIN, *box, "--sense", "min")
+    assert code == 2 and not out
+    assert "--sense" in err

@@ -2,7 +2,8 @@ import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, product
+from itertools import product
+from operator import mul
 
 import pytest
 
@@ -356,96 +357,10 @@ def test_random_kernel_bases_stay_primitive():
                     assert not MonomialIdeal(3, others).contains(g.minus)
 
 
-def _reference_buchberger(elements, cmp):
-    """Reduced basis by textbook Buchberger on polynomials as dicts.
-
-    Every pair is reduced (no criterion prunes any), divisibility is tested
-    coordinate by coordinate, and the basis is made minimal and reduced
-    only at the end.  Returns the core's format: (lead, trail) with trail
-    None for a monomial, sorted by lead degree, then lead.
-    """
-    key = cmp_to_key(cmp)
-
-    def lead(f):
-        return max(f, key=key)
-
-    def shift(m, q):
-        return tuple(a + b for a, b in zip(m, q))
-
-    def normal_form(f, basis):
-        f, out = dict(f), {}
-        while f:
-            m = lead(f)
-            for g in basis:
-                gl = lead(g)
-                if all(a <= b for a, b in zip(gl, m)):
-                    q = tuple(b - a for a, b in zip(gl, m))
-                    r = f[m] / g[gl]
-                    for t, c in g.items():
-                        t = shift(t, q)
-                        f[t] = f.get(t, 0) - r * c
-                        if not f[t]:
-                            del f[t]
-                    break
-            else:
-                out[m] = f.pop(m)
-        return out
-
-    polys = []
-    for l, t in elements:
-        f = {l: Fraction(1)}
-        if t is not None:
-            f[t] = Fraction(-1)
-        polys.append(f)
-    pairs = list(combinations(range(len(polys)), 2))
-    while pairs:
-        # smallest lcm degree first: a selection order only, nothing is pruned
-        pairs.sort(
-            key=lambda p: -sum(map(max, lead(polys[p[0]]), lead(polys[p[1]])))
-        )
-        i, j = pairs.pop()
-        f, g = polys[i], polys[j]
-        lcm_e = tuple(map(max, lead(f), lead(g)))
-        s = {}
-        for p, sign in ((f, 1), (g, -1)):
-            pl = lead(p)
-            q = tuple(a - b for a, b in zip(lcm_e, pl))
-            for t, c in p.items():
-                t = shift(t, q)
-                s[t] = s.get(t, 0) + sign * c / p[pl]
-        r = normal_form({t: c for t, c in s.items() if c}, polys)
-        if r:
-            polys.append(r)
-            pairs += [(k, len(polys) - 1) for k in range(len(polys) - 1)]
-    polys = [{t: c / p[lead(p)] for t, c in p.items()} for p in polys]
-    minimal = []
-    for p in polys:
-        pl = lead(p)
-        if not any(
-            all(a <= b for a, b in zip(lead(q), pl)) for q in minimal
-        ):
-            minimal = [
-                q for q in minimal if not all(a <= b for a, b in zip(pl, lead(q)))
-            ]
-            minimal.append(p)
-    out = []
-    for p in minimal:
-        pl = lead(p)
-        tail = normal_form({t: c for t, c in p.items() if t != pl}, minimal)
-        assert set(tail.values()) <= {Fraction(-1)} and len(tail) <= 1
-        out.append((pl, next(iter(tail), None)))
-    out.sort(key=lambda e: (sum(e[0]), e[0]))
-    return out
-
-
-def _random_elements(rng, n, cmp, monomials=False):
+def _random_elements(rng, n, cmp):
     elements = []
     for _ in range(rng.randrange(2, 4)):
         a = tuple(rng.randrange(3) for _ in range(n))
-        if monomials and rng.random() < 0.3:
-            if any(a):
-                elements.append((a, None))
-            continue
         b = tuple(rng.randrange(3) for _ in range(n))
         e = _orient(a, b, cmp)
         if e is not None:
@@ -455,8 +370,8 @@ def _random_elements(rng, n, cmp, monomials=False):
 
 def test_core_matches_reference_buchberger():
     # the core's pair criteria and support-mask prefilters must not change
-    # the reduced basis: compare with the unpruned reference on the three
-    # kinds of order the pipeline uses
+    # the reduced basis: compare with the unpruned reference on binomials
+    # under cost orders, saturation orders and orders without cost rows
     rng = random.Random(20261017)
     for trial in range(300):
         n = rng.randrange(2, 6)
@@ -469,8 +384,8 @@ def test_core_matches_reference_buchberger():
             cmp = _graded_revlex_cmp(weights, rng.randrange(n))
         else:
             cmp = TermOrder((), rng.choice(TIEBREAKS)).compare
-        elements = _random_elements(rng, n, cmp, monomials=kind == 2)
-        want = _reference_buchberger(elements, cmp)
+        elements = _random_elements(rng, n, cmp)
+        want = _reference.buchberger_core(elements, cmp)
         assert _buchberger_core(elements, cmp) == want, (trial, elements)
 
 
@@ -539,6 +454,63 @@ def test_model_saturation_skips_proven_variables(monkeypatch, model, most_rounds
     monkeypatch.undo()
     assert len(runs) <= most_rounds
     assert gens == _reference.lattice_ideal_generators(basis)
+
+
+def _resolved_leads(gb):
+    costs = gb.order.costs
+    return [g.plus for g in gb if any(sum(map(mul, w, g.vector())) for w in costs)]
+
+
+def test_non_optimal_ideal_matches_completion_reference():
+    # reading the ideal off the reduced basis must give what completing
+    # its cost-initial forms under the tiebreak gives, above all on bases
+    # with tied elements: kernel lattices and bases as given, every
+    # tiebreak, one- and two-row costs
+    rng = random.Random(20261019)
+    tied = grown = 0
+    seen = set()
+    for trial in range(500):
+        basis = _saturation_case(rng, trial)
+        n = basis.nrows
+        costs = tuple(
+            tuple(rng.randrange(3) for _ in range(n)) for _ in range(rng.randint(1, 2))
+        )
+        tiebreak = rng.choice(TIEBREAKS)
+        try:
+            gb = buchberger(lattice_ideal_generators(basis), TermOrder(costs, tiebreak))
+        except NonTerminatingOrder:
+            continue
+        got = non_optimal_ideal(gb)
+        assert got == _reference.non_optimal_ideal(gb), (basis.rows, costs, tiebreak)
+        leads = _resolved_leads(gb)
+        if len(leads) < len(gb):
+            tied += 1
+            seen |= {("kernel", "basis")[trial % 2 == 0], len(costs), tiebreak}
+            grown += got != MonomialIdeal(n, leads)
+    assert tied >= 100 and grown >= 10
+    assert seen == {"kernel", "basis", 1, 2, *TIEBREAKS}
+
+
+def test_tied_demo_reads_the_ideal_off_the_basis(monkeypatch):
+    # demos/tied.txt: two of the five basis elements tie on the cost, and
+    # the pullback along them grows three resolved leads to seven
+    # generators without another Groebner basis
+    a = IntMatrix([[4, 2, 2, 3]])
+    gens = lattice_ideal_generators(kernel_lattice(a))
+    gb = buchberger(gens, TermOrder((0, 1, 1, 0)))
+    assert len(gb) == 5 and len(_resolved_leads(gb)) == 3
+    runs = []
+    core = toric._buchberger_core
+
+    def counted(elements, cmp):
+        runs.append(len(elements))
+        return core(elements, cmp)
+
+    monkeypatch.setattr(toric, "_buchberger_core", counted)
+    ideal = non_optimal_ideal(gb)
+    assert runs == []
+    assert len(ideal.gens) == 7
+    assert len(irreducible_decomposition(ideal)) == 3
 
 
 def _monomials(n, degree):
