@@ -17,7 +17,8 @@ nonnegative integer).  A cost in a model, or a sense outside one, is
 an error.  '#' starts a comment.  Command-line flags override file fields.
 
 Reports are deterministic: equal inputs and flags give byte-identical
-output, except lines starting with '#', which carry advisory timing.
+output, except lines starting with '#', which carry advisory timing (on
+stderr with --format json, so stdout is one JSON document).
 Exact rationals are printed in lowest terms as p/q; decimal renderings
 are 10-digit truncations and advisory only.  Exit codes: 0 success,
 1 mathematical domain error, 2 bad input, 3 internal verification
@@ -534,6 +535,13 @@ def _load_seeds(path: str) -> list[tuple[Fraction, ...]]:
 def cmd_fan(spec: InstanceSpec, args) -> tuple[list[str], dict]:
     if spec.matrix is None:
         raise BadParameter("the fan exploration needs a matrix instance")
+    # the walk orders every cone by one cost row under grevlex
+    if spec.tiebreak not in (None, "grevlex"):
+        raise BadParameter(
+            f"fan walks grevlex orders only; the tiebreak field says {spec.tiebreak}"
+        )
+    if spec.cost is not None and len(spec.cost) > 1:
+        raise BadParameter(f"fan takes one cost row; the cost field gives {len(spec.cost)}")
     a = spec.matrix
     if args.seeds:
         seeds = _load_seeds(args.seeds)
@@ -676,7 +684,9 @@ def main(argv=None) -> int:
     else:
         out = "\n".join(lines)
     print(out)
-    print(f"# elapsed: {time.monotonic() - t0:.2f} s")
+    # a JSON stdout holds the one document only
+    elapsed = sys.stderr if args.format == "json" else sys.stdout
+    print(f"# elapsed: {time.monotonic() - t0:.2f} s", file=elapsed)
     return 0
 
 

@@ -223,7 +223,7 @@ def explore_cones(
     for seed in seeds:
         gb = buchberger(gens, TermOrder(seed, "grevlex"))
         if not is_generic(gb):
-            raise BadParameter(f"seed cost {tuple(seed)} is not generic")
+            raise BadParameter(f"seed cost ({', '.join(map(str, seed))}) is not generic")
         register(gb)
 
     runs = 0

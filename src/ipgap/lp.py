@@ -1,15 +1,15 @@
 """Exact rational linear programming by two-phase primal simplex.
 
-There is no floating point anywhere, so optima, duals and
-infeasibility/unboundedness verdicts are exact.  The tableau is kept
-fraction-free (Edmonds 1967; Bareiss 1968): each row is a list of Python
-ints whose last entry is a positive common denominator, and the row is
-divided by the gcd of all its entries after every update, so one row has
-one canonical form.  Signs are read from numerators and ratios are compared
-by integer cross-products; fractions.Fraction appears only in the returned
-values, duals and certificate.  Bland's smallest-index rule is used for
-both the entering and the leaving choice, which guarantees termination and
-makes every run byte-reproducible.
+There is no floating point anywhere, so optima and infeasibility /
+unboundedness verdicts are exact.  The tableau is kept fraction-free
+(Edmonds 1967; Bareiss 1968): each row is a list of Python ints whose last
+entry is a positive common denominator, and the row is divided by the gcd
+of all its entries after every update, so one row has one canonical form.
+Signs are read from numerators and ratios are compared by integer
+cross-products; fractions.Fraction appears only in the returned value and
+point.  Bland's smallest-index rule is used for both the entering and the
+leaving choice, which guarantees termination and makes every run
+byte-reproducible.
 
 The solver is written for the small dense problems this package produces
 (auxiliary programs over a lattice basis, relaxations of table problems,
@@ -82,10 +82,7 @@ class LPProblem:
 class LPSolution:
     """Outcome of solve().
 
-    x and value refer to the caller's variables and sense.  dual holds one
-    multiplier per constraint row of the problem (eq rows first, then ub
-    rows) for the minimization reading of the problem; certificate() exposes
-    the standard-form data the multipliers verify against.  pivots counts
+    x and value refer to the caller's variables and sense.  pivots counts
     the simplex pivots of both phases, including those that drive leftover
     artificials out of the basis.
     """
@@ -93,28 +90,13 @@ class LPSolution:
     status: str
     value: Fraction | None = None
     x: Vec | None = None
-    dual: Vec | None = None
     pivots: int = field(default=0, compare=False)
-    _std: tuple | None = field(default=None, repr=False, compare=False)
-
-    def certificate(self):
-        """Return (a, b, c, y, xstd) in standard form: min c.x, a.x=b, x>=0.
-
-        At optimality these satisfy a.xstd == b, xstd >= 0, y.b == c.xstd,
-        and componentwise c - y.a >= 0.  None unless status is optimal.
-        """
-        if self._std is None:
-            return None
-        rows, cost, y, xstd = self._std
-        ncol = len(xstd)
-        a = [[Fraction(v, row[-1]) for v in row[:ncol]] for row in rows]
-        b = [Fraction(row[-2], row[-1]) for row in rows]
-        c = [Fraction(v, cost[-1]) for v in cost[:ncol]]
-        return a, b, c, list(y), list(xstd)
 
 
 # Tableau rows (and the reduced-cost row) are int lists laid out as
 # [columns..., rhs, d]: the entries stand for the rationals v / d, d > 0.
+# There are no artificial columns: an artificial is only a basis index
+# ncol + i, the one unit column of row i that the pivots never read.
 
 
 def _reduced(row):
@@ -174,16 +156,17 @@ def _leaving_row(rows, basis, enter):
     return leave
 
 
-def _run_simplex(rows, obj, basis, eligible):
-    """Minimize until reduced costs on eligible columns are nonnegative.
+def _run_simplex(rows, obj, basis):
+    """Minimize until every reduced cost is nonnegative.
 
     Returns (optimal, pivots): optimal is False on unboundedness.  obj is
     the reduced cost row (rhs entry: minus the current value).  Bland's rule
     throughout.
     """
     pivots = 0
+    ncol = len(obj) - 2
     while True:
-        enter = next((j for j in eligible if obj[j] < 0), None)
+        enter = next((j for j in range(ncol) if obj[j] < 0), None)
         if enter is None:
             return True, pivots
         leave = _leaving_row(rows, basis, enter)
@@ -201,8 +184,7 @@ def solve(problem: LPProblem) -> LPSolution:
     c0 = problem.objective if minimize else tuple(-x for x in problem.objective)
 
     # column layout: the n variables, then for each free variable a minus
-    # column, then one slack per ub row, then one artificial per row; the
-    # artificials double as the B-inverse tracker the dual is read from
+    # column, then one slack per ub row
     minus = {}
     ncol = n
     for i in range(n):
@@ -213,37 +195,29 @@ def solve(problem: LPProblem) -> LPSolution:
     cons = problem.eq + problem.ub
     m = len(cons)
     ncol += m - neq
-    rhs = ncol + m
-    width = rhs + 2
 
     rows = []
-    flipped = []
     for k, (r, b) in enumerate(cons):
         # negative right-hand sides are flipped so the artificial basis is
-        # feasible; the artificial's own entry keeps its sign
+        # feasible
         sign = -1 if b < 0 else 1
         nums, scale = _scaled(r + (b,))
-        row = [sign * v for v in nums[:n]] + [0] * (width - n)
+        row = [sign * v for v in nums[:n]] + [0] * (ncol - n) + [sign * nums[n], scale]
         for i, col in minus.items():
             row[col] = -row[i]
         if k >= neq:
             row[ncol - m + k] = sign * scale
-        row[ncol + k] = scale
-        row[rhs] = sign * nums[n]
-        row[-1] = scale
         rows.append(_reduced(row))
-        flipped.append(sign < 0)
-    # the standard form for certificate(); pivots replace rows, never edit them
-    start = list(rows)
 
-    # phase 1: minimize the sum of artificials, priced out of the start basis
+    # phase 1: minimize the sum of artificials, whose reduced costs are
+    # minus the sum of the rows
     basis = [ncol + i for i in range(m)]
-    obj = [0] * ncol + [1] * m + [0, 1]
-    for i, row in enumerate(rows):
-        obj = _eliminate(obj, row[:-1] + [0], ncol + i)
-    eligible = range(ncol)
-    _, pivots = _run_simplex(rows, obj, basis, eligible)
-    if obj[rhs]:
+    obj = [0] * (ncol + 1) + [1]
+    for row in rows:
+        od, rd = obj[-1], row[-1]
+        obj = _reduced([a * rd - v * od for a, v in zip(obj[:-1], row[:-1])] + [od * rd])
+    _, pivots = _run_simplex(rows, obj, basis)
+    if obj[-2]:
         return LPSolution(status=INFEASIBLE, pivots=pivots)
 
     # drive leftover artificials out of the basis; rows that cannot pivot
@@ -251,7 +225,7 @@ def solve(problem: LPProblem) -> LPSolution:
     drop = []
     for i in range(m):
         if basis[i] >= ncol:
-            j = next((j for j in eligible if rows[i][j]), None)
+            j = next((j for j in range(ncol) if rows[i][j]), None)
             if j is None:
                 drop.append(i)
             else:
@@ -262,43 +236,27 @@ def solve(problem: LPProblem) -> LPSolution:
         rows = [row for i, row in enumerate(rows) if i not in drop]
         basis = [bv for i, bv in enumerate(basis) if i not in drop]
 
-    # phase 2: the real objective, artificial columns frozen out
+    # phase 2: the real objective
     nums, scale = _scaled(c0)
-    cost = nums + [0] * (width - n - 1) + [scale]
+    obj = nums + [0] * (ncol - n + 1) + [scale]
     for i, col in minus.items():
-        cost[col] = -cost[i]
-    cost = _reduced(cost)
-    std_cost = cost[:]  # obj below is updated in place
-    obj = cost
+        obj[col] = -obj[i]
+    obj = _reduced(obj)
     for row, bv in zip(rows, basis):
         if obj[bv]:
             obj = _eliminate(obj, row[:-1] + [0], bv)
-    ok, more = _run_simplex(rows, obj, basis, eligible)
+    ok, more = _run_simplex(rows, obj, basis)
     pivots += more
     if not ok:
         return LPSolution(status=UNBOUNDED, pivots=pivots)
 
     xstd = [Fraction(0)] * ncol
     for row, bv in zip(rows, basis):
-        xstd[bv] = Fraction(row[rhs], row[-1])
+        xstd[bv] = Fraction(row[-2], row[-1])
     x = tuple(xstd[i] - xstd[minus[i]] if i in minus else xstd[i] for i in range(n))
-    value = Fraction(-obj[rhs], obj[-1])
-
-    # dual per standard row: minus the reduced cost at that row's artificial
-    # column (artificial cost is 0 in phase 2); dropped rows carry 0
-    ystd = [
-        Fraction(0) if i in drop else Fraction(-obj[ncol + i], obj[-1])
-        for i in range(m)
-    ]
-    # undo the sign flips so multipliers refer to the rows as entered
-    dual = tuple(-y if f else y for y, f in zip(ystd, flipped))
+    value = Fraction(-obj[-2], obj[-1])
     return LPSolution(
-        status=OPTIMAL,
-        value=value if minimize else -value,
-        x=x,
-        dual=dual,
-        pivots=pivots,
-        _std=(start, std_cost, ystd, xstd),
+        status=OPTIMAL, value=value if minimize else -value, x=x, pivots=pivots
     )
 
 

@@ -21,10 +21,6 @@ def divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def minimal_generators(gens) -> tuple[Monomial, ...]:
     """Drop every generator strictly divisible by another; sort canonically."""
     uniq = sorted(set(tuple(g) for g in gens))
@@ -70,22 +66,6 @@ class MonomialIdeal:
             (tuple(max(gi - qi, 0) for gi, qi in zip(g, q)) for g in self.gens),
         )
 
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        if self.nvars != other.nvars:
-            raise BadParameter("variable count mismatch")
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal(self.nvars)
-        return MonomialIdeal(
-            self.nvars,
-            (monomial_lcm(g, h) for g in self.gens for h in other.gens),
-        )
-
-    def subset_of(self, other: "MonomialIdeal") -> bool:
-        return all(other.contains(g) for g in self.gens)
-
-    def is_squarefree_generated(self) -> bool:
-        return all(all(x <= 1 for x in g) for g in self.gens)
-
     def __str__(self):
         return "<" + ", ".join(str(g) for g in self.gens) + ">"
 
@@ -114,26 +94,6 @@ class IrreducibleComponent:
     @property
     def nvars(self) -> int:
         return len(self.bound)
-
-    def ideal(self) -> MonomialIdeal:
-        n = self.nvars
-        return MonomialIdeal(
-            n,
-            (
-                tuple(self.bound[i] + 1 if j == i else 0 for j in range(n))
-                for i in self.support
-            ),
-        )
-
-    def excludes(self, m: Monomial) -> bool:
-        """True when m is outside the component ideal (inside the box)."""
-        return all(m[i] <= self.bound[i] for i in self.support)
-
-    def ideal_subset_of(self, other: "IrreducibleComponent") -> bool:
-        """Containment of the component ideals."""
-        return set(self.support) <= set(other.support) and all(
-            other.bound[i] <= self.bound[i] for i in self.support
-        )
 
 
 def _maximal_corners(gens: tuple[Monomial, ...], nvars: int) -> list[tuple]:

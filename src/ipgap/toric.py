@@ -87,10 +87,6 @@ class Binomial:
     def vector(self) -> tuple[int, ...]:
         return tuple(p - m for p, m in zip(self.plus, self.minus))
 
-    @property
-    def is_primitive(self) -> bool:
-        return all(p == 0 or m == 0 for p, m in zip(self.plus, self.minus))
-
 
 TIEBREAKS = ("grevlex", "grlex", "lex", "revgrevlex")
 
@@ -253,11 +249,6 @@ class GroebnerBasis:
     @property
     def nvars(self) -> int | None:
         return self.elements[0].nvars if self.elements else self.order.nvars
-
-    def leading_ideal(self) -> MonomialIdeal:
-        if not self.elements:
-            raise BadParameter("empty basis has no variable count on its own")
-        return MonomialIdeal(self.nvars, (g.plus for g in self.elements))
 
 
 # internal Buchberger elements: binomials as (lead, trail)

@@ -3,7 +3,8 @@
 Nothing in the package uses these: they restate lattice membership,
 saturation by every variable in turn, rational solving, Buchberger
 without pair criteria, the non-optimal ideal by completing the
-cost-initial forms, standard pairs, component intersection, the throwing
+cost-initial forms, standard pairs, component intersection and the
+containment tests on monomial ideals and components, the throwing
 form of the relaxation value, the Schrijver bound over every maximal
 minor and the degree-bound link of a table model directly, so tests can
 check the package's answers against them.  Each favours the plain
@@ -23,7 +24,7 @@ from ipgap.errors import BadParameter, EmptyFiber, UnboundedProgram
 from ipgap.exactmath import IntMatrix, LatticeBasis, hermite_normal_form
 from ipgap.gapcore import gap_report
 from ipgap.models import MarginalModel, entry_instance
-from ipgap.monomial import MonomialIdeal
+from ipgap.monomial import IrreducibleComponent, MonomialIdeal
 from ipgap.toric import (
     Binomial,
     GroebnerBasis,
@@ -317,10 +318,59 @@ def schrijver_bound(a: IntMatrix, c) -> Fraction:
 # ---------------------------------------------------------- monomial ideals
 
 
+def monomial_lcm(a, b) -> tuple[int, ...]:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
+    if i.nvars != j.nvars:
+        raise BadParameter("variable count mismatch")
+    if i.is_zero or j.is_zero:
+        return MonomialIdeal(i.nvars)
+    return MonomialIdeal(i.nvars, (monomial_lcm(g, h) for g in i.gens for h in j.gens))
+
+
+def subset_of(i: MonomialIdeal, j: MonomialIdeal) -> bool:
+    return all(j.contains(g) for g in i.gens)
+
+
+def is_squarefree_generated(ideal: MonomialIdeal) -> bool:
+    return all(x <= 1 for g in ideal.gens for x in g)
+
+
+def leading_ideal(gb: GroebnerBasis) -> MonomialIdeal:
+    return MonomialIdeal(gb.nvars, (g.plus for g in gb.elements))
+
+
+def is_primitive(b: Binomial) -> bool:
+    """The two supports are disjoint."""
+    return all(p == 0 or m == 0 for p, m in zip(b.plus, b.minus))
+
+
+def component_ideal(q: IrreducibleComponent) -> MonomialIdeal:
+    """<x_i^(bound_i + 1) : i in support>."""
+    n = q.nvars
+    return MonomialIdeal(
+        n, (tuple(q.bound[i] + 1 if j == i else 0 for j in range(n)) for i in q.support)
+    )
+
+
+def excludes(q: IrreducibleComponent, m) -> bool:
+    """True when m is outside the component ideal (inside the box)."""
+    return all(m[i] <= q.bound[i] for i in q.support)
+
+
+def ideal_subset_of(q: IrreducibleComponent, other: IrreducibleComponent) -> bool:
+    """Containment of the component ideals."""
+    return set(q.support) <= set(other.support) and all(
+        other.bound[i] <= q.bound[i] for i in q.support
+    )
+
+
 def intersection_of_components(comps, nvars: int) -> MonomialIdeal:
     ideal = None
     for q in comps:
-        ideal = q.ideal() if ideal is None else ideal.intersect(q.ideal())
+        ideal = component_ideal(q) if ideal is None else intersect(ideal, component_ideal(q))
     if ideal is None:
         raise BadParameter("no components to intersect")
     return ideal

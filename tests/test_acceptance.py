@@ -14,7 +14,12 @@ from math import prod
 import pytest
 
 import test_models
-from _reference import entry_degree_bound_check, standard_pairs
+from _reference import (
+    entry_degree_bound_check,
+    ideal_subset_of,
+    is_squarefree_generated,
+    standard_pairs,
+)
 from ipgap import lp, oracle
 from ipgap.errors import UnboundedProgram
 from ipgap.exactmath import IntMatrix
@@ -224,7 +229,7 @@ def test_09_structural_properties():
         except UnboundedProgram:
             continue
         rep = gap_report(inst)
-        square = inst.ideal.is_squarefree_generated()
+        square = is_squarefree_generated(inst.ideal)
         assert (rep.gap == 0) == square
         squarefree_seen += square
         nontrivial_seen += not square
@@ -254,7 +259,7 @@ def test_09_structural_properties():
         cands[(q.support, q.bound)] = q
     cands = list(cands.values())
     minimal = {
-        q for q in cands if not any(o != q and o.ideal_subset_of(q) for o in cands)
+        q for q in cands if not any(o != q and ideal_subset_of(o, q) for o in cands)
     }
     assert minimal == set(irreducible_decomposition(ideal))
 

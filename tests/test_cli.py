@@ -414,6 +414,30 @@ def test_fields_the_source_ignores_are_rejected(capsys, tmp_path, text, line):
     assert f"line {line}, column 1" in err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        # the fan walk orders every cone by one cost row under grevlex
+        ("matrix:\n1 5 7\ncost: 1 0 0\ntiebreak: lex\n", "tiebreak"),
+        ("matrix:\n1 5 7\ncost: 1 0 0\ncost: 0 1 0\n", "cost"),
+    ],
+)
+def test_fan_rejects_fields_its_walk_ignores(capsys, tmp_path, text, field):
+    inst = tmp_path / "ignored.txt"
+    inst.write_text(text)
+    code, out, err = run(capsys, "fan", str(inst))
+    assert code == 2 and not out
+    assert f"the {field} field" in err
+
+
+@pytest.mark.parametrize("cmd", ["gap", "decompose", "gb", "witness", "fan"])
+def test_json_stdout_is_one_document(capsys, cmd):
+    code, out, err = run(capsys, cmd, COIN, "--format", "json")
+    assert code == 0
+    json.loads(out)
+    assert err.startswith("# elapsed")
+
+
 @pytest.mark.parametrize("cmd", ["gap", "decompose", "gb", "witness", "oracle"])
 def test_sense_flag_outside_a_model_exits_2(capsys, cmd):
     # --sense, like the sense field, only chooses a model's entry bound

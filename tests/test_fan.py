@@ -186,6 +186,11 @@ def test_seed_must_be_generic():
     # cost on a Groebner-cone wall: 3n + q = 4d
     with pytest.raises(BadParameter):
         explore_cones(COIN_A, [(1, 4, 3, 0)], budget=10)
+    # the cost is printed as reports print vectors, Fraction entries included
+    seed = (Fraction(1), Fraction(0), Fraction(0))
+    with pytest.raises(BadParameter) as exc:
+        explore_cones(IntMatrix([[1, 2, 3]]), [seed])
+    assert str(exc.value) == "seed cost (1, 0, 0) is not generic"
 
 
 def test_single_relation_matrix():
