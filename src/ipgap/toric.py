@@ -29,6 +29,22 @@ then I is saturated in supp(w).  The generators returned are the reduced
 basis under one fixed order, the grading with the first variable
 revlex-cheapest, so they do not depend on which rounds ran.
 
+Inside the Groebner core each lead is also held as one int, _Packing's
+layout: its exponents in n fields of w bits, each field under a guard
+bit, variable 0 in the most significant field.  Every exponent of a
+lead is below 2^w, so a field of (b | guards) - a holds 2^w + b_i - a_i,
+which neither borrows from the next field nor overflows into it: a
+divides b exactly when every guard survives, the surviving guards mark
+the fields where b_i >= a_i, masking the other fields out leaves
+(b - a)^+, and a + (b - a)^+ is the lcm, a fixed number of big-int
+operations whatever n is.  Fields compare from the top, so comparing two
+packed ints compares their exponent tuples in lex order.  A monomial
+searched for a dividing lead is packed with each exponent clamped to
+2^w - 1, which is exact because no lead exponent exceeds that.  The
+width starts two bits above the input's largest exponent, and a new lead
+that outgrows it reruns the completion at twice the width, so no field
+width caps an exponent.
+
 Cost rows may have negative entries, so the refined comparison is not a
 global well-order.  Every comparison Buchberger makes here is between two
 monomials in the same fiber, where the precondition checks (no direction of
@@ -40,16 +56,16 @@ checks run up front and reject bad inputs instead of looping forever.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import add, mul, sub
 
 from . import lp
 from .errors import BadParameter, NonTerminatingOrder, UnboundedProgram
 from .exactmath import LatticeBasis, _scaled, _span_basis
-from .monomial import Monomial, MonomialIdeal, divides
+from .monomial import Monomial, MonomialIdeal
 
 
 @dataclass(frozen=True)
@@ -250,6 +266,13 @@ class GroebnerBasis:
     def nvars(self) -> int | None:
         return self.elements[0].nvars if self.elements else self.order.nvars
 
+    @cached_property
+    def _reducer(self) -> tuple[list[_Elt], list[int], _Packing]:
+        """The elements as (lead, trail), their packed leads and the packing."""
+        elements = [(g.plus, g.minus) for g in self.elements]
+        packing = _Packing(self.nvars, _width(g.plus for g in self.elements))
+        return elements, [packing.pack(g.plus) for g in self.elements], packing
+
 
 # internal Buchberger elements: binomials as (lead, trail)
 _Elt = tuple[Monomial, Monomial]
@@ -263,11 +286,7 @@ def _orient(a: Monomial, b: Monomial, cmp) -> _Elt | None:
 
 
 def _support(m: Monomial) -> int:
-    """Bitmask of the variables m uses.
-
-    divides(a, b) needs _support(a) & ~_support(b) == 0, so a nonzero
-    result proves that a does not divide b without a look at the exponents.
-    """
+    """Bitmask of the variables m uses."""
     mask = 0
     for i, x in enumerate(m):
         if x:
@@ -275,31 +294,66 @@ def _support(m: Monomial) -> int:
     return mask
 
 
-def _divisor(m: Monomial, basis: list[_Elt], masks: list[int], skip: int = -1):
-    """Index of the first element of basis but skip whose lead divides m.
+def _width(monomials) -> int:
+    """Starting field width for leads: two bits above the largest exponent."""
+    return max(4, max(map(max, monomials)).bit_length() + 2)
 
-    None if there is none.  Tests the support masks before divides.
+
+class _Packing:
+    """Exponent vectors on n variables as ints of n fields (module docstring).
+
+    Each field is w exponent bits under one guard bit, variable 0 in the
+    most significant field; guards holds every guard bit, top = 2^w - 1
+    the largest exponent a field holds.
     """
-    outside = ~_support(m)
-    for i, mask in enumerate(masks):
-        if not mask & outside and i != skip and divides(basis[i][0], m):
+
+    __slots__ = ("w", "top", "guards")
+
+    def __init__(self, n: int, w: int):
+        self.w = w
+        self.top = (1 << w) - 1
+        # the sum of 2^((w + 1) i) for i < n, moved up to the guard bits
+        self.guards = ((1 << (w + 1) * n) - 1) // ((1 << w + 1) - 1) << w
+
+    def pack(self, m: Monomial) -> int:
+        """m with every exponent clamped to top, so exact for a lead."""
+        top, stride = self.top, self.w + 1
+        if max(m) > top:
+            m = [min(x, top) for x in m]
+        packed = 0
+        for x in m:
+            packed = packed << stride | x
+        return packed
+
+
+def _divisor(q: int, packed: list[int], guards: int, skip: int = -1):
+    """Index of the first packed lead but skip that divides the query q.
+
+    None if there is none.  q is a packed (clamped) monomial; a lead p
+    divides it exactly when no field of (q | guards) - p borrows its guard.
+    """
+    q |= guards
+    for i, p in enumerate(packed):
+        if (q - p) & guards == guards and i != skip:
             return i
     return None
 
 
 def _head_reduce(
-    elt: tuple[Monomial, Monomial | None], basis: list[_Elt], masks: list[int], cmp,
-    skip: int = -1,
+    elt: tuple[Monomial, Monomial | None], basis: list[_Elt], packed: list[int],
+    packing: _Packing, cmp, skip: int = -1,
 ) -> _Elt | None:
     """Reduce elt until no lead of basis divides its lead; None for zero.
 
-    A binomial is reoriented by cmp after every step.  For a monomial
-    (m, None) cmp is never called and the result is (m's normal form, None).
+    packed holds basis's leads under packing.  A binomial is reoriented by
+    cmp after every step.  For a monomial (m, None) cmp is never called and
+    the result is (m's normal form, None).
     """
     lead, trail = elt
-    while (k := _divisor(lead, basis, masks, skip)) is not None:
+    pack, guards = packing.pack, packing.guards
+    while (k := _divisor(pack(lead), packed, guards, skip)) is not None:
         gl, gt = basis[k]
-        lead = tuple(l - a + b for l, a, b in zip(lead, gl, gt))
+        lead = tuple(map(add, gt, map(sub, lead, gl)))
         if trail is not None:
             c = cmp(lead, trail)
             if c == 0:
@@ -312,9 +366,9 @@ def _head_reduce(
 def _s_element(f: _Elt, g: _Elt, cmp) -> _Elt | None:
     fl, ft = f
     gl, gt = g
-    lcm_e = tuple(max(a, b) for a, b in zip(fl, gl))
-    m1 = tuple(l - a + b for l, a, b in zip(lcm_e, fl, ft))
-    m2 = tuple(l - a + b for l, a, b in zip(lcm_e, gl, gt))
+    lcm_e = tuple(map(max, fl, gl))
+    m1 = tuple(map(add, ft, map(sub, lcm_e, fl)))
+    m2 = tuple(map(add, gt, map(sub, lcm_e, gl)))
     return _orient(m2, m1, cmp)
 
 
@@ -332,72 +386,26 @@ def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
     both differ from it (criterion B; the elements added while the pair
     waited are exactly those after j).
 
-    masks[k] is the support bitmask of basis[k]'s lead.  A divisor's
-    support is a subset of its multiple's, so ``masks[k] & ~support(m)``
-    being nonzero rules out ``divides(lead_k, m)``; every test of a lead
-    against the basis makes that test before it calls divides, and every
-    search for a dividing lead is _divisor.
+    Every lead is also held packed (see the module docstring): the guard
+    bits let one subtraction test all n fields, int order is lex order, a
+    query is clamped to the field width, which every lead fits.  Every
+    comparison of leads is made on the packed ints: _complete's pair
+    criteria and each search for a dividing lead, _divisor.  The first
+    width is two bits above the input's largest exponent (_width); when a
+    new lead does not fit, _complete gives up and the completion reruns
+    from the input at twice the width, so no exponent is ever capped.
     """
     basis: list[_Elt] = []
     for e in elements:
         if e is not None and e not in basis:
             basis.append(e)
-    masks = [_support(lead) for lead, _ in basis]
-
-    heap: list = []
-    counter = itertools.count()
-
-    def add_pairs(new):
-        # the minimal lcms of the pairs (k, new) seen so far, each as
-        # [lcm, lead_c where it exceeds lead_new else 0, support of that,
-        #  first k with this lcm, whether a coprime pair has it];
-        # lcm(c, new) divides lcm(k, new) exactly when lead_k reaches
-        # lead_c wherever lead_c exceeds lead_new, so a dominated pair is
-        # recognised without forming its lcm
-        lead, mask = basis[new][0], masks[new]
-        classes: list = []
-        for k in range(new):
-            gk, mk = basis[k][0], masks[k]
-            outside = ~mk
-            for cls in classes:
-                if not cls[2] & outside and divides(cls[1], gk):
-                    if not mk & mask and tuple(map(max, gk, lead)) == cls[0]:
-                        cls[4] = True
-                    break
-            else:
-                l = tuple(map(max, gk, lead))
-                r = tuple(x if x > y else 0 for x, y in zip(gk, lead))
-                classes = [cls for cls in classes if not divides(l, cls[0])]
-                classes.append([l, r, _support(r), k, not mk & mask])
-        for l, _, _, k, coprime in classes:
-            if not coprime:
-                heapq.heappush(heap, (sum(l), l, next(counter), k, new))
-
-    for i in range(len(basis)):
-        add_pairs(i)
-
-    while heap:
-        _, l, _, i, j = heapq.heappop(heap)
-        # criterion B
-        outside = ~(masks[i] | masks[j])
-        li, lj = basis[i][0], basis[j][0]
-        if any(
-            not masks[k] & outside
-            and divides(basis[k][0], l)
-            and tuple(map(max, li, basis[k][0])) != l
-            and tuple(map(max, lj, basis[k][0])) != l
-            for k in range(j + 1, len(basis))
-        ):
-            continue
-        s = _s_element(basis[i], basis[j], cmp)
-        if s is None:
-            continue
-        s = _head_reduce(s, basis, masks, cmp)
-        if s is None:
-            continue
-        basis.append(s)
-        masks.append(_support(s[0]))
-        add_pairs(len(basis) - 1)
+    if len(basis) < 2:
+        return basis  # a single binomial is its own reduced basis
+    n = len(basis[0][0])
+    w = _width(chain.from_iterable(basis))
+    while (done := _complete(basis, cmp, packing := _Packing(n, w))) is None:
+        w *= 2
+    basis, packed = done
 
     # interreduce: one element per minimal lead survives, the earliest
     # among equal leads.  Visited by lead degree, an element is kept iff no
@@ -407,17 +415,99 @@ def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
     # A reduction step lowers a monomial in the order, so a trail's normal
     # form stays below its lead.
     keep: list[_Elt] = []
-    kept_masks: list[int] = []
+    kept: list[int] = []
     for i in sorted(range(len(basis)), key=lambda i: sum(basis[i][0])):
-        if _divisor(basis[i][0], keep, kept_masks) is None:
+        if _divisor(packed[i], kept, packing.guards) is None:
             keep.append(basis[i])
-            kept_masks.append(masks[i])
+            kept.append(packed[i])
     out = [
-        (lead, _head_reduce((trail, None), keep, kept_masks, cmp, skip=i)[0])
+        (lead, _head_reduce((trail, None), keep, kept, packing, cmp, skip=i)[0])
         for i, (lead, trail) in enumerate(keep)
     ]
     out.sort(key=lambda e: (sum(e[0]), e[0]))
     return out
+
+
+def _complete(
+    basis: list[_Elt], cmp, packing: _Packing
+) -> tuple[list[_Elt], list[int]] | None:
+    """The completed basis and its packed leads; None if a lead overflows.
+
+    For a pair (k, new) with d = (p_k | guards) - p_new, the guard bits
+    ge = d & guards mark the fields where lead_k >= lead_new, ge - (ge >> w)
+    fills those fields' exponent bits, and r = d & that mask is
+    (lead_k - lead_new)^+; the lcm is p_new + r.  lcm(c, new) divides
+    lcm(k, new) exactly when r_c divides r_k, and a divisor packs to a
+    smaller int, so one pass over the distinct r in ascending order keeps
+    the minimal ones.  The coprime pairs are those with r = p_k.
+    """
+    basis = list(basis)
+    w, top, guards = packing.w, packing.top, packing.guards
+    ones = guards >> w
+    packed = [packing.pack(lead) for lead, _ in basis]
+    # (lcm degree, packed lcm, j, i): pairs pushed for one j have distinct
+    # lcms and j grows with every push, so pairs come up in the order of
+    # (degree, lcm) and then of queueing
+    heap: list = []
+
+    def add_pairs(new):
+        p_new = packed[new]
+        first: dict[int, int] = {}
+        coprime = set()
+        for k, p in enumerate(packed[:new]):
+            d = (p | guards) - p_new
+            ge = d & guards
+            r = d & (ge - (ge >> w))
+            first.setdefault(r, k)
+            if r == p:
+                coprime.add(r)
+        minimal: list[int] = []
+        lead = basis[new][0]
+        for r in sorted(first):
+            rg = r | guards
+            for q in minimal:
+                if (rg - q) & guards == guards:
+                    break
+            else:
+                minimal.append(r)
+                if r not in coprime:
+                    k = first[r]
+                    degree = sum(map(max, basis[k][0], lead))
+                    heapq.heappush(heap, (degree, p_new + r, new, k))
+
+    def criterion_b(l, i, j):
+        # lead_k | l, and lcm(i, k) = l exactly when lead_k meets l on every
+        # field where l exceeds lead_i, the fields of mi (likewise for j)
+        lg = l | guards
+        gi = (((l - packed[i]) | guards) - ones) & guards
+        gj = (((l - packed[j]) | guards) - ones) & guards
+        mi = gi - (gi >> w)
+        mj = gj - (gj >> w)
+        li, lj = l & mi, l & mj
+        for p in packed[j + 1:]:
+            if (lg - p) & guards == guards and p & mi != li and p & mj != lj:
+                return True
+        return False
+
+    for new in range(1, len(basis)):
+        add_pairs(new)
+
+    while heap:
+        _, l, j, i = heapq.heappop(heap)
+        if criterion_b(l, i, j):
+            continue
+        s = _s_element(basis[i], basis[j], cmp)
+        if s is None:
+            continue
+        s = _head_reduce(s, basis, packed, packing, cmp)
+        if s is None:
+            continue
+        if max(s[0]) > top:
+            return None
+        basis.append(s)
+        packed.append(packing.pack(s[0]))
+        add_pairs(len(basis) - 1)
+    return basis, packed
 
 
 def check_order_preconditions(vectors, order: TermOrder) -> None:
@@ -694,6 +784,7 @@ def ip_optimum(gb: GroebnerBasis, z) -> tuple[int, ...]:
         raise BadParameter("starting point length does not match the variable count")
     if any(x < 0 for x in cur):
         raise BadParameter("negative exponent in starting point")
-    elements = [(g.plus, g.minus) for g in gb.elements]
-    masks = [_support(plus) for plus, _ in elements]
-    return _head_reduce((cur, None), elements, masks, None)[0]
+    if not gb.elements:
+        return cur
+    elements, packed, packing = gb._reducer
+    return _head_reduce((cur, None), elements, packed, packing, None)[0]

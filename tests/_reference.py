@@ -1,18 +1,19 @@
 """Test-side reference implementations and cross-check oracles.
 
 Nothing in the package uses these: they restate lattice membership,
-saturation by every variable in turn, rational solving, Buchberger
-without pair criteria, the non-optimal ideal by completing the
-cost-initial forms, standard pairs, component intersection and the
-containment tests on monomial ideals and components, the throwing
-form of the relaxation value, the Schrijver bound over every maximal
-minor and the degree-bound link of a table model directly, so tests can
-check the package's answers against them.  Each favours the plain
-textbook construction over speed.
+saturation by every variable in turn, rational solving, the Buchberger
+core on exponent tuples, Buchberger without pair criteria, the
+non-optimal ideal by completing the cost-initial forms, standard pairs,
+component intersection and the containment tests on monomial ideals and
+components, the throwing form of the relaxation value, the Schrijver
+bound over every maximal minor and the degree-bound link of a table
+model directly, so tests can check the package's answers against them.
+Each favours the plain textbook construction over speed.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,12 +25,11 @@ from ipgap.errors import BadParameter, EmptyFiber, UnboundedProgram
 from ipgap.exactmath import IntMatrix, LatticeBasis, hermite_normal_form
 from ipgap.gapcore import gap_report
 from ipgap.models import MarginalModel, entry_instance
-from ipgap.monomial import IrreducibleComponent, MonomialIdeal
+from ipgap.monomial import IrreducibleComponent, MonomialIdeal, divides
 from ipgap.toric import (
     Binomial,
     GroebnerBasis,
     TermOrder,
-    _buchberger_core,
     _graded_revlex_cmp,
     _orient,
     _positive_orthogonal_weight,
@@ -73,10 +73,11 @@ def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
     """toric.lattice_ideal_generators with one round per variable.
 
     Saturates by every variable in turn, highest index first, each round
-    one Groebner basis under the weights-graded order with the target
-    variable revlex-cheapest, then that variable divided out; finite-index
-    lattices are lifted by one homogenizing variable.  Returns the same
-    generator set in the same order as the package.
+    one Groebner basis by tuple_buchberger_core under the weights-graded
+    order with the target variable revlex-cheapest, then that variable
+    divided out; finite-index lattices are lifted by one homogenizing
+    variable.  Returns the same generator set in the same order as the
+    package.
     """
     columns = [c for c in basis.columns() if any(c)]
     if not columns:
@@ -91,7 +92,7 @@ def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
         cmp = _graded_revlex_cmp(weights, i)
         oriented = [_orient(lead, trail, cmp) for lead, trail in elements]
         elements = []
-        for lead, trail in _buchberger_core([e for e in oriented if e], cmp):
+        for lead, trail in tuple_buchberger_core([e for e in oriented if e], cmp):
             k = min(lead[i], trail[i])
             lead = tuple(x - k if j == i else x for j, x in enumerate(lead))
             trail = tuple(x - k if j == i else x for j, x in enumerate(trail))
@@ -139,6 +140,118 @@ def solve_rational(a: IntMatrix, b) -> tuple[Fraction, ...] | None:
 # ------------------------------------------------------------------ groebner
 
 
+def _support(m) -> int:
+    mask = 0
+    for i, x in enumerate(m):
+        if x:
+            mask |= 1 << i
+    return mask
+
+
+def _tuple_divisor(m, basis, masks, skip=-1):
+    outside = ~_support(m)
+    for i, mask in enumerate(masks):
+        if not mask & outside and i != skip and divides(basis[i][0], m):
+            return i
+    return None
+
+
+def _tuple_head_reduce(elt, basis, masks, cmp, skip=-1):
+    lead, trail = elt
+    while (k := _tuple_divisor(lead, basis, masks, skip)) is not None:
+        gl, gt = basis[k]
+        lead = tuple(l - a + b for l, a, b in zip(lead, gl, gt))
+        if trail is not None:
+            c = cmp(lead, trail)
+            if c == 0:
+                return None
+            if c < 0:
+                lead, trail = trail, lead
+    return (lead, trail)
+
+
+def tuple_buchberger_core(elements, cmp):
+    """toric._buchberger_core with every lead a tuple of exponents.
+
+    The same Gebauer-Moeller pair criteria, pair order and interreduction
+    as the package's core, but leads are compared coordinate by
+    coordinate through divides and lcm tuples, behind support bitmasks,
+    instead of as packed ints: no field width, so no widening.  Returns
+    what the package's core returns, element for element.
+    """
+    basis = []
+    for e in elements:
+        if e is not None and e not in basis:
+            basis.append(e)
+    masks = [_support(lead) for lead, _ in basis]
+    heap: list = []
+    counter = itertools.count()
+
+    def add_pairs(new):
+        # the minimal lcms of the pairs (k, new) seen so far, each as
+        # [lcm, lead_c where it exceeds lead_new else 0, support of that,
+        #  first k with this lcm, whether a coprime pair has it]
+        lead, mask = basis[new][0], masks[new]
+        classes: list = []
+        for k in range(new):
+            gk, mk = basis[k][0], masks[k]
+            outside = ~mk
+            for cls in classes:
+                if not cls[2] & outside and divides(cls[1], gk):
+                    if not mk & mask and tuple(map(max, gk, lead)) == cls[0]:
+                        cls[4] = True
+                    break
+            else:
+                l = tuple(map(max, gk, lead))
+                r = tuple(x if x > y else 0 for x, y in zip(gk, lead))
+                classes = [cls for cls in classes if not divides(l, cls[0])]
+                classes.append([l, r, _support(r), k, not mk & mask])
+        for l, _, _, k, coprime in classes:
+            if not coprime:
+                heapq.heappush(heap, (sum(l), l, next(counter), k, new))
+
+    for i in range(len(basis)):
+        add_pairs(i)
+
+    while heap:
+        _, l, _, i, j = heapq.heappop(heap)
+        outside = ~(masks[i] | masks[j])
+        li, lj = basis[i][0], basis[j][0]
+        if any(
+            not masks[k] & outside
+            and divides(basis[k][0], l)
+            and tuple(map(max, li, basis[k][0])) != l
+            and tuple(map(max, lj, basis[k][0])) != l
+            for k in range(j + 1, len(basis))
+        ):
+            continue
+        (fl, ft), (gl, gt) = basis[i], basis[j]
+        m1 = tuple(x - a + b for x, a, b in zip(l, fl, ft))
+        m2 = tuple(x - a + b for x, a, b in zip(l, gl, gt))
+        s = _orient(m2, m1, cmp)
+        if s is None:
+            continue
+        s = _tuple_head_reduce(s, basis, masks, cmp)
+        if s is None:
+            continue
+        basis.append(s)
+        masks.append(_support(s[0]))
+        add_pairs(len(basis) - 1)
+
+    keep: list = []
+    kept_masks: list = []
+    for i in sorted(range(len(basis)), key=lambda i: sum(basis[i][0])):
+        if _tuple_divisor(basis[i][0], keep, kept_masks) is None:
+            keep.append(basis[i])
+            kept_masks.append(masks[i])
+    out = [
+        (lead, _tuple_head_reduce((trail, None), keep, kept_masks, cmp, skip=i)[0])
+        for i, (lead, trail) in enumerate(keep)
+    ]
+    out.sort(key=lambda e: (sum(e[0]), e[0]))
+    return out
+
+
 def buchberger_core(elements, cmp):
     """toric._buchberger_core by textbook Buchberger on polynomials as dicts.
 
@@ -158,11 +271,11 @@ def buchberger_core(elements, cmp):
         return tuple(a + b for a, b in zip(m, q))
 
     def normal_form(f, basis):
+        # basis holds (polynomial, its lead) pairs
         f, out = dict(f), {}
         while f:
             m = lead(f)
-            for g in basis:
-                gl = lead(g)
+            for g, gl in basis:
                 if all(a <= b for a, b in zip(gl, m)):
                     q = tuple(b - a for a, b in zip(gl, m))
                     r = f[m] / g[gl]
@@ -176,32 +289,36 @@ def buchberger_core(elements, cmp):
                 out[m] = f.pop(m)
         return out
 
-    polys = []
+    basis = []
     for l, t in elements:
         f = {l: Fraction(1)}
         if t is not None:
             f[t] = Fraction(-1)
-        polys.append(f)
-    pairs = list(itertools.combinations(range(len(polys)), 2))
+        basis.append((f, lead(f)))
+    # smallest lcm degree first: a selection order only, nothing is pruned
+    pairs = []
+
+    def add_pairs(j):
+        for i in range(j):
+            heapq.heappush(pairs, (sum(map(max, basis[i][1], basis[j][1])), i, j))
+
+    for j in range(len(basis)):
+        add_pairs(j)
     while pairs:
-        # smallest lcm degree first: a selection order only, nothing is pruned
-        pairs.sort(
-            key=lambda p: -sum(map(max, lead(polys[p[0]]), lead(polys[p[1]])))
-        )
-        i, j = pairs.pop()
-        f, g = polys[i], polys[j]
-        lcm_e = tuple(map(max, lead(f), lead(g)))
+        _, i, j = heapq.heappop(pairs)
+        (f, fl), (g, gl) = basis[i], basis[j]
+        lcm_e = tuple(map(max, fl, gl))
         s = {}
-        for p, sign in ((f, 1), (g, -1)):
-            pl = lead(p)
+        for p, pl, sign in ((f, fl, 1), (g, gl, -1)):
             q = tuple(a - b for a, b in zip(lcm_e, pl))
             for t, c in p.items():
                 t = shift(t, q)
                 s[t] = s.get(t, 0) + sign * c / p[pl]
-        r = normal_form({t: c for t, c in s.items() if c}, polys)
+        r = normal_form({t: c for t, c in s.items() if c}, basis)
         if r:
-            polys.append(r)
-            pairs += [(k, len(polys) - 1) for k in range(len(polys) - 1)]
+            basis.append((r, lead(r)))
+            add_pairs(len(basis) - 1)
+    polys = [p for p, _ in basis]
     polys = [{t: c / p[lead(p)] for t, c in p.items()} for p in polys]
     minimal = []
     for p in polys:
@@ -213,9 +330,9 @@ def buchberger_core(elements, cmp):
                 q for q in minimal if not all(a <= b for a, b in zip(pl, lead(q)))
             ]
             minimal.append(p)
+    minimal = [(p, lead(p)) for p in minimal]
     out = []
-    for p in minimal:
-        pl = lead(p)
+    for p, pl in minimal:
         tail = normal_form({t: c for t, c in p.items() if t != pl}, minimal)
         assert set(tail.values()) <= {Fraction(-1)} and len(tail) <= 1
         out.append((pl, next(iter(tail), None)))

@@ -368,25 +368,124 @@ def _random_elements(rng, n, cmp):
     return elements
 
 
+def _random_order(rng, n, trial):
+    # a cost order, a saturation order or an order without cost rows
+    kind = trial % 3
+    if kind == 0:
+        cost = tuple(rng.randrange(4) for _ in range(n))
+        return TermOrder(cost, rng.choice(TIEBREAKS)).compare
+    if kind == 1:
+        weights = tuple(rng.randrange(1, 4) for _ in range(n))
+        return _graded_revlex_cmp(weights, rng.randrange(n))
+    return TermOrder((), rng.choice(TIEBREAKS)).compare
+
+
+def _assert_core_matches_references(elements, cmp):
+    # the packed core, the same criteria on exponent tuples, and textbook
+    # Buchberger without criteria give one reduced basis, element for
+    # element; returns it
+    got = _buchberger_core(elements, cmp)
+    assert got == _reference.tuple_buchberger_core(elements, cmp), elements
+    assert got == _reference.buchberger_core(elements, cmp), elements
+    return got
+
+
+def _outgrew_start_width(elements, out):
+    # some lead of the output needs more bits than the core started with
+    top = max((max(lead) for lead, _ in out), default=0)
+    return top > 0 and top >> toric._width(m for e in elements if e for m in e) > 0
+
+
 def test_core_matches_reference_buchberger():
-    # the core's pair criteria and support-mask prefilters must not change
-    # the reduced basis: compare with the unpruned reference on binomials
-    # under cost orders, saturation orders and orders without cost rows
+    # the core's pair criteria and packed leads must not change the reduced
+    # basis: compare with the tuple core and the unpruned reference on
+    # binomials under cost orders, saturation orders and orders without
+    # cost rows
     rng = random.Random(20261017)
     for trial in range(300):
         n = rng.randrange(2, 6)
-        kind = trial % 3
-        if kind == 0:
-            cost = tuple(rng.randrange(4) for _ in range(n))
-            cmp = TermOrder(cost, rng.choice(TIEBREAKS)).compare
-        elif kind == 1:
-            weights = tuple(rng.randrange(1, 4) for _ in range(n))
-            cmp = _graded_revlex_cmp(weights, rng.randrange(n))
-        else:
-            cmp = TermOrder((), rng.choice(TIEBREAKS)).compare
-        elements = _random_elements(rng, n, cmp)
-        want = _reference.buchberger_core(elements, cmp)
-        assert _buchberger_core(elements, cmp) == want, (trial, elements)
+        cmp = _random_order(rng, n, trial)
+        _assert_core_matches_references(_random_elements(rng, n, cmp), cmp)
+
+
+def test_core_matches_references_on_large_exponents():
+    # primitive binomials with exponents up to 60, many of whose bases
+    # outgrow the starting width, so the completion reruns wider
+    rng = random.Random(20261020)
+    widened = 0
+    for trial in range(150):
+        n = rng.randrange(2, 5)
+        cmp = _random_order(rng, n, trial)
+        elements = []
+        for _ in range(rng.randrange(2, 5)):
+            v = [rng.choice((0, rng.randint(-60, 60))) for _ in range(n)]
+            if any(v):
+                elements.append(_orient(*toric._split(v), cmp))
+        out = _assert_core_matches_references(elements, cmp)
+        widened += _outgrew_start_width(elements, out)
+    assert widened >= 8
+
+
+def test_core_matches_references_on_lifted_lattices(monkeypatch):
+    # every core call of saturating lattices without a positive grading
+    # (the lifted branch), finite-index ones among them, with exponents
+    # past 60; their generators as the one-round-per-variable reference
+    # on the tuple core makes them
+    rng = random.Random(20261021)
+    calls = []
+    core = toric._buchberger_core
+
+    def recorded(elements, cmp):
+        calls.append((elements, cmp))
+        return core(elements, cmp)
+
+    monkeypatch.setattr(toric, "_buchberger_core", recorded)
+    finite_index = top = 0
+    for _ in range(40):
+        k = rng.randint(2, 3)
+        n = k + rng.randint(0, 1)
+        while True:
+            basis = IntMatrix([[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)], k)
+            columns = [c for c in basis.columns() if any(c)]
+            if basis.rank() == k and _positive_orthogonal_weight(columns) is None:
+                break
+        finite_index += n == k
+        calls.clear()
+        gens = lattice_ideal_generators(basis)
+        assert gens == _reference.lattice_ideal_generators(basis), basis.rows
+        for elements, cmp in calls:
+            out = _assert_core_matches_references(elements, cmp)
+            top = max(top, max(max(lead) for lead, _ in out))
+    assert finite_index >= 10 and top > 60
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        IntMatrix([[-4, 5], [3, 7], [-6, -5]], 2),
+        IntMatrix([[-1, -5, 3], [5, -4, 4], [-3, 2, 7], [7, 0, 7]], 3),
+    ],
+    ids=["3x2", "4x3"],
+)
+def test_completion_widens_past_the_starting_width(monkeypatch, basis):
+    # a lead that outgrows the starting width reruns the completion at
+    # twice the width; with any fixed width in its place no core output
+    # could hold a lead past the width computed from its input
+    outputs = []
+    core = toric._buchberger_core
+
+    def recorded(elements, cmp):
+        out = core(elements, cmp)
+        outputs.append((elements, cmp, out))
+        return out
+
+    monkeypatch.setattr(toric, "_buchberger_core", recorded)
+    gens = lattice_ideal_generators(basis)
+    monkeypatch.undo()
+    assert gens == _reference.lattice_ideal_generators(basis)
+    assert any(_outgrew_start_width(elements, out) for elements, _, out in outputs)
+    for elements, cmp, out in outputs:
+        assert out == _reference.tuple_buchberger_core(elements, cmp)
 
 
 def _saturation_case(rng, trial):
