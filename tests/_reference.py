@@ -34,6 +34,7 @@ from ipgap.toric import (
     _orient,
     _positive_orthogonal_weight,
     _split,
+    _support,
 )
 
 
@@ -138,14 +139,6 @@ def solve_rational(a: IntMatrix, b) -> tuple[Fraction, ...] | None:
 
 
 # ------------------------------------------------------------------ groebner
-
-
-def _support(m) -> int:
-    mask = 0
-    for i, x in enumerate(m):
-        if x:
-            mask |= 1 << i
-    return mask
 
 
 def _tuple_divisor(m, basis, masks, skip=-1):
