@@ -9,7 +9,7 @@ The two workhorses are:
 * kernel_lattice      -- a canonical basis of ker(A) intersected with Z^n.
 
 Rational vectors become integer ones in one place, _scaled (over the least
-common denominator), with _primitive_vector on top of it.
+common denominator), with _primitive_vector and _dots on top of it.
 
 Convention for the HNF used throughout the package: nonzero rows first,
 pivot columns strictly increasing, pivots positive, and every entry above a
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -267,6 +268,16 @@ def _scaled(v) -> tuple[list[int], int]:
     """
     scale = lcm(*(x.denominator for x in v))
     return [x.numerator * (scale // x.denominator) for x in v], scale
+
+
+def _dots(a, vectors) -> list:
+    """a.w for each integer w, summed in ints over a's common denominator.
+
+    Ints when the int/Fraction vector a is integral, else Fractions.
+    """
+    nums, scale = _scaled(a)
+    dots = [sum(map(mul, nums, w)) for w in vectors]
+    return dots if scale == 1 else [Fraction(d, scale) for d in dots]
 
 
 def _primitive_vector(v) -> tuple[int, ...]:

@@ -74,20 +74,15 @@ def _strict_point(n, rows) -> tuple[Fraction, ...] | None:
     if not rows:
         return (Fraction(0),) * n
     # variables (c, s): minimize sum s with -s <= c <= s and h.c >= 1
-    zero_n = (Fraction(0),) * n
-    obj = zero_n + (Fraction(1),) * n
-    ub = []
-    for h in rows:
-        ub.append((tuple(Fraction(-x) for x in h) + zero_n, Fraction(-1)))
+    zero_n = (0,) * n
+    ub = [(tuple(-x for x in h) + zero_n, -1) for h in rows]
     for i in range(n):
-        e = [Fraction(0)] * (2 * n)
-        e[i], e[n + i] = Fraction(1), Fraction(-1)
-        ub.append((tuple(e), Fraction(0)))
-        e = [Fraction(0)] * (2 * n)
-        e[i], e[n + i] = Fraction(-1), Fraction(-1)
-        ub.append((tuple(e), Fraction(0)))
+        for sign in (1, -1):
+            e = [0] * (2 * n)
+            e[i], e[n + i] = sign, -1
+            ub.append((tuple(e), 0))
     prob = lp.LPProblem(
-        objective=obj,
+        objective=zero_n + (1,) * n,
         sense="min",
         ub=tuple(ub),
         free=(True,) * n + (False,) * n,

@@ -31,8 +31,10 @@ from .errors import BadParameter, UnboundedAux, UnboundedProgram, WitnessMismatc
 from .exactmath import (
     IntMatrix,
     LatticeBasis,
+    _dots,
     _echelon,
     _max_maximal_minor,
+    _scaled,
     kernel_lattice,
 )
 from .monomial import (
@@ -197,17 +199,18 @@ def gap_value(
             f"auxiliary program unbounded for the component on support "
             f"{comp.support}; the instance violates the boundedness precondition"
         )
+    t, d = _scaled(sol.x)
     v = tuple(
-        ui - sum(map(mul, row, sol.x), Fraction(0))
+        Fraction(ui * d - sum(map(mul, row, t)), d)
         for ui, row in zip(u, inst.lattice.rows)
     )
     return sol.value, v
 
 
-def _relaxation_value(inst: GapInstance, z) -> Fraction:
+def _relaxation_value(inst: GapInstance, z) -> int | Fraction:
     """min c.v over v >= 0 congruent to z modulo the lattice's real span."""
     cols = inst.lattice.columns()
-    base = sum(map(mul, inst.cost, z), Fraction(0))
+    base = _dots(inst.cost, (z,))[0]
     if not cols:
         return base
     sol = lp._coefficient_lp(cols, inst.cost, z, range(inst.nvars))
@@ -216,9 +219,8 @@ def _relaxation_value(inst: GapInstance, z) -> Fraction:
     return base - sol.value
 
 
-def _integer_value(inst: GapInstance, z) -> Fraction:
-    opt = ip_optimum(inst.groebner, z)
-    return sum((ci * zi for ci, zi in zip(inst.cost, opt)), Fraction(0))
+def _integer_value(inst: GapInstance, z) -> int | Fraction:
+    return _dots(inst.cost, (ip_optimum(inst.groebner, z),))[0]
 
 
 def gap_witness(report: GapReport, inst: GapInstance) -> tuple[int, ...]:

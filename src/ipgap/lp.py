@@ -6,7 +6,8 @@ unboundedness verdicts are exact.  The tableau is kept fraction-free
 entry is a positive common denominator, and the row is divided by the gcd
 of all its entries after every update, so one row has one canonical form.
 Signs are read from numerators and ratios are compared by integer
-cross-products; fractions.Fraction appears only in the returned value and
+cross-products.  Inputs are kept exact as given (ints stay ints until the
+tableau scales each row); Fractions are built for the returned value and
 point.  Bland's smallest-index rule is used for both the entering and the
 leaving choice, which guarantees termination and makes every run
 byte-reproducible.
@@ -22,20 +23,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from operator import mul
 
 from .errors import BadParameter
-from .exactmath import _scaled
+from .exactmath import _dots, _scaled
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int | Fraction, ...]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _fracvec(v) -> Vec:
-    return tuple(Fraction(x) for x in v)
+def _exact(x) -> int | Fraction:
+    """x itself if it is an int or a Fraction, else its exact Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -45,25 +46,26 @@ class LPProblem:
     eq rows are pairs (row, rhs) meaning row.x == rhs; ub rows mean
     row.x <= rhs.  free[i] marks variable i as unrestricted in sign;
     everything else is >= 0.  There are no other bound forms: callers shift
-    or split variables themselves if they need them.
+    or split variables themselves if they need them.  int and Fraction
+    entries are kept as given; any other number becomes its exact Fraction.
     """
 
     objective: Vec
     sense: str = "min"
-    eq: tuple[tuple[Vec, Fraction], ...] = ()
-    ub: tuple[tuple[Vec, Fraction], ...] = ()
+    eq: tuple[tuple[Vec, int | Fraction], ...] = ()
+    ub: tuple[tuple[Vec, int | Fraction], ...] = ()
     free: tuple[bool, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", _fracvec(self.objective))
+        object.__setattr__(self, "objective", tuple(map(_exact, self.objective)))
         if self.sense not in ("min", "max"):
             raise BadParameter(f"sense must be min or max, got {self.sense!r}")
         n = len(self.objective)
         object.__setattr__(
-            self, "eq", tuple((_fracvec(r), Fraction(b)) for r, b in self.eq)
+            self, "eq", tuple((tuple(map(_exact, r)), _exact(b)) for r, b in self.eq)
         )
         object.__setattr__(
-            self, "ub", tuple((_fracvec(r), Fraction(b)) for r, b in self.ub)
+            self, "ub", tuple((tuple(map(_exact, r)), _exact(b)) for r, b in self.ub)
         )
         for r, _ in self.eq + self.ub:
             if len(r) != n:
@@ -269,12 +271,7 @@ def lp_value(a, b, c) -> LPSolution:
     rows = a.rows if hasattr(a, "rows") else tuple(tuple(r) for r in a)
     if len(b) != len(rows):
         raise BadParameter("right-hand side length does not match the row count")
-    prob = LPProblem(
-        objective=_fracvec(c),
-        sense="min",
-        eq=tuple((_fracvec(r), Fraction(x)) for r, x in zip(rows, b)),
-    )
-    return solve(prob)
+    return solve(LPProblem(objective=c, eq=tuple(zip(rows, b))))
 
 
 def _coefficient_lp(vectors, cost, base, rows, extra=()) -> LPSolution:
@@ -285,17 +282,16 @@ def _coefficient_lp(vectors, cost, base, rows, extra=()) -> LPSolution:
         max (B^T cost).t  s.t.  (row i of B).t <= base_i,
                                 -(B^T a).t <= r - a.base,
     a program in only len(vectors) free variables; the solution's x is t.
+    vectors and base are integer; B^T a and a.base are summed in ints over
+    a's common denominator (exactmath._dots).
     """
-    def image(a):  # B^T a
-        return tuple(sum(map(mul, a, col), Fraction(0)) for col in vectors)
-
     brows = tuple(zip(*vectors))
     prob = LPProblem(
-        objective=image(cost),
+        objective=_dots(cost, vectors),
         sense="max",
         ub=tuple((brows[i], base[i]) for i in rows)
         + tuple(
-            (tuple(-x for x in image(a)), r - sum(map(mul, a, base)))
+            (tuple(-x for x in _dots(a, vectors)), r - _dots(a, (base,))[0])
             for a, r in extra
         ),
         free=(True,) * len(vectors),

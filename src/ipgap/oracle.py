@@ -28,12 +28,10 @@ def _as_matrix(a) -> IntMatrix:
 def _coordinate_bounds(a: IntMatrix, b) -> list[int] | None:
     """Exact per-coordinate maxima over the fiber polytope, or None if empty."""
     n = a.ncols
-    eq = tuple(
-        (tuple(Fraction(x) for x in row), Fraction(bi)) for row, bi in zip(a.rows, b)
-    )
+    eq = tuple(zip(a.rows, b))
     bounds = []
     for i in range(n):
-        obj = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+        obj = tuple(1 if j == i else 0 for j in range(n))
         sol = lp.solve(lp.LPProblem(objective=obj, sense="max", eq=eq))
         if sol.status == lp.INFEASIBLE:
             return None

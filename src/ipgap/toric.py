@@ -587,15 +587,11 @@ def _positive_orthogonal_weight(columns) -> tuple[int, ...] | None:
         return None
     n = len(columns[0])
     prob = lp.LPProblem(
-        objective=(Fraction(1),) * n,
+        objective=(1,) * n,
         sense="min",
-        eq=tuple(
-            (tuple(Fraction(col[i]) for i in range(n)), Fraction(0))
-            for col in columns
-        ),
+        eq=tuple((tuple(col), 0) for col in columns),
         ub=tuple(
-            (tuple(Fraction(-1) if j == i else Fraction(0) for j in range(n)), Fraction(-1))
-            for i in range(n)
+            (tuple(-1 if j == i else 0 for j in range(n)), -1) for i in range(n)
         ),
         free=(True,) * n,
     )

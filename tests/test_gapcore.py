@@ -4,12 +4,14 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from _reference import is_squarefree_generated, maximal_minors
 from _reference import schrijver_bound as reference_schrijver_bound
 from ipgap import gapcore, lp
+from ipgap.cli import load_instance
 from ipgap.errors import (
     NonTerminatingOrder,
     UnboundedAux,
@@ -37,6 +39,8 @@ from ipgap.models import (
 )
 from ipgap.monomial import IrreducibleComponent
 from ipgap.toric import TermOrder
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 COIN_A = IntMatrix([[1, 1, 1, 1], [1, 5, 10, 25]])
 COIN_COST = (0, 1, 0, 1)
@@ -366,3 +370,23 @@ def test_cost_is_checked_once_per_instance(monkeypatch):
     inst = GapInstance.from_matrix(IntMatrix([[4, 7, 10, 13]]), (2, 1, 3, 1), "lex")
     assert len(inst.lattice_ideal.generators) > 3
     assert calls == [3, 3]
+
+
+@pytest.mark.parametrize("name", ["coin", "tied"])
+def test_every_report_lp_goes_through_solve(monkeypatch, name):
+    # one auxiliary program per component plus the witness's relaxation,
+    # each through lp.solve, the one simplex entry the tracer times
+    spec = load_instance(str(DEMOS / f"{name}.txt"))
+    inst = GapInstance.from_matrix(spec.matrix, spec.cost)
+    inst.components
+    calls = []
+    solve = lp.solve
+
+    def counted(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    gap_report(inst)
+    assert len(inst.components) > 1
+    assert len(calls) == len(inst.components) + 1

@@ -1,5 +1,6 @@
 import random
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 from operator import mul
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from _reference import relaxation_value
 from ipgap import lp
 from ipgap.errors import EmptyFiber, UnboundedProgram
-from ipgap.exactmath import IntMatrix
+from ipgap.exactmath import IntMatrix, _scaled
 
 
 def test_simple_min():
@@ -449,3 +450,143 @@ def test_exact_near_2_to_the_70():
     assert sol.value == 2 * t
     assert sol.x == (t, t)
     assert _fields(sol) == _fields(reference_solve(prob))
+
+
+# ------------------------------------------------------- exact inputs as given
+
+
+def _recast(prob, as_number):
+    """prob with every objective, row and right-hand-side entry mapped."""
+    vec = lambda v: tuple(map(as_number, v))
+    return lp.LPProblem(
+        objective=vec(prob.objective),
+        sense=prob.sense,
+        eq=tuple((vec(r), as_number(b)) for r, b in prob.eq),
+        ub=tuple((vec(r), as_number(b)) for r, b in prob.ub),
+        free=prob.free,
+    )
+
+
+def _int_if_integral(x):
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def test_integral_entries_as_ints_solve_alike():
+    # the rows are scaled to integers only in the tableau, so equal
+    # rationals give equal tableaux whichever type carries them
+    ints = 0
+    for prob in CROSS_CHECK:
+        as_ints = _recast(prob, _int_if_integral)
+        as_fractions = _recast(prob, Fraction)
+        entries = as_ints.objective + tuple(
+            x for r, b in as_ints.eq + as_ints.ub for x in r + (b,)
+        )
+        assert not any(type(x) is Fraction and x.denominator == 1 for x in entries)
+        ints += sum(type(x) is int for x in entries)
+        assert all(type(x) is Fraction for x in as_fractions.objective)
+        assert _fields(lp.solve(as_ints)) == _fields(lp.solve(as_fractions))
+    assert ints > 1000
+
+
+def test_other_numbers_are_converted_exactly():
+    # a float is read as the binary rational it holds, a Decimal as its
+    # decimal; ints stay ints
+    prob = lp.LPProblem(
+        objective=(1, Decimal("0.7"), 0),
+        sense="max",
+        ub=(((1, 1, 1), Decimal("2.5")), ((0.1, 0, 0), Fraction(1, 5))),
+    )
+    assert [type(x) for x in prob.objective] == [int, Fraction, int]
+    assert prob.objective == (1, Fraction(7, 10), 0)
+    assert prob.ub == (((1, 1, 1), Fraction(5, 2)), ((Fraction(0.1), 0, 0), Fraction(1, 5)))
+    assert Fraction(0.1) != Fraction(1, 10)
+    # x1 = 0.2 / float(0.1), just under 2, and x2 takes the rest of 2.5
+    t = Fraction(1, 5) / Fraction(0.1)
+    sol = lp.solve(prob)
+    assert t < 2
+    assert sol.x == (t, Fraction(5, 2) - t, 0)
+    assert sol.value == t + Fraction(7, 10) * (Fraction(5, 2) - t)
+
+
+def _fraction_coefficient_problem(vectors, cost, base, rows, extra):
+    """The all-Fraction LPProblem _coefficient_lp once built, written out."""
+
+    def image(a):  # B^T a
+        return tuple(
+            sum((Fraction(x) * y for x, y in zip(a, col)), Fraction(0)) for col in vectors
+        )
+
+    def dot(a, v):
+        return sum((Fraction(x) * y for x, y in zip(a, v)), Fraction(0))
+
+    return lp.LPProblem(
+        objective=image(cost),
+        sense="max",
+        ub=tuple((tuple(Fraction(v[i]) for v in vectors), Fraction(base[i])) for i in rows)
+        + tuple((tuple(-x for x in image(a)), Fraction(r) - dot(a, base)) for a, r in extra),
+        free=(True,) * len(vectors),
+    )
+
+
+def _coefficient_case(rng):
+    n, k = rng.randint(1, 5), rng.randint(1, 3)
+    vectors = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+    base = tuple(rng.randint(-2, 3) for _ in range(n))
+    rows = sorted(rng.sample(range(n), rng.randint(0, n)))
+
+    def rational():
+        if rng.random() < 0.4:
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**15))
+
+    cost = tuple(rational() for _ in range(n))
+    extra = tuple(
+        (tuple(rational() for _ in range(n)), rational()) for _ in range(rng.randint(0, 2))
+    )
+    return vectors, cost, base, rows, extra
+
+
+COEFFICIENT_CASES = [_coefficient_case(random.Random(seed)) for seed in range(300)]
+
+
+def _coefficient_disagreements():
+    bad = []
+    for k, case in enumerate(COEFFICIENT_CASES):
+        want = _fields(reference_solve(_fraction_coefficient_problem(*case)))
+        if _fields(lp._coefficient_lp(*case)) != want:
+            bad.append(k)
+    return bad
+
+
+def test_coefficient_lp_matches_the_fraction_problem():
+    assert _coefficient_disagreements() == []
+
+
+def test_coefficient_cases_cover_the_paths():
+    seen = set()
+    for case in COEFFICIENT_CASES:
+        vectors, cost, base, rows, extra = case
+        seen.add(reference_solve(_fraction_coefficient_problem(*case)).status)
+        if extra:
+            seen.add("extra")
+        if any(base[i] < 0 for i in rows):
+            seen.add("negative base")
+        if any(Fraction(x).denominator > 10**6 for x in cost):
+            seen.add("large denominators")
+        if all(type(x) is int for x in cost):
+            seen.add("integral cost")
+    assert seen == {
+        lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE,
+        "extra", "negative base", "large denominators", "integral cost",
+    }
+
+
+def test_coefficient_cross_check_catches_an_unscaled_image(monkeypatch):
+    # B^T a left over a's common denominator instead of divided by it
+    def unscaled(a, vectors):
+        nums, _ = _scaled(a)
+        return [sum(map(mul, nums, w)) for w in vectors]
+
+    monkeypatch.setattr(lp, "_dots", unscaled)
+    assert _coefficient_disagreements()

@@ -1,7 +1,3 @@
-import multiprocessing
-import os
-import queue
-import time
 from fractions import Fraction
 from math import prod
 
@@ -223,79 +219,3 @@ def test_k4_relaxation_point(k4):
     for i in (3, 5, 6, 7, 9, 10, 11, 12, 13, 14):
         want[i] = Fraction(1, 3)
     assert point == tuple(want)
-
-
-def _sweep_worker(faces, out):
-    rep = entry_gap(MarginalModel((2, 2, 2, 2), faces))
-    out.put((faces, str(rep.gap)))
-
-
-def run_simplicial_sweep():
-    """Gap of every representative model, one worker process per model.
-
-    Budget and parallelism come from IPGAP_MODEL_BUDGET (seconds, default
-    900) and IPGAP_THREADS.  Returns (results, over_budget, total) where
-    results maps faces to the gap, or None for a crashed worker.
-    """
-    budget = float(os.environ.get("IPGAP_MODEL_BUDGET", "900"))
-    workers = max(1, int(os.environ.get("IPGAP_THREADS", "2")))
-    todo = [m.faces for m in simplicial_model_representatives()]
-    total = len(todo)
-    out: multiprocessing.Queue = multiprocessing.Queue()
-    results: dict = {}
-    over = []
-    running: list = []
-    while todo or running:
-        while todo and len(running) < workers:
-            faces = todo.pop(0)
-            p = multiprocessing.Process(
-                target=_sweep_worker, args=(faces, out), daemon=True
-            )
-            p.start()
-            running.append((p, faces, time.time()))
-        while True:
-            try:
-                f, g = out.get_nowait()
-            except queue.Empty:
-                break
-            results[f] = Fraction(g)
-        still = []
-        for p, faces, t0 in running:
-            if faces in results:
-                p.join()
-            elif not p.is_alive():
-                p.join()
-                results.setdefault(faces, None)
-            elif time.time() - t0 > budget:
-                p.terminate()
-                p.join()
-                over.append(faces)
-            else:
-                still.append((p, faces, t0))
-        running = still
-        time.sleep(0.05)
-    while True:
-        try:
-            f, g = out.get_nowait()
-        except queue.Empty:
-            break
-        results[f] = Fraction(g)
-    if over:
-        print(f"over budget ({budget:.0f} s per model): {sorted(over)}")
-    return results, over, total
-
-
-@pytest.mark.slow
-def test_simplicial_sweep():
-    # every 2x2x2x2 margin model except the six-face one stays under 5/3;
-    # models over the per-model budget are reported, never failed
-    results, over, total = run_simplicial_sweep()
-    assert len(results) + len(over) == total
-    crashed = [f for f, g in results.items() if g is None]
-    assert not crashed, f"sweep workers crashed on {crashed}"
-    six_faces = k4_model().faces
-    for faces, g in sorted(results.items()):
-        if faces == six_faces:
-            assert g == Fraction(5, 3)
-        else:
-            assert g < Fraction(5, 3), (faces, g)
