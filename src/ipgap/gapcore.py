@@ -19,7 +19,7 @@ index lattices are kernels of no integer matrix).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import floor
@@ -162,8 +162,7 @@ class GapReport:
     maximum value; winner is the first component attaining it in the
     canonical component order and attaining lists all of them; witness_z
     is a nonnegative integer point whose program exhibits the gap;
-    schrijver_bound is the a-priori bound n D(A) sum|c_i| when a matrix
-    is available, None for pure lattice instances.
+    instance is the instance reported on.
     """
 
     per_component: tuple[ComponentGap, ...]
@@ -171,7 +170,19 @@ class GapReport:
     winner: IrreducibleComponent | None
     attaining: tuple[IrreducibleComponent, ...]
     witness_z: tuple[int, ...]
-    schrijver_bound: Fraction | None
+    instance: GapInstance = field(repr=False, compare=False)
+
+    @cached_property
+    def schrijver_bound(self) -> Fraction | None:
+        """The a-priori bound n D(A) sum|c_i|, None for a lattice instance.
+
+        Computed on first read, so a report that does not print it does
+        not pay for the minors.
+        """
+        inst = self.instance
+        if inst.matrix is None:
+            return None
+        return schrijver_bound(inst.lattice_ideal, inst.cost)
 
 
 def gap_value(
@@ -252,26 +263,27 @@ def gap_report(inst: GapInstance) -> GapReport:
     non-optimal ideal; zero (with an empty component list) when that
     ideal is zero.
     """
-    bound = (
-        schrijver_bound(inst.lattice_ideal, inst.cost)
-        if inst.matrix is not None
-        else None
-    )
     if not inst.components:
-        return GapReport((), Fraction(0), None, (), (0,) * inst.nvars, bound)
+        return GapReport((), Fraction(0), None, (), (0,) * inst.nvars, inst)
     per = tuple(
         ComponentGap(comp, *gap_value(comp, inst)) for comp in inst.components
     )
     best = max(e.value for e in per)
     attaining = tuple(e.component for e in per if e.value == best)
-    report = GapReport(per, best, attaining[0], attaining, (), bound)
+    report = GapReport(per, best, attaining[0], attaining, (), inst)
     witness = gap_witness(report, inst)
     return dataclasses.replace(report, witness_z=witness)
 
 
 def gap(a, c, tiebreak: str = "grevlex") -> GapReport:
-    """The integer programming gap of (A, c): worst case over all b."""
-    return gap_report(GapInstance.from_matrix(a, c, tiebreak))
+    """The integer programming gap of (A, c): worst case over all b.
+
+    The one-call form: its report comes back with the Schrijver bound
+    already computed.
+    """
+    report = gap_report(GapInstance.from_matrix(a, c, tiebreak))
+    report.schrijver_bound  # computed on first read, so read it here
+    return report
 
 
 def gap_lattice(l, c, tiebreak: str = "grevlex") -> GapReport:

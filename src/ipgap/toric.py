@@ -27,7 +27,12 @@ _close_saturated proves the current ideal saturated in it: if I is
 saturated in the variables of S and holds x^u - x^w with supp(u) in S,
 then I is saturated in supp(w).  The generators returned are the reduced
 basis under one fixed order, the grading with the first variable
-revlex-cheapest, so they do not depend on which rounds ran.
+revlex-cheapest, so they do not depend on which rounds ran.  Each round
+completes homogeneously: its inputs, the basis the round before left,
+enter one by one in order of weights-degree and are dropped when the
+basis so far already reduces them to zero, and an S-pair whose two
+sides share a variable the ideal is proven saturated in is dropped
+unreduced (_buchberger_core states why that is sound).
 
 Inside the Groebner core each lead is also held as one int, _Packing's
 layout: its exponents in n fields of w bits, each field under a guard
@@ -64,7 +69,7 @@ from operator import add, mul, sub
 
 from . import lp
 from .errors import BadParameter, NonTerminatingOrder, UnboundedProgram
-from .exactmath import LatticeBasis, _scaled, _span_basis
+from .exactmath import LatticeBasis, _dots, _scaled, _span_basis
 from .monomial import Monomial, MonomialIdeal
 
 
@@ -243,10 +248,9 @@ class TermOrder:
     def nvars(self) -> int | None:
         return len(self.costs[0]) if self.costs else None
 
-    def cost_drop(self, g: Binomial) -> Fraction:
+    def cost_drop(self, g: Binomial) -> int | Fraction:
         """Primary-cost difference lead minus trail (> 0 means strict win)."""
-        v = g.vector()
-        return sum((ci * vi for ci, vi in zip(self.cost, v)), Fraction(0))
+        return _dots(self.cost, (g.vector(),))[0]
 
 
 @dataclass(frozen=True)
@@ -372,19 +376,37 @@ def _s_element(f: _Elt, g: _Elt, cmp) -> _Elt | None:
     return _orient(m2, m1, cmp)
 
 
-def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
+def _buchberger_core(
+    elements: list[_Elt], cmp, weights: tuple[int, ...] | None = None,
+    saturated: int = 0,
+) -> list[_Elt]:
     """Completion plus full interreduction; deterministic output order.
 
-    None entries of elements are skipped.  Pair selection is the normal
-    strategy: smallest lcm degree first, ties by the lcm exponent vector.
-    Pairs are pruned by the criteria of Gebauer and Moeller (J. Symbolic
-    Comput. 6, 1988).  When an element is added, its pairs with the
-    earlier elements are queued one per minimal lcm (criteria M and F),
-    and not at all for an lcm that a pair with coprime leads attains.  A
-    queued pair (i, j) is dropped when it comes up if some element k added
-    after it has a lead dividing lcm(i, j) while lcm(i, k) and lcm(j, k)
-    both differ from it (criterion B; the elements added while the pair
-    waited are exactly those after j).
+    None entries of elements are skipped.  Inputs and pairs wait in one
+    heap, smallest degree first (the weights-degree when weights are
+    given, else the plain degree), ties by the packed lead or lcm: an input
+    is head-reduced when it comes up and joins the basis only if it does
+    not reduce to zero, so an input the earlier ones already generate
+    queues no pairs.  Pairs are pruned by the criteria of Gebauer and
+    Moeller (J. Symbolic Comput. 6, 1988).  When an element is added, its
+    pairs with the earlier elements are queued one per minimal lcm
+    (criteria M and F), and not at all for an lcm that a pair with coprime
+    leads attains.  A queued pair (i, j) is dropped when it comes up if
+    some element k added after it has a lead dividing lcm(i, j) while
+    lcm(i, k) and lcm(j, k) both differ from it (criterion B; the elements
+    added while the pair waited are exactly those after j).
+
+    A saturation round passes weights, a positive grading its inputs are
+    homogeneous in and cmp refines, and saturated, a bitmask of variables
+    the ideal I the inputs generate is saturated in: homogeneous
+    Buchberger (Bigatti, La Scala and Robbiano, J. Symbolic Comput. 27,
+    1999).  A pair whose S-binomial S has both sides divisible by some
+    x_v of saturated is then dropped unreduced.  Sound: taking inputs and
+    pairs by nondecreasing weights-degree under a weights-graded order,
+    when a pair of degree d comes up the basis is a Groebner basis of I in
+    every degree below d.  S = x_v S', S' is in I because I is saturated
+    in x_v, and S' has lower degree; so S' has a standard representation,
+    and x_v times it is one of S.
 
     Every lead is also held packed (see the module docstring): the guard
     bits let one subtraction test all n fields, int order is lex order, a
@@ -395,15 +417,14 @@ def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
     new lead does not fit, _complete gives up and the completion reruns
     from the input at twice the width, so no exponent is ever capped.
     """
-    basis: list[_Elt] = []
-    for e in elements:
-        if e is not None and e not in basis:
-            basis.append(e)
-    if len(basis) < 2:
-        return basis  # a single binomial is its own reduced basis
-    n = len(basis[0][0])
-    w = _width(chain.from_iterable(basis))
-    while (done := _complete(basis, cmp, packing := _Packing(n, w))) is None:
+    inputs = list(dict.fromkeys(e for e in elements if e is not None))
+    if len(inputs) < 2:
+        return inputs  # a single binomial is its own reduced basis
+    n = len(inputs[0][0])
+    w = _width(chain.from_iterable(inputs))
+    while (
+        done := _complete(inputs, cmp, packing := _Packing(n, w), weights, saturated)
+    ) is None:
         w *= 2
     basis, packed = done
 
@@ -429,7 +450,7 @@ def _buchberger_core(elements: list[_Elt], cmp) -> list[_Elt]:
 
 
 def _complete(
-    basis: list[_Elt], cmp, packing: _Packing
+    inputs: list[_Elt], cmp, packing: _Packing, weights, saturated: int
 ) -> tuple[list[_Elt], list[int]] | None:
     """The completed basis and its packed leads; None if a lead overflows.
 
@@ -441,14 +462,24 @@ def _complete(
     smaller int, so one pass over the distinct r in ascending order keeps
     the minimal ones.  The coprime pairs are those with r = p_k.
     """
-    basis = list(basis)
     w, top, guards = packing.w, packing.top, packing.guards
     ones = guards >> w
-    packed = [packing.pack(lead) for lead, _ in basis]
-    # (lcm degree, packed lcm, j, i): pairs pushed for one j have distinct
-    # lcms and j grows with every push, so pairs come up in the order of
-    # (degree, lcm) and then of queueing
-    heap: list = []
+    basis: list[_Elt] = []
+    packed: list[int] = []
+    if weights is None:
+        degree = sum
+    else:
+        def degree(m):
+            return sum(map(mul, weights, m))
+    masked = [v for v in range(len(inputs[0][0])) if saturated >> v & 1]
+    # (degree, packed lcm, j, i) for a pair, (degree, packed lead, -1, i)
+    # for input i: pairs pushed for one j have distinct lcms and j grows
+    # with every push, so entries come up in the order of (degree, packed
+    # monomial), inputs first, and then of queueing
+    heap = [
+        (degree(lead), packing.pack(lead), -1, i) for i, (lead, _) in enumerate(inputs)
+    ]
+    heapq.heapify(heap)
 
     def add_pairs(new):
         p_new = packed[new]
@@ -472,8 +503,9 @@ def _complete(
                 minimal.append(r)
                 if r not in coprime:
                     k = first[r]
-                    degree = sum(map(max, basis[k][0], lead))
-                    heapq.heappush(heap, (degree, p_new + r, new, k))
+                    heapq.heappush(
+                        heap, (degree(map(max, basis[k][0], lead)), p_new + r, new, k)
+                    )
 
     def criterion_b(l, i, j):
         # lead_k | l, and lcm(i, k) = l exactly when lead_k meets l on every
@@ -489,16 +521,16 @@ def _complete(
                 return True
         return False
 
-    for new in range(1, len(basis)):
-        add_pairs(new)
-
     while heap:
         _, l, j, i = heapq.heappop(heap)
-        if criterion_b(l, i, j):
-            continue
-        s = _s_element(basis[i], basis[j], cmp)
-        if s is None:
-            continue
+        if j < 0:
+            s = inputs[i]
+        else:
+            if criterion_b(l, i, j):
+                continue
+            s = _s_element(basis[i], basis[j], cmp)
+            if s is None or any(s[0][v] and s[1][v] for v in masked):
+                continue
         s = _head_reduce(s, basis, packed, packing, cmp)
         if s is None:
             continue
@@ -607,20 +639,22 @@ def _split(v) -> tuple[Monomial, Monomial]:
 
 
 def _saturation_round(
-    elements: list[_Elt], weights: tuple[int, ...], i: int
+    elements: list[_Elt], weights: tuple[int, ...], i: int, saturated: int
 ) -> tuple[list[_Elt], bool]:
     """Generators of I : x_i^oo from weights-homogeneous generators of I.
 
     One Groebner basis under the weights-graded order with x_i
-    revlex-cheapest, then x_i divided out of every element.  Also says
-    whether any element was divided; if none was, I is saturated in x_i
-    and the generators are its reduced basis.
+    revlex-cheapest, then x_i divided out of every element.  I must be
+    saturated in the variables of the bitmask saturated, which lets the
+    core drop the S-pairs those variables divide (see _buchberger_core).
+    Also says whether any element was divided; if none was, I is
+    saturated in x_i and the generators are its reduced basis.
     """
     cmp = _graded_revlex_cmp(weights, i)
     oriented = [_orient(lead, trail, cmp) for lead, trail in elements]
     out = []
     divided = False
-    for lead, trail in _buchberger_core(oriented, cmp):
+    for lead, trail in _buchberger_core(oriented, cmp, weights, saturated):
         k = min(lead[i], trail[i])
         if k:
             divided = True
@@ -683,7 +717,7 @@ def _saturate_all_vars(elements: list[_Elt], weights: tuple[int, ...]) -> list[_
             ),
             key=lambda t: (t[0].bit_count(), t[1]),
         )
-        elements, divided = _saturation_round(elements, weights, i)
+        elements, divided = _saturation_round(elements, weights, i, saturated)
         # a round on x_0 is the final pass already when it divided nothing
         # (its basis is the reduced one) or when it ran last in the
         # one-round-per-variable order, on an ideal saturated in the rest
@@ -691,7 +725,7 @@ def _saturate_all_vars(elements: list[_Elt], weights: tuple[int, ...]) -> list[_
         sides = [(_support(lead), _support(trail)) for lead, trail in elements]
         saturated = _close_saturated(grown, sides)
     if elements and not reduced:
-        elements, _ = _saturation_round(elements, weights, 0)
+        elements, _ = _saturation_round(elements, weights, 0, full)
     return elements
 
 
@@ -753,9 +787,10 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
         raise BadParameter("cannot size the zero ideal without cost rows")
     leads: list[Monomial] = []
     tied: list[_Elt] = []
-    for g in gb.elements:
-        v = g.vector()
-        if any(sum(map(mul, w, v)) for w in gb.order.costs):
+    vectors = [g.vector() for g in gb.elements]
+    drops = [_dots(w, vectors) for w in gb.order.costs]
+    for k, g in enumerate(gb.elements):
+        if any(d[k] for d in drops):
             leads.append(g.plus)
         else:
             tied.append((g.plus, g.minus))

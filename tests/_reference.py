@@ -166,11 +166,13 @@ def _tuple_head_reduce(elt, basis, masks, cmp, skip=-1):
 def tuple_buchberger_core(elements, cmp):
     """toric._buchberger_core with every lead a tuple of exponents.
 
-    The same Gebauer-Moeller pair criteria, pair order and interreduction
-    as the package's core, but leads are compared coordinate by
-    coordinate through divides and lcm tuples, behind support bitmasks,
-    instead of as packed ints: no field width, so no widening.  Returns
-    what the package's core returns, element for element.
+    The same Gebauer-Moeller pair criteria and interreduction as the
+    package's core, but every input is inserted up front, no pair is
+    skipped for a saturated variable, and leads are compared coordinate
+    by coordinate through divides and lcm tuples, behind support
+    bitmasks, instead of as packed ints: no field width, so no widening.
+    Returns what the package's core returns, element for element, since
+    the reduced basis is unique.
     """
     basis = []
     for e in elements:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ipgap import cli
+from ipgap import cli, gapcore
 from ipgap.errors import ParseError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -226,6 +226,25 @@ def test_oracle_small_box_reports_shortfall(capsys):
     assert code == 0
     assert "below the computed gap" in out
     assert "box too small" in out
+
+
+def test_only_reports_that_print_it_compute_the_schrijver_bound(capsys, monkeypatch):
+    # witness and oracle --verify print no bound, so they compute none;
+    # gap prints it and computes it once
+    calls = []
+    bound = gapcore.schrijver_bound
+
+    def counted(*args):
+        calls.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(gapcore, "schrijver_bound", counted)
+    assert run(capsys, "witness", COIN)[0] == 0
+    assert run(capsys, "oracle", COIN, "--box", "1", "--verify")[0] == 0
+    assert calls == []
+    code, out, _ = run(capsys, "gap", COIN)
+    assert code == 0 and "schrijver bound: 192" in out
+    assert len(calls) == 1
 
 
 def test_oracle_verify_mismatch_exits_3(capsys, monkeypatch):

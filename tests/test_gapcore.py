@@ -277,7 +277,7 @@ def test_witness_mismatch_raises():
         winner=r.winner,
         attaining=r.attaining,
         witness_z=r.witness_z,
-        schrijver_bound=r.schrijver_bound,
+        instance=inst,
     )
     with pytest.raises(WitnessMismatch):
         gap_witness(broken, inst)

@@ -1,5 +1,7 @@
 import pickle
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
@@ -380,11 +382,12 @@ def _random_order(rng, n, trial):
     return TermOrder((), rng.choice(TIEBREAKS)).compare
 
 
-def _assert_core_matches_references(elements, cmp):
+def _assert_core_matches_references(elements, cmp, *extra):
     # the packed core, the same criteria on exponent tuples, and textbook
     # Buchberger without criteria give one reduced basis, element for
-    # element; returns it
-    got = _buchberger_core(elements, cmp)
+    # element; returns it.  extra is a saturation round's weights and
+    # saturated mask, which only the packed core takes
+    got = _buchberger_core(elements, cmp, *extra)
     assert got == _reference.tuple_buchberger_core(elements, cmp), elements
     assert got == _reference.buchberger_core(elements, cmp), elements
     return got
@@ -435,9 +438,9 @@ def test_core_matches_references_on_lifted_lattices(monkeypatch):
     calls = []
     core = toric._buchberger_core
 
-    def recorded(elements, cmp):
-        calls.append((elements, cmp))
-        return core(elements, cmp)
+    def recorded(elements, cmp, *extra):
+        calls.append((elements, cmp, extra))
+        return core(elements, cmp, *extra)
 
     monkeypatch.setattr(toric, "_buchberger_core", recorded)
     finite_index = top = 0
@@ -453,8 +456,8 @@ def test_core_matches_references_on_lifted_lattices(monkeypatch):
         calls.clear()
         gens = lattice_ideal_generators(basis)
         assert gens == _reference.lattice_ideal_generators(basis), basis.rows
-        for elements, cmp in calls:
-            out = _assert_core_matches_references(elements, cmp)
+        for elements, cmp, extra in calls:
+            out = _assert_core_matches_references(elements, cmp, *extra)
             top = max(top, max(max(lead) for lead, _ in out))
     assert finite_index >= 10 and top > 60
 
@@ -474,8 +477,8 @@ def test_completion_widens_past_the_starting_width(monkeypatch, basis):
     outputs = []
     core = toric._buchberger_core
 
-    def recorded(elements, cmp):
-        out = core(elements, cmp)
+    def recorded(elements, cmp, *extra):
+        out = core(elements, cmp, *extra)
         outputs.append((elements, cmp, out))
         return out
 
@@ -527,6 +530,66 @@ def test_saturation_matches_one_round_per_variable_reference():
     assert lifted >= 100 and finite_index >= 50
 
 
+def _count_core_work(monkeypatch):
+    """Counts of S-elements formed and head reductions begun from now on."""
+    calls = {"s": 0, "reduce": 0}
+    s_element, head_reduce = toric._s_element, toric._head_reduce
+
+    def counted_s(*args):
+        calls["s"] += 1
+        return s_element(*args)
+
+    def counted_reduce(*args, **kwargs):
+        calls["reduce"] += 1
+        return head_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(toric, "_s_element", counted_s)
+    monkeypatch.setattr(toric, "_head_reduce", counted_reduce)
+    return calls
+
+
+def _non_unit_graded_lattice(rng):
+    """A kernel lattice on 4 or 5 variables whose positive grading is not all ones."""
+    while True:
+        n = rng.randint(4, 5)
+        rows = [[rng.randint(1, 5) for _ in range(n)]]
+        rows += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n - 3))]
+        basis = kernel_lattice(IntMatrix(rows))
+        columns = [c for c in basis.columns() if any(c)]
+        if columns and set(_positive_orthogonal_weight(columns)) != {1}:
+            return basis
+
+
+def test_saturated_variable_skip_on_non_unit_gradings(monkeypatch):
+    # fault injection for the skip of S-pairs whose two sides share a
+    # variable the ideal is saturated in, where the weights-degree and the
+    # plain degree differ.  A variable masked that the ideal is not
+    # saturated in changes the generators; the heap keyed by plain degree
+    # (S-elements 1,230, reductions 2,834) or the skip left out
+    # (reductions 3,098) moves the pinned work
+    rng = random.Random(20261022)
+    calls = _count_core_work(monkeypatch)
+    for _ in range(100):
+        basis = _non_unit_graded_lattice(rng)
+        gens = lattice_ideal_generators(basis)
+        assert gens == _reference.lattice_ideal_generators(basis), basis.rows
+    assert calls == {"s": 1154, "reduce": 2808}
+
+
+@pytest.mark.slow
+def test_3x3x3_all_2_margins_generators_by_degree():
+    # 27 cells, lattice rank 8, 15 saturation rounds: about 95 s on a
+    # 2-vCPU box, bounded here at four times that.  Of the 110 generators
+    # 27 have degree 4, 54 degree 6, 28 degree 7 and 1 degree 9; the 27
+    # and 54 are the degree counts of the minimal Markov basis Aoki and
+    # Takemura give for this model (Aust. N. Z. J. Stat. 45, 2003)
+    model = MarginalModel((3, 3, 3), ((1, 2), (1, 3), (2, 3)))
+    t0 = time.monotonic()
+    gens = lattice_ideal_generators(kernel_lattice(margin_matrix(model)))
+    assert time.monotonic() - t0 < 400.0
+    assert Counter(sum(g.plus) for g in gens) == {4: 27, 6: 54, 7: 28, 9: 1}
+
+
 @pytest.mark.parametrize(
     "model, most_rounds",
     [
@@ -543,9 +606,9 @@ def test_model_saturation_skips_proven_variables(monkeypatch, model, most_rounds
     runs = []
     core = toric._buchberger_core
 
-    def counted(elements, cmp):
+    def counted(elements, cmp, *extra):
         runs.append(len(elements))
-        return core(elements, cmp)
+        return core(elements, cmp, *extra)
 
     basis = kernel_lattice(margin_matrix(model))
     monkeypatch.setattr(toric, "_buchberger_core", counted)
@@ -556,29 +619,25 @@ def test_model_saturation_skips_proven_variables(monkeypatch, model, most_rounds
 
 
 @pytest.mark.parametrize(
-    "model, s_elements",
+    "model, s_elements, reductions",
     [
-        (transportation_model(3, 4), 307),
-        (MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3))), 1870),
+        (transportation_model(3, 4), 300, 388),
+        (MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3))), 1804, 1439),
     ],
     ids=["transport 3x4", "2x3x3"],
 )
-def test_pair_criteria_work_is_pinned(monkeypatch, model, s_elements):
-    # the outputs alone do not show a pair criterion gone: without the
-    # coprime-lead criterion these counts read 321 and 1,873, without
-    # criterion B 310 and 2,070 (k4's 7,750 does not move without the
-    # coprime one, so it cannot stand in for these)
-    calls = []
-    s_element = toric._s_element
-
-    def counted(f, g, cmp):
-        calls.append(None)
-        return s_element(f, g, cmp)
-
+def test_pair_criteria_work_is_pinned(monkeypatch, model, s_elements, reductions):
+    # the outputs alone do not show a pair criterion gone.  S-elements
+    # formed and head reductions begun (inputs, S-elements and trails):
+    # without the coprime-lead criterion they read (314, 395) and
+    # (1,807, 1,442), without criterion B (303, 391) and (1,955, 1,572),
+    # and without the skip of S-pairs sharing a saturated variable, which
+    # comes after the S-element is formed, the reductions read 474 and
+    # 2,015
     basis = kernel_lattice(margin_matrix(model))
-    monkeypatch.setattr(toric, "_s_element", counted)
+    calls = _count_core_work(monkeypatch)
     lattice_ideal_generators(basis)
-    assert len(calls) == s_elements
+    assert calls == {"s": s_elements, "reduce": reductions}
 
 
 def _resolved_leads(gb):
@@ -627,9 +686,9 @@ def test_tied_demo_reads_the_ideal_off_the_basis(monkeypatch):
     runs = []
     core = toric._buchberger_core
 
-    def counted(elements, cmp):
+    def counted(elements, cmp, *extra):
         runs.append(len(elements))
-        return core(elements, cmp)
+        return core(elements, cmp, *extra)
 
     monkeypatch.setattr(toric, "_buchberger_core", counted)
     ideal = non_optimal_ideal(gb)
