@@ -25,6 +25,8 @@ from functools import reduce
 from math import gcd, lcm
 from operator import mul
 
+from .errors import BadParameter
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0."""
@@ -58,12 +60,12 @@ class IntMatrix:
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
-                raise ValueError("ragged rows")
+                raise BadParameter("ragged rows")
             if width is not None and width != w:
-                raise ValueError("width disagrees with rows")
+                raise BadParameter("width disagrees with rows")
             width = w
         elif width is None:
-            raise ValueError("width required for an empty matrix")
+            raise BadParameter("width required for an empty matrix")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "width", int(width))
 
@@ -90,7 +92,7 @@ class IntMatrix:
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
+            raise BadParameter("shape mismatch")
         ot = other.columns()
         return IntMatrix(
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.rows),
@@ -99,18 +101,17 @@ class IntMatrix:
 
     def mul_vector(self, v) -> tuple[int, ...]:
         if len(v) != self.ncols:
-            raise ValueError("length mismatch")
+            raise BadParameter("length mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def rank(self) -> int:
-        h, _ = hermite_normal_form(self)
-        return sum(1 for r in h.rows if any(r))
+        return len(_echelon(self.rows))
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
         n = self.nrows
         if n != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
+            raise BadParameter("determinant of a non-square matrix")
         if n == 0:
             return 1
         m = [list(r) for r in self.rows]

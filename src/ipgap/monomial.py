@@ -22,14 +22,16 @@ def divides(a: Monomial, b: Monomial) -> bool:
 
 
 def minimal_generators(gens) -> tuple[Monomial, ...]:
-    """Drop every generator strictly divisible by another; sort canonically."""
-    uniq = sorted(set(tuple(g) for g in gens))
-    keep = []
-    for i, g in enumerate(uniq):
-        if any(divides(h, g) for h in uniq if h != g):
-            continue
-        keep.append(g)
-    return tuple(keep)
+    """Keep a generator unless one kept before it in degree order divides it.
+
+    A proper divisor has the smaller degree, so it comes first; the kept
+    generators are returned in canonical order.
+    """
+    keep: list[Monomial] = []
+    for g in sorted(set(tuple(g) for g in gens), key=sum):
+        if not any(divides(h, g) for h in keep):
+            keep.append(g)
+    return tuple(sorted(keep))
 
 
 @dataclass(frozen=True)
@@ -55,16 +57,6 @@ class MonomialIdeal:
 
     def contains(self, m: Monomial) -> bool:
         return any(divides(g, m) for g in self.gens)
-
-    def add(self, gens) -> "MonomialIdeal":
-        return MonomialIdeal(self.nvars, self.gens + tuple(tuple(g) for g in gens))
-
-    def colon_monomial(self, q: Monomial) -> "MonomialIdeal":
-        """The ideal quotient by a single monomial: (I : x^q)."""
-        return MonomialIdeal(
-            self.nvars,
-            (tuple(max(gi - qi, 0) for gi, qi in zip(g, q)) for g in self.gens),
-        )
 
     def __str__(self):
         return "<" + ", ".join(str(g) for g in self.gens) + ">"
@@ -118,8 +110,6 @@ def _maximal_corners(gens: tuple[Monomial, ...], nvars: int) -> list[tuple]:
         keep, stale = [], []
         for row in rows:
             (keep if any(map(lt, row, g)) else stale).append(row)
-        if not stale:
-            continue
         cands = list(
             dict.fromkeys(
                 row[:i] + (gi - 1,) + row[i + 1 :]

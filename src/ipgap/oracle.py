@@ -28,18 +28,17 @@ def _as_matrix(a) -> IntMatrix:
 def _coordinate_bounds(a: IntMatrix, b) -> list[int] | None:
     """Exact per-coordinate maxima over the fiber polytope, or None if empty."""
     n = a.ncols
-    eq = tuple(zip(a.rows, b))
     bounds = []
     for i in range(n):
-        obj = tuple(1 if j == i else 0 for j in range(n))
-        sol = lp.solve(lp.LPProblem(objective=obj, sense="max", eq=eq))
+        # max z_i is minus min -z_i
+        sol = lp.lp_value(a, b, tuple(-1 if j == i else 0 for j in range(n)))
         if sol.status == lp.INFEASIBLE:
             return None
         if sol.status == lp.UNBOUNDED:
             raise InfiniteFiber(
                 f"coordinate {i} is unbounded on the fiber; enumeration impossible"
             )
-        bounds.append(floor(sol.value))
+        bounds.append(floor(-sol.value))
     return bounds
 
 

@@ -5,8 +5,9 @@ lattice vectors, a TermOrder compares exponent vectors by one or more cost
 rows and then a fixed tiebreak, buchberger() produces the unique reduced
 basis, and non_optimal_ideal() reads off that basis the monomial ideal of
 all exponent vectors that lose to a cheaper point in their own fiber: the
-leads the cost rows resolve, pulled back along the elements they leave
-tied.  The Groebner core only ever holds binomials.
+leads the cost rows resolve, closed in one worklist pass under pullback
+along the elements they leave tied.  The Groebner core only ever holds
+binomials.
 
 Every order here is weight rows followed by a tiebreak sequence of
 (variable, direction) pairs (Robbiano 1985); _comparator builds each one.
@@ -70,7 +71,7 @@ from operator import add, mul, sub
 from . import lp
 from .errors import BadParameter, NonTerminatingOrder, UnboundedProgram
 from .exactmath import LatticeBasis, _dots, _scaled, _span_basis
-from .monomial import Monomial, MonomialIdeal
+from .monomial import Monomial, MonomialIdeal, divides
 
 
 @dataclass(frozen=True)
@@ -778,34 +779,34 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     tiebreak (Sturmfels, Groebner Bases and Convex Polytopes, Prop. 1.13):
     the lead of an element some cost row resolves, and an element tied on
     every cost row as it stands.  So the ideal is generated by the resolved
-    leads, grown by colon pullback along the tied binomials until stable:
-    x^u - x^w in in_c(I) and x^w m beaten make x^u m beaten, and back.
-    When every element is resolved this is the leading-term ideal.
+    leads, closed under pullback along the tied binomials: x^u - x^w in
+    in_c(I) and x^w m beaten make x^u m beaten, and back.  One worklist
+    pass builds that closure: each generator m found, in turn, has the
+    images u + (m - w)^+ and w + (m - u)^+ for every tied (u, w), and an
+    image joins the list unless a generator found so far divides it.  The
+    images are monotone in m, so those of a skipped multiple are multiples
+    of images already formed; every join strictly grows the ideal, so the
+    pass ends.  When every element is resolved this is the leading-term
+    ideal.
     """
     n = gb.nvars
     if n is None:
         raise BadParameter("cannot size the zero ideal without cost rows")
-    leads: list[Monomial] = []
+    gens: list[Monomial] = []
     tied: list[_Elt] = []
     vectors = [g.vector() for g in gb.elements]
     drops = [_dots(w, vectors) for w in gb.order.costs]
     for k, g in enumerate(gb.elements):
         if any(d[k] for d in drops):
-            leads.append(g.plus)
+            gens.append(g.plus)
         else:
-            tied.append((g.plus, g.minus))
-    ideal = MonomialIdeal(n, leads)
-    while True:
-        grown = ideal
-        for lead, trail in tied:
-            part1 = grown.colon_monomial(trail)
-            part2 = grown.colon_monomial(lead)
-            extra = [tuple(a + b for a, b in zip(g, lead)) for g in part1.gens]
-            extra += [tuple(a + b for a, b in zip(g, trail)) for g in part2.gens]
-            grown = grown.add(extra)
-        if grown == ideal:
-            return ideal
-        ideal = grown
+            tied += ((g.plus, g.minus), (g.minus, g.plus))
+    for m in gens:  # the list grows while it is walked: it is the worklist
+        for u, w in tied:
+            image = tuple(a + max(x - y, 0) for a, x, y in zip(u, m, w))
+            if not any(divides(g, image) for g in gens):
+                gens.append(image)
+    return MonomialIdeal(n, gens)
 
 
 def ip_optimum(gb: GroebnerBasis, z) -> tuple[int, ...]:

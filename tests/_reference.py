@@ -4,11 +4,11 @@ Nothing in the package uses these: they restate lattice membership,
 saturation by every variable in turn, rational solving, the Buchberger
 core on exponent tuples, Buchberger without pair criteria, the
 non-optimal ideal by completing the cost-initial forms, standard pairs,
-component intersection and the containment tests on monomial ideals and
-components, the throwing form of the relaxation value, the Schrijver
-bound over every maximal minor and the degree-bound link of a table
-model directly, so tests can check the package's answers against them.
-Each favours the plain textbook construction over speed.
+colon, sum and intersection of monomial ideals, the containment tests on
+monomial ideals and components, the throwing form of the relaxation
+value, the Schrijver bound over every maximal minor and the degree-bound
+link of a table model directly, so tests can check the package's answers
+against them.  Each favours the plain textbook construction over speed.
 """
 
 from __future__ import annotations
@@ -367,11 +367,11 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     while True:
         grown = ideal
         for lead, trail in binomials:
-            part1 = grown.colon_monomial(trail)
-            part2 = grown.colon_monomial(lead)
+            part1 = colon_monomial(grown, trail)
+            part2 = colon_monomial(grown, lead)
             extra = [tuple(a + b for a, b in zip(g, lead)) for g in part1.gens]
             extra += [tuple(a + b for a, b in zip(g, trail)) for g in part2.gens]
-            grown = grown.add(extra)
+            grown = add_generators(grown, extra)
         if grown == ideal:
             return ideal
         ideal = grown
@@ -432,6 +432,19 @@ def schrijver_bound(a: IntMatrix, c) -> Fraction:
 
 def monomial_lcm(a, b) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def add_generators(ideal: MonomialIdeal, gens) -> MonomialIdeal:
+    """The sum of ideal and the ideal the monomials gens generate."""
+    return MonomialIdeal(ideal.nvars, ideal.gens + tuple(tuple(g) for g in gens))
+
+
+def colon_monomial(ideal: MonomialIdeal, q) -> MonomialIdeal:
+    """The ideal quotient by a single monomial: (I : x^q)."""
+    return MonomialIdeal(
+        ideal.nvars,
+        (tuple(max(gi - qi, 0) for gi, qi in zip(g, q)) for g in ideal.gens),
+    )
 
 
 def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:

@@ -464,3 +464,43 @@ def test_sense_flag_outside_a_model_exits_2(capsys, cmd):
     code, out, err = run(capsys, cmd, COIN, *box, "--sense", "min")
     assert code == 2 and not out
     assert "--sense" in err
+
+
+NO_COST = "matrix:\n1 1 1\n"
+FILE = "<written file>"
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("gap", FILE), "face: 1 2\nmodel:\ndims: 2 2\n", "face belongs inside a model block"),
+        (("gap", FILE), "lattice:\ncost: 1 1\n", "lattice block has no rows"),
+        (("gap", FILE), NO_COST, "matrix and lattice instances need a cost field"),
+        (("oracle", FILE, "--box", "1"), NO_COST, "matrix instances need a cost field"),
+        (("oracle", LATTICE_R5, "--box", "1"), None, "the oracle needs a matrix or model"),
+        (("fan", K4), None, "the fan exploration needs a matrix instance"),
+        (("fan", LATTICE_R5), None, "the fan exploration needs a matrix instance"),
+        (("fan", FILE), NO_COST, "fan needs a cost field or a --seeds file"),
+        (("fan", COIN, "--seeds", FILE), "# only a comment\n", "no seed costs in"),
+    ],
+)
+def test_input_errors_exit_2(capsys, tmp_path, argv, text, message):
+    # FILE stands for a file holding text: an instance, or a seed file
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *(str(path) if x == FILE else x for x in argv))
+    assert code == 2 and not out
+    assert err.startswith(f"error: {message}")
+
+
+def test_gap_zero_report_names_no_winner(capsys, tmp_path):
+    inst = tmp_path / "flat.txt"
+    inst.write_text("matrix:\n1 1\ncost: 0 0\n")
+    code, out, _ = run(capsys, "gap", str(inst))
+    assert code == 0
+    assert "gap: 0 (~ 0.0000000000)" in out
+    assert "winner: none (non-optimal ideal is zero)" in out
+    code, out, _ = run(capsys, "gap", str(inst), "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["gap"] == "0" and data["winner"] is None

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ipgap
 from _reference import lattice_contains, lattice_span_equal, solve_rational
+from ipgap.errors import BadParameter
 from ipgap.exactmath import IntMatrix, hermite_normal_form, kernel_lattice, xgcd
 
 
@@ -25,8 +27,10 @@ def test_intmatrix_basics():
     assert m.mul(IntMatrix.identity(2)).rows == m.rows
     assert m.det() == -2
     assert m.rank() == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         IntMatrix([[1, 2], [3]])
+    with pytest.raises(BadParameter):
+        ipgap.gap([[1, 2], [3]], (1, 1))
 
 
 def test_hnf_known_2x2():

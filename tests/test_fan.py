@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ipgap import fan
-from ipgap.errors import BadParameter, DegenerateCone, TrivialInstance
+from ipgap.errors import BadParameter, DegenerateCone, TrivialInstance, UnboundedProgram
 from ipgap.exactmath import IntMatrix
 from ipgap.fan import (
     Cone,
@@ -291,3 +291,28 @@ def test_subdivide_rejects_a_foreign_cone():
     inst = GapInstance.from_matrix(COIN_A, first.center)
     with pytest.raises(BadParameter):
         gap_fan_subdivide(inst, second)
+
+
+def test_walk_skips_costs_past_the_support_boundary(monkeypatch):
+    # 3 x1 = x2 + 2 x3 has nonnegative kernel directions, so reflected
+    # costs that go negative on one make the fibers unbounded; the walk
+    # skips those runs and keeps the cones it found
+    a = IntMatrix([[3, -1, -2]])
+    unbounded = []
+    original = fan.buchberger
+
+    def watched(gens, order):
+        try:
+            return original(gens, order)
+        except UnboundedProgram:
+            unbounded.append(order.cost)
+            raise
+
+    monkeypatch.setattr(fan, "buchberger", watched)
+    cones = explore_cones(a, [(3, 8, 3)], budget=12)
+    pieces = [
+        len(gap_fan_subdivide(GapInstance.from_matrix(a, cone.center), cone))
+        for _, cone in cones
+    ]
+    assert pieces == [1, 1, 2]
+    assert len(unbounded) == 9

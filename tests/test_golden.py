@@ -21,7 +21,7 @@ GOLDEN = ROOT / "golden"
 
 CASES = [
     (cmd, demo)
-    for demo in ("coin", "lattice_r5", "k4", "tied")
+    for demo in ("coin", "lattice_r5", "k4", "tied", "knapsack")
     for cmd in ("gap", "decompose", "gb", "witness")
 ] + [("fan", "coin"), ("fan", "knapsack")]
 

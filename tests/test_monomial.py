@@ -5,6 +5,7 @@ import pytest
 
 from _reference import (
     StandardPair,
+    colon_monomial,
     component_ideal,
     excludes,
     ideal_subset_of,
@@ -35,7 +36,7 @@ def test_ideal_basics():
     assert not ideal.is_zero and not ideal.is_unit
     assert MonomialIdeal(2).is_zero
     assert MonomialIdeal(2, [(0, 0)]).is_unit
-    assert ideal.colon_monomial((1, 0)).gens == ((0, 3), (1, 0))
+    assert colon_monomial(ideal, (1, 0)).gens == ((0, 3), (1, 0))
     inter = intersect(ideal, MonomialIdeal(2, [(1, 1)]))
     assert inter.gens == ((1, 3), (2, 1))
     assert subset_of(MonomialIdeal(2, [(2, 1)]), ideal)

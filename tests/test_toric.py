@@ -11,11 +11,13 @@ import pytest
 
 import _reference
 from _reference import is_primitive, lattice_contains, leading_ideal
-from ipgap import toric
+from ipgap import models, toric
 from ipgap.errors import BadParameter, NonTerminatingOrder, UnboundedProgram
 from ipgap.exactmath import IntMatrix, kernel_lattice
+from ipgap.gapcore import GapInstance, gap_report
 from ipgap.models import (
     MarginalModel,
+    entry_instance,
     k4_model,
     margin_matrix,
     transportation_model,
@@ -695,6 +697,24 @@ def test_tied_demo_reads_the_ideal_off_the_basis(monkeypatch):
     assert runs == []
     assert len(ideal.gens) == 7
     assert len(irreducible_decomposition(ideal)) == 3
+
+
+@pytest.mark.parametrize(
+    "sense, tied, size, gap",
+    [("max", 25, 40, Fraction(5, 3)), ("min", 26, 35, 1)],
+    ids=["max", "min"],
+)
+def test_k4_unrefined_order_reads_the_tied_ideal(sense, tied, size, gap):
+    # k4 under its bare entry cost and revgrevlex leaves many of the 61
+    # basis elements tied: the pullback must match the completion
+    # reference, and the gap must be the refined order's value
+    order = TermOrder(models._entry_cost(k4_model(), sense), "revgrevlex")
+    inst = GapInstance.from_matrix(margin_matrix(k4_model()), order)
+    assert len(inst.groebner) == 61
+    assert len(inst.groebner) - len(_resolved_leads(inst.groebner)) == tied
+    assert inst.ideal == _reference.non_optimal_ideal(inst.groebner)
+    assert len(inst.ideal.gens) == size
+    assert gap_report(inst).gap == gap == gap_report(entry_instance(k4_model(), sense)).gap
 
 
 def _monomials(n, degree):
