@@ -28,12 +28,22 @@ _close_saturated proves the current ideal saturated in it: if I is
 saturated in the variables of S and holds x^u - x^w with supp(u) in S,
 then I is saturated in supp(w).  The generators returned are the reduced
 basis under one fixed order, the grading with the first variable
-revlex-cheapest, so they do not depend on which rounds ran.  Each round
-completes homogeneously: its inputs, the basis the round before left,
-enter one by one in order of weights-degree and are dropped when the
-basis so far already reduces them to zero, and an S-pair whose two
-sides share a variable the ideal is proven saturated in is dropped
-unreduced (_buchberger_core states why that is sound).
+revlex-cheapest, so they do not depend on which rounds ran.
+
+The first round starts from more than the basis: every +-1 combination
+of two or three basis vectors that is no longer, in 1-norm, than the
+longest vector it combines joins it as a seed.  A seed is a lattice
+vector, so the ideal the inputs generate lies between the basis ideal
+and the lattice ideal and saturates to the lattice ideal all the same.
+The seeds cost at most r(r - 1) + (2/3) r (r - 1)(r - 2) candidates for
+rank r, and few pass: 16 of 60 for k4, 12 of 280 for the 3x3x3 table.
+They keep the rounds' bases small (3x3x3's largest falls from 4,345
+elements to 1,365).  Each round completes homogeneously: its inputs,
+the basis the round before left, enter one by one in order of
+weights-degree and are dropped when the basis so far already reduces
+them to zero, and an S-pair whose two sides share a variable the ideal
+is proven saturated in is dropped unreduced (_buchberger_core states
+why that is sound).
 
 Inside the Groebner core each lead is also held as one int, _Packing's
 layout: its exponents in n fields of w bits, each field under a guard
@@ -65,7 +75,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, combinations, product
 from operator import add, mul, sub
 
 from . import lp
@@ -688,10 +698,44 @@ def _close_saturated(saturated: int, sides: list[tuple[int, int]]) -> int:
     return saturated
 
 
+def _short_combinations(elements: list[_Elt]) -> list[_Elt]:
+    """The short +-1 combinations of two or three lattice vectors, split.
+
+    For each pair i < j the vectors v_i + v_j and v_i - v_j, and for each
+    triple i < j < k the four v_i +- v_j +- v_k, where v is lead - trail
+    of an element; a combination is kept when its 1-norm is at most that
+    of the longest vector it combines.
+    """
+    vectors = [tuple(map(sub, lead, trail)) for lead, trail in elements]
+    norms = [sum(map(abs, v)) for v in vectors]
+    indices = range(len(vectors))
+    out = []
+    for combo in chain(combinations(indices, 2), combinations(indices, 3)):
+        longest = max(norms[i] for i in combo)
+        first, *rest = (vectors[i] for i in combo)
+        for ops in product((add, sub), repeat=len(rest)):
+            v = first
+            for op, u in zip(ops, rest):
+                v = tuple(map(op, v, u))
+            if sum(map(abs, v)) <= longest:
+                out.append(_split(v))
+    return out
+
+
 def _saturate_all_vars(elements: list[_Elt], weights: tuple[int, ...]) -> list[_Elt]:
     """Saturate in every variable, running rounds only where needed.
 
-    elements must be weights-homogeneous binomials.  The set S of
+    elements must be weights-homogeneous binomials, x^(v+) - x^(v-) for
+    the vectors v of a lattice basis B.  Before the first round they are
+    joined by the short combinations of two or three of them
+    (_short_combinations: at most r(r - 1) + (2/3) r (r - 1)(r - 2) more
+    for r elements), which keeps the rounds' bases small.  The result is
+    the same: every such seed is a lattice vector, homogenized as the
+    basis is on the lifted branch, so it is weights-homogeneous and the
+    ideal J the inputs generate has I_B <= J <= I_L; J saturated is then
+    I_L, whose reduced basis under the fixed final order is unique.  A
+    variable no basis vector uses is used by no seed either, so the
+    starting set S below and _close_saturated stay sound.  The set S of
     variables the current ideal is proven saturated in starts at those no
     element uses and is closed by _close_saturated after every round; no
     round runs for a variable of S.  The next round's variable is the one
@@ -704,6 +748,7 @@ def _saturate_all_vars(elements: list[_Elt], weights: tuple[int, ...]) -> list[_
     """
     n = len(weights)
     full = (1 << n) - 1
+    elements = elements + _short_combinations(elements)
     sides = [(_support(lead), _support(trail)) for lead, trail in elements]
     saturated = full
     for a, b in sides:
@@ -780,14 +825,20 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     the lead of an element some cost row resolves, and an element tied on
     every cost row as it stands.  So the ideal is generated by the resolved
     leads, closed under pullback along the tied binomials: x^u - x^w in
-    in_c(I) and x^w m beaten make x^u m beaten, and back.  One worklist
+    in_c(I), u its lead, and x^w m beaten make x^u m beaten.  One worklist
     pass builds that closure: each generator m found, in turn, has the
-    images u + (m - w)^+ and w + (m - u)^+ for every tied (u, w), and an
-    image joins the list unless a generator found so far divides it.  The
-    images are monotone in m, so those of a skipped multiple are multiples
-    of images already formed; every join strictly grows the ideal, so the
-    pass ends.  When every element is resolved this is the leading-term
-    ideal.
+    image u + (m - w)^+ for every tied (u, w), and an image joins the list
+    unless a generator found so far divides it.  The images are monotone
+    in m, so those of a skipped multiple are multiples of images already
+    formed; every join strictly grows the ideal, so the pass ends.  These
+    images alone reach every beaten monomial M: the resolved leads and the
+    tied binomials, each with its lead u first, are a Groebner basis of
+    in_c(I) under the tiebreak, so M reduces to zero by steps
+    M -> M - u + w along tied elements that end on a multiple of a
+    resolved lead.  Walk that chain back: if M - u + w is a multiple of a
+    listed generator g, then M - u >= (g - w)^+, so M is a multiple of
+    g's image, which a listed generator divides.  When every element is
+    resolved this is the leading-term ideal.
     """
     n = gb.nvars
     if n is None:
@@ -800,7 +851,7 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
         if any(d[k] for d in drops):
             gens.append(g.plus)
         else:
-            tied += ((g.plus, g.minus), (g.minus, g.plus))
+            tied.append((g.plus, g.minus))
     for m in gens:  # the list grows while it is walked: it is the worklist
         for u, w in tied:
             image = tuple(a + max(x - y, 0) for a, x, y in zip(u, m, w))
