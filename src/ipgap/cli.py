@@ -22,21 +22,17 @@ stderr with --format json, so stdout is one JSON document).
 Exact rationals are printed in lowest terms as p/q; decimal renderings
 are 10-digit truncations and advisory only.  Exit codes: 0 success,
 1 mathematical domain error, 2 bad input, 3 internal verification
-failure.  IPGAP_THREADS caps worker processes for the oracle scan.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
-from operator import itemgetter
 
 from . import lp, oracle
 from .errors import BadParameter, IpgapError, ParseError, VerificationError
@@ -450,23 +446,6 @@ def cmd_margins(spec: InstanceSpec, args) -> tuple[list[str], dict]:
 # ------------------------------------------------------------------- oracle
 
 
-def _oracle_gap(a: IntMatrix, cost, box) -> tuple[Fraction, tuple[int, ...]]:
-    raw = os.environ.get("IPGAP_THREADS", "1") or "1"
-    try:
-        threads = max(1, int(raw))
-    except ValueError:
-        raise BadParameter(f"IPGAP_THREADS must be an integer, got {raw!r}") from None
-    if threads == 1 or box[0] == 0:
-        return oracle.brute_gap_box(a, cost, box)
-    with ProcessPoolExecutor(max_workers=min(threads, box[0] + 1)) as pool:
-        slices = pool.map(
-            oracle._gap_slice, repeat(a), repeat(cost), repeat(box),
-            product(range(box[0] + 1)), repeat(oracle.DEFAULT_POINT_CAP),
-        )
-        # max keeps the first of equal values, as the serial scan does
-        return max(slices, key=itemgetter(0))
-
-
 def cmd_oracle(spec: InstanceSpec, args) -> tuple[list[str], dict]:
     sense = _sense(spec, args)
     if spec.model is not None:
@@ -485,7 +464,7 @@ def cmd_oracle(spec: InstanceSpec, args) -> tuple[list[str], dict]:
     if len(box) == 1:
         box = box * a.ncols
     box = oracle._check_box(a, box)
-    value, z = _oracle_gap(a, cost, box)
+    value, z = oracle.brute_gap_box(a, cost, box)
     lines = [
         f"instance: matrix {a.nrows} x {a.ncols}",
         f"cost: {_vec(cost)}",

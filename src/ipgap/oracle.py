@@ -1,8 +1,11 @@
 """Brute-force verification path, kept independent of the algebraic route.
 
-Nothing here touches Groebner bases or monomial ideals: fibers are
-enumerated by bounding every coordinate with an exact LP and filtering the
-resulting integer box, and programs are solved by exhaustion.  Slower by
+Nothing here touches Groebner bases or monomial ideals: the module imports
+nothing from ipgap but lp, errors and exactmath.  Fibers are enumerated by
+bounding every coordinate with an exact LP and filtering the resulting
+integer box, and programs are solved by exhaustion; a box scan over a
+matrix with nonnegative entries and no zero column instead solves every
+fiber from one recursion over right-hand sides.  Slower than the algebra by
 orders of magnitude, but each answer is checkable by hand, which is the
 point: the main pipeline is tested against these functions.
 """
@@ -12,11 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import floor, prod
-from operator import itemgetter
+from operator import le, sub
 
 from . import lp
 from .errors import BadParameter, EmptyFiber, FiberCapExceeded, InfiniteFiber
-from .exactmath import IntMatrix
+from .exactmath import IntMatrix, _scaled
 
 DEFAULT_POINT_CAP = 10_000_000
 
@@ -98,29 +101,6 @@ def brute_ip(a, b, c, cap: int = DEFAULT_POINT_CAP) -> Fraction:
     return min(sum((ci * zi for ci, zi in zip(c, z)), Fraction(0)) for z in points)
 
 
-def _gap_slice(a: IntMatrix, c, box, head: tuple, cap: int, seen=None):
-    """Worst IP-minus-LP difference over the points of the box starting with head.
-
-    Returns (value, first z attaining it), scanning lexicographically.  seen
-    caches each fiber's difference by b = A z and may be shared across
-    slices; the parallel CLI scan maps this function over a worker pool.
-    """
-    seen = {} if seen is None else seen
-    best = best_z = None
-    for rest in product(*(range(x + 1) for x in box[len(head):])):
-        z = head + rest
-        b = a.mul_vector(z)
-        if b not in seen:
-            ip = brute_ip(a, b, c, cap)
-            relax = lp.lp_value(a, b, c)
-            if relax.status != lp.OPTIMAL:
-                raise InfiniteFiber("relaxation unbounded below on a box fiber")
-            seen[b] = ip - relax.value
-        if best is None or seen[b] > best:
-            best, best_z = seen[b], z
-    return best, best_z
-
-
 def _check_box(a: IntMatrix, box) -> tuple[int, ...]:
     """box as ints, one nonnegative bound per column of a."""
     box = tuple(int(x) for x in box)
@@ -131,20 +111,69 @@ def _check_box(a: IntMatrix, box) -> tuple[int, ...]:
     return box
 
 
+def _ip_memo(a: IntMatrix, c, cap: int):
+    """IP(b) = min c.z over the fiber of b, for a >= 0 with no zero column.
+
+    Solves IP(b) = min over columns a_i <= b of c_i + IP(b - a_i), IP(0) = 0
+    (Papadimitriou, "On the complexity of integer programming", JACM 28,
+    1981): a nonzero point of the fiber has some z_i > 0, and lowering it by
+    one leaves a point of the fiber of b - a_i.  Each b - a_i lies below b,
+    so the walk ends; it runs depth first on an explicit stack, in ints over
+    the costs' common denominator, and fills one memo (None marks an empty
+    fiber) that serves every later call.  More than cap memo entries raise
+    FiberCapExceeded.  Returns the function b -> IP(b) for nonempty fibers.
+    """
+    nums, scale = _scaled(c)
+    moves = tuple(zip(a.columns(), nums))
+    memo = {(0,) * a.nrows: 0}
+
+    def ip(b) -> Fraction:
+        stack = [(b, None)]
+        while stack:
+            s, subs = stack.pop()
+            if subs is not None:
+                memo[s] = min((memo[t] + ci for t, ci in subs if memo[t] is not None), default=None)
+                if len(memo) > cap:
+                    raise FiberCapExceeded(
+                        f"right-hand-side recursion reached {len(memo)} states, over the cap of {cap}"
+                    )
+            elif s not in memo:
+                # first visit: queue s again, under its unsolved successors
+                subs = [(tuple(map(sub, s, col)), ci) for col, ci in moves if all(map(le, col, s))]
+                stack.append((s, subs))
+                stack += ((t, None) for t, _ in subs if t not in memo)
+        return Fraction(memo[b], scale)
+
+    return ip
+
+
 def brute_gap_box(a, c, box, cap: int = DEFAULT_POINT_CAP) -> tuple[Fraction, tuple[int, ...]]:
     """Worst IP-minus-LP difference over right-hand sides seen in a box.
 
-    Scans every z below the componentwise bounds, one slice per value of
-    the first coordinate, groups by b = A z, and exhausts each fiber once
-    (one cache serves every slice).  The result is a lower bound on the
-    true gap, exact whenever the box contains a gap-attaining point.
-    Returns the value and the first z (lexicographically) attaining it.
+    Scans every z below the componentwise bounds in lexicographic order,
+    groups by b = A z, and solves each fiber once, by the recursion of
+    _ip_memo when every entry of A is >= 0 and no column is zero, else by
+    exhausting it with brute_ip.  The result is a lower bound on the true
+    gap, exact whenever the box contains a gap-attaining point.  Returns
+    the value and the first z (lexicographically) attaining it.
     """
     a = _as_matrix(a)
     box = _check_box(a, box)
     c = tuple(Fraction(x) for x in c)
+    if len(c) != a.ncols:
+        raise BadParameter("cost length does not match the column count")
+    recursive = all(min(col, default=0) >= 0 and any(col) for col in a.columns())
+    ip = _ip_memo(a, c, cap) if recursive else lambda b: brute_ip(a, b, c, cap)
     seen: dict[tuple[int, ...], Fraction] = {}
-    heads = product(*(range(x + 1) for x in box[:1]))
-    slices = (_gap_slice(a, c, box, head, cap, seen) for head in heads)
-    # max keeps the first of equal values, so ties go to the earliest slice
-    return max(slices, key=itemgetter(0))
+    best = best_z = None
+    for z in product(*(range(x + 1) for x in box)):
+        b = a.mul_vector(z)
+        if b not in seen:
+            value = ip(b)
+            relax = lp.lp_value(a, b, c)
+            if relax.status != lp.OPTIMAL:
+                raise InfiniteFiber("relaxation unbounded below on a box fiber")
+            seen[b] = value - relax.value
+        if best is None or seen[b] > best:
+            best, best_z = seen[b], z
+    return best, best_z

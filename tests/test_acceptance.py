@@ -311,7 +311,9 @@ def test_09_structural_properties(monkeypatch):
 
 def test_10_counting_shortcuts_stay_out_of_scope():
     # fiber counts and short-circuit counting methods are deliberately
-    # absent: every cross-check above runs on explicit enumeration
+    # absent: every cross-check above solves fibers explicitly, by the
+    # right-hand-side recursion when the matrix has no negative entry
+    # and no zero column, else by enumerating each fiber
     import ipgap
 
     assert not any("generating" in name for name in dir(ipgap))

@@ -255,13 +255,6 @@ def test_oracle_verify_mismatch_exits_3(capsys, monkeypatch):
     assert "above the computed gap" in err
 
 
-def test_oracle_parallel_matches_serial(capsys, monkeypatch):
-    _, serial, _ = run(capsys, "oracle", COIN, "--box", "3,2,1,2")
-    monkeypatch.setenv("IPGAP_THREADS", "3")
-    _, parallel, _ = run(capsys, "oracle", COIN, "--box", "3,2,1,2")
-    assert canonical(serial) == canonical(parallel)
-
-
 def test_fan_coin(capsys):
     code, out, _ = run(capsys, "fan", COIN, "--format", "json")
     assert code == 0
@@ -342,13 +335,6 @@ def test_non_utf8_seed_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "fan", COIN, "--seeds", str(seeds))
     assert code == 2
     assert "not UTF-8" in err
-
-
-def test_bad_thread_count_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("IPGAP_THREADS", "abc")
-    code, _, err = run(capsys, "oracle", COIN, "--box", "1")
-    assert code == 2
-    assert "IPGAP_THREADS" in err
 
 
 def test_python_dash_m_runs_the_cli(capsys):
