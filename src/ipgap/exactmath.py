@@ -10,6 +10,8 @@ The two workhorses are:
 
 Rational vectors become integer ones in one place, _scaled (over the least
 common denominator), with _primitive_vector and _dots on top of it.
+Nonnegative integer vectors become single ints in one place too, _Packing,
+which the Groebner core and the oracle's memo share.
 
 Convention for the HNF used throughout the package: nonzero rows first,
 pivot columns strictly increasing, pivots positive, and every entry above a
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 
 from .errors import BadParameter
 
@@ -260,6 +262,53 @@ def _max_maximal_minor(rows) -> int:
 
     walk([list(row) for row in rows], 0, 0, 1)
     return best
+
+
+class _Packing:
+    """Nonnegative integer vectors of length n as ints of n guarded fields.
+
+    Each field is w bits under one guard bit; layout lists the
+    coordinates from the most significant field down (0, ..., n - 1 if
+    not given).  guards holds every guard bit, ones the lowest bit of
+    every field, top = 2^w - 1 the largest entry a field holds, and shifts
+    the offset of each coordinate's field.  For packed a and b whose
+    entries are all at most top:
+      * a <= b coordinatewise exactly when ((b | guards) - a) & guards ==
+        guards: each field of (b | guards) - a holds 2^w + b_i - a_i, which
+        neither borrows from the next field nor overflows into it;
+      * then b - a is the packed difference;
+      * a + b is the packed sum exactly when (a + b) & guards is 0, the
+        carry of a field going into its own guard bit and no further;
+      * ((a | guards) - ones) & guards marks the fields where a_i > 0;
+      * fields compare from the top, so a < b as ints compares the
+        vectors, read in layout order, lexicographically.
+    """
+
+    __slots__ = ("w", "top", "guards", "ones", "shifts")
+
+    def __init__(self, n: int, w: int, layout=None):
+        stride = w + 1
+        self.w = w
+        self.top = (1 << w) - 1
+        # the sum of 2^(stride i) for i < n
+        self.ones = ((1 << stride * n) - 1) // ((1 << stride) - 1)
+        self.guards = self.ones << w
+        offsets = range(stride * (n - 1), -1, -stride)
+        if layout is None:
+            self.shifts = tuple(offsets)
+        else:
+            shifts = [0] * n
+            for i, s in zip(layout, offsets):
+                shifts[i] = s
+            self.shifts = tuple(shifts)
+
+    def pack(self, v) -> int:
+        """v as one int; every entry must be at most top."""
+        return sum(map(lshift, v, self.shifts))
+
+    def unpack(self, p: int) -> tuple[int, ...]:
+        top = self.top
+        return tuple([p >> s & top for s in self.shifts])
 
 
 def _scaled(v) -> tuple[list[int], int]:

@@ -70,8 +70,10 @@ class LatticeIdeal:
     matrix is None for a lattice given directly, else lattice is its
     canonical kernel basis; lattice columns generate the fibers'
     difference set.  generators are saturated on first read, a matrix's
-    by the ideal of its kernel basis.  from_matrix and from_lattice share
-    one object per matrix or basis via a bounded memo.
+    by the ideal of its kernel basis, and max_minor, the D(A) of the
+    Schrijver bound, is computed on first read too, so every cost's bound
+    shares one minor walk.  from_matrix and from_lattice share one object
+    per matrix or basis via a bounded memo.
     """
 
     matrix: IntMatrix | None
@@ -90,6 +92,14 @@ class LatticeIdeal:
         if self.matrix is not None:
             return LatticeIdeal.from_lattice(self.lattice).generators
         return lattice_ideal_generators(self.lattice)
+
+    @cached_property
+    def max_minor(self) -> int:
+        """D(A), the largest |det| over the matrix's maximal minors.
+
+        See schrijver_bound; a lattice given directly has no matrix.
+        """
+        return _max_minor(self.matrix, self.lattice)
 
 
 @lru_cache(maxsize=LATTICE_MEMO_SIZE)
@@ -294,15 +304,30 @@ def gap_lattice(l, c, tiebreak: str = "grevlex") -> GapReport:
 def schrijver_bound(a: "IntMatrix | LatticeIdeal", c) -> Fraction:
     """A-priori bound n D(A) sum|c_i|, D(A) the largest maximal minor.
 
-    a is the matrix, or a matrix's LatticeIdeal, whose kernel basis is
-    then reused instead of computed again.
+    a is the matrix, or a matrix's LatticeIdeal, which holds D(A) (its
+    max_minor) once computed, so bounds for other costs on it reuse it.
+    """
+    if isinstance(a, LatticeIdeal):
+        n = a.lattice.nrows
+    else:
+        a = a if isinstance(a, IntMatrix) else IntMatrix(a)
+        n = a.ncols
+    c = tuple(Fraction(x) for x in c)
+    if len(c) != n:
+        raise BadParameter("cost length does not match the column count")
+    d = a.max_minor if isinstance(a, LatticeIdeal) else _max_minor(a, None)
+    return n * d * sum((abs(x) for x in c), Fraction(0))
+
+
+def _max_minor(a: IntMatrix | None, lattice: LatticeBasis | None) -> int:
+    """D(A) for schrijver_bound; lattice, if given, is a's kernel basis.
 
     Maximal minors are taken at the matrix's rank r, on the rows a greedy
     pass keeps: each row in order is kept iff it is independent of those
     already kept (redundant rows change neither the fibers nor the gap,
     and the bound is only valid for a full-row-rank presentation).  That
     pass, exactmath._echelon, also yields pivot columns P with A_P
-    nonsingular.
+    nonsingular.  No row is kept for a zero matrix, and D is then 0.
 
     D is the largest |det| over r-subsets of the kept rows' columns or,
     when k = n - r is smaller than r, over k-subsets of the rows of the
@@ -312,30 +337,19 @@ def schrijver_bound(a: "IntMatrix | LatticeIdeal", c) -> Fraction:
     prefixes and skips every subset extending a prefix whose minors all
     vanish (see exactmath._max_maximal_minor).
     """
-    held = a if isinstance(a, LatticeIdeal) else None
-    if held is not None:
-        if held.matrix is None:
-            raise BadParameter("the Schrijver bound needs a matrix")
-        a = held.matrix
-    elif not isinstance(a, IntMatrix):
-        a = IntMatrix(a)
-    c = tuple(Fraction(x) for x in c)
-    if len(c) != a.ncols:
-        raise BadParameter("cost length does not match the column count")
-    total = sum((abs(x) for x in c), Fraction(0))
+    if a is None:
+        raise BadParameter("the Schrijver bound needs a matrix")
     n = a.ncols
     echelon = _echelon(a.rows)
     kept = [a.rows[i] for i, _, _ in echelon]
     pivots = [p for _, p, _ in echelon]
     r = len(kept)
     if r == 0:
-        return Fraction(0)
+        return 0
     if n - r >= r:
-        d = _max_maximal_minor(kept)
-    else:
-        b = kernel_lattice(a) if held is None else held.lattice
-        free = sorted(set(range(n)) - set(pivots))
-        g = abs(IntMatrix([[row[p] for p in pivots] for row in kept], r).det())
-        g //= abs(IntMatrix([b.rows[i] for i in free], n - r).det())
-        d = g * _max_maximal_minor(b.columns())
-    return n * d * total
+        return _max_maximal_minor(kept)
+    b = kernel_lattice(a) if lattice is None else lattice
+    free = sorted(set(range(n)) - set(pivots))
+    g = abs(IntMatrix([[row[p] for p in pivots] for row in kept], r).det())
+    g //= abs(IntMatrix([b.rows[i] for i in free], n - r).det())
+    return g * _max_maximal_minor(b.columns())

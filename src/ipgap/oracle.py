@@ -15,11 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import floor, prod
-from operator import le, sub
 
 from . import lp
 from .errors import BadParameter, EmptyFiber, FiberCapExceeded, InfiniteFiber
-from .exactmath import IntMatrix, _scaled
+from .exactmath import IntMatrix, _Packing, _scaled
 
 DEFAULT_POINT_CAP = 10_000_000
 
@@ -111,7 +110,7 @@ def _check_box(a: IntMatrix, box) -> tuple[int, ...]:
     return box
 
 
-def _ip_memo(a: IntMatrix, c, cap: int):
+def _ip_memo(a: IntMatrix, c, cap: int, box):
     """IP(b) = min c.z over the fiber of b, for a >= 0 with no zero column.
 
     Solves IP(b) = min over columns a_i <= b of c_i + IP(b - a_i), IP(0) = 0
@@ -121,13 +120,24 @@ def _ip_memo(a: IntMatrix, c, cap: int):
     so the walk ends; it runs depth first on an explicit stack, in ints over
     the costs' common denominator, and fills one memo (None marks an empty
     fiber) that serves every later call.  More than cap memo entries raise
-    FiberCapExceeded.  Returns the function b -> IP(b) for nonempty fibers.
+    FiberCapExceeded.  Returns the function b -> IP(b) for nonempty fibers
+    b = A z, z below box.
+
+    Every right-hand side the walk meets lies below A box, so it is held
+    as one int of exactmath._Packing at a width that fits A box and every
+    column: a_i <= b is one guarded subtraction, b - a_i one more, and a
+    memo key is one int instead of a tuple.
     """
     nums, scale = _scaled(c)
-    moves = tuple(zip(a.columns(), nums))
-    memo = {(0,) * a.nrows: 0}
+    columns = a.columns()
+    top = max(max(a.mul_vector(box)), max(map(max, columns)))
+    packing = _Packing(a.nrows, max(1, top.bit_length()))
+    guards = packing.guards
+    moves = tuple(zip(map(packing.pack, columns), nums))
+    memo = {0: 0}
 
     def ip(b) -> Fraction:
+        b = packing.pack(b)
         stack = [(b, None)]
         while stack:
             s, subs = stack.pop()
@@ -139,7 +149,8 @@ def _ip_memo(a: IntMatrix, c, cap: int):
                     )
             elif s not in memo:
                 # first visit: queue s again, under its unsolved successors
-                subs = [(tuple(map(sub, s, col)), ci) for col, ci in moves if all(map(le, col, s))]
+                sg = s | guards
+                subs = [(s - col, ci) for col, ci in moves if (sg - col) & guards == guards]
                 stack.append((s, subs))
                 stack += ((t, None) for t, _ in subs if t not in memo)
         return Fraction(memo[b], scale)
@@ -163,7 +174,7 @@ def brute_gap_box(a, c, box, cap: int = DEFAULT_POINT_CAP) -> tuple[Fraction, tu
     if len(c) != a.ncols:
         raise BadParameter("cost length does not match the column count")
     recursive = all(min(col, default=0) >= 0 and any(col) for col in a.columns())
-    ip = _ip_memo(a, c, cap) if recursive else lambda b: brute_ip(a, b, c, cap)
+    ip = _ip_memo(a, c, cap, box) if recursive else lambda b: brute_ip(a, b, c, cap)
     seen: dict[tuple[int, ...], Fraction] = {}
     best = best_z = None
     for z in product(*(range(x + 1) for x in box)):

@@ -10,17 +10,19 @@ along the elements they leave tied.  The Groebner core only ever holds
 binomials.
 
 Every order here is weight rows followed by a tiebreak sequence of
-(variable, direction) pairs (Robbiano 1985); _comparator builds each one.
-Between monomials equal on every row, the first variable of the sequence
-in which they differ decides: direction 1 favours the larger exponent,
--1 the smaller.  On n variables, lex is (x1, 1), ..., (xn, 1); grlex is
-the same after the degree row (1, ..., 1); grevlex is (xn, -1), ...,
-(x1, -1) after the degree row, and revgrevlex (x1, -1), ..., (xn, -1).
-TermOrder.refined spells the same sequence as rows after the costs: the
-degree row, if any, then the row direction * e_x for each pair, the last
-pair dropped when the degree fixes it.  Saturation uses the w-graded
-order with sequence (x_cheap, -1), then (x, -1) for the other variables
-from xn down.
+(variable, direction) pairs (Robbiano 1985), the triple (rows, degree row
+or None, sequence) that TermOrder.spec gives and _comparator turns into
+TermOrder.compare.  Between monomials equal on every row, the first
+variable of the sequence in which they differ decides: direction 1
+favours the larger exponent, -1 the smaller.  Every sequence here has one
+direction throughout.  On n variables, lex is (x1, 1), ..., (xn, 1);
+grlex is the same after the degree row (1, ..., 1); grevlex is (xn, -1),
+..., (x1, -1) after the degree row, and revgrevlex (x1, -1), ...,
+(xn, -1).  TermOrder.refined spells the same sequence as rows after the
+costs: the degree row, if any, then the row direction * e_x for each
+pair, the last pair dropped when the degree fixes it.  Saturation uses
+the w-graded order with sequence (x_cheap, -1), then (x, -1) for the
+other variables from xn down.
 
 The lattice ideal is the saturation of the ideal of a lattice basis by
 every variable.  A variable needs no round of its own once the lemma of
@@ -45,21 +47,28 @@ them to zero, and an S-pair whose two sides share a variable the ideal
 is proven saturated in is dropped unreduced (_buchberger_core states
 why that is sound).
 
-Inside the Groebner core each lead is also held as one int, _Packing's
-layout: its exponents in n fields of w bits, each field under a guard
-bit, variable 0 in the most significant field.  Every exponent of a
-lead is below 2^w, so a field of (b | guards) - a holds 2^w + b_i - a_i,
-which neither borrows from the next field nor overflows into it: a
-divides b exactly when every guard survives, the surviving guards mark
-the fields where b_i >= a_i, masking the other fields out leaves
-(b - a)^+, and a + (b - a)^+ is the lcm, a fixed number of big-int
-operations whatever n is.  Fields compare from the top, so comparing two
-packed ints compares their exponent tuples in lex order.  A monomial
-searched for a dividing lead is packed with each exponent clamped to
-2^w - 1, which is exact because no lead exponent exceeds that.  The
-width starts two bits above the input's largest exponent, and a new lead
-that outgrows it reruns the completion at twice the width, so no field
-width caps an exponent.
+Inside the Groebner core both sides of every binomial are held as ints,
+exactmath._Packing's layout: n fields of w bits, each under a guard bit,
+laid out in the order's sequence, its first variable in the most
+significant field.  Every exponent is below 2^w, so divisibility, the
+lcm of two leads and the fields where a monomial is nonzero are each a
+few big-int operations whatever n is, and so are the S-binomial of f and
+g at their lcm l, x^(T_g + l - L_g) - x^(T_f + l - L_f), and a reduction
+step q -> q - L_k + T_k.  Fields compare from the top, so between two
+monomials tied on every row the order is one int comparison: the larger
+int is the larger monomial for direction 1, the smaller int for -1,
+which covers every saturation round, grevlex and revgrevlex.  The rows
+are carried instead of recomputed: each binomial holds its drop
+D = W*.(lead - trail), where W* (_drop_weights) packs the order's rows,
+the degree row last, into one int row at a spacing that no drop of
+exponents below 2^w reaches, so the sign of D is that of the first row
+on which the sides differ.  The S-binomial of f and g has drop
+D_f - D_g, a step by g turns D into D - D_g, and only a zero drop leaves
+the decision to the packed comparison.  A saturation round's inputs are
+homogeneous in its only row, so its drops are all zero.  The width
+starts two bits above the input's largest exponent, and any side of any
+binomial that outgrows it, lead or trail, reruns the completion at twice
+the width, so no field width caps an exponent.
 
 Cost rows may have negative entries, so the refined comparison is not a
 global well-order.  Every comparison Buchberger makes here is between two
@@ -72,15 +81,15 @@ checks run up front and reject bad inputs instead of looping forever.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import add, mul, sub
 
 from . import lp
 from .errors import BadParameter, NonTerminatingOrder, UnboundedProgram
-from .exactmath import LatticeBasis, _dots, _scaled, _span_basis
+from .exactmath import LatticeBasis, _dots, _Packing, _scaled, _span_basis
 from .monomial import Monomial, MonomialIdeal, divides
 
 
@@ -204,8 +213,9 @@ class TermOrder:
         object.__setattr__(self, "costs", rows)
         object.__setattr__(self, "tiebreak", tiebreak)
         if rows:
-            scaled = tuple(tuple(_scaled(r)[0]) for r in rows)
-            compare = _comparator(scaled, degree, sequence)
+            spec = (tuple(tuple(_scaled(r)[0]) for r in rows), degree, sequence)
+            object.__setattr__(self, "_spec", spec)
+            compare = _comparator(*spec)
         else:
             def compare(a: Monomial, b: Monomial) -> int:
                 return _comparator((), *_tiebreak(tiebreak, len(a)))(a, b)
@@ -245,8 +255,21 @@ class TermOrder:
         for i, s in sequence[: n - (degree is not None)]:
             rows.append(tuple(s if j == i else 0 for j in range(n)))
         order = cls(tuple(rows), tiebreak)
+        object.__setattr__(order, "_spec", base._spec)
         object.__setattr__(order, "compare", base.compare)
         return order
+
+    def spec(self, n: int) -> tuple:
+        """The order on n variables as (integer rows, degree row or None, sequence).
+
+        What compare weighs, in the form _comparator and the Groebner
+        core read: the cost rows scaled to integers, then the tiebreak's
+        degree row and sequence.  A refined order gives its base order's
+        spec, as its compare is its base order's.
+        """
+        if self.costs:
+            return self._spec
+        return ((),) + _tiebreak(self.tiebreak, n)
 
     @property
     def cost(self) -> tuple[Fraction, ...]:
@@ -266,10 +289,16 @@ class TermOrder:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced basis; each element's plus side is its leading term."""
+    """Reduced basis; each element's plus side is its leading term.
+
+    _packed is the packed form of the elements that ip_optimum reduces
+    with: the core's own when buchberger builds the basis, else packed on
+    first use (see _reducer).  It takes no part in equality.
+    """
 
     elements: tuple[Binomial, ...]
     order: TermOrder
+    _packed: _Packed | None = field(default=None, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.elements)
@@ -281,23 +310,27 @@ class GroebnerBasis:
     def nvars(self) -> int | None:
         return self.elements[0].nvars if self.elements else self.order.nvars
 
-    @cached_property
-    def _reducer(self) -> tuple[list[_Elt], list[int], _Packing]:
-        """The elements as (lead, trail), their packed leads and the packing."""
-        elements = [(g.plus, g.minus) for g in self.elements]
-        packing = _Packing(self.nvars, _width(g.plus for g in self.elements))
-        return elements, [packing.pack(g.plus) for g in self.elements], packing
+    @property
+    def _reducer(self) -> _Packed:
+        """The packing, the elements as packed (lead, trail, drop) and their leads."""
+        if self._packed is None:
+            # held like a cached_property, without its first-read lock
+            sides = [(g.plus, g.minus) for g in self.elements]
+            packed = _pack_basis(sides, _width(chain.from_iterable(sides)))
+            object.__setattr__(self, "_packed", packed)
+        return self._packed
 
 
-# internal Buchberger elements: binomials as (lead, trail)
-_Elt = tuple[Monomial, Monomial]
+# inside the Groebner core a binomial is (lead, trail, drop): both sides
+# packed, drop = W*.(lead - trail) (see the module docstring); a monomial
+# being reduced is (m, None, 0).  A basis packed for monomial reduction
+# alone keeps every drop 0, since that reads none
+_Elt = tuple[int, int, int]
+_Packed = tuple[_Packing, list[_Elt], list[int]]
 
 
-def _orient(a: Monomial, b: Monomial, cmp) -> _Elt | None:
-    c = cmp(a, b)
-    if c == 0:
-        return None
-    return (a, b) if c > 0 else (b, a)
+class _Overflow(Exception):
+    """A monomial of the completion outgrew the packing's field width."""
 
 
 def _support(m: Monomial) -> int:
@@ -310,42 +343,74 @@ def _support(m: Monomial) -> int:
 
 
 def _width(monomials) -> int:
-    """Starting field width for leads: two bits above the largest exponent."""
+    """Starting field width: two bits above the largest exponent."""
     return max(4, max(map(max, monomials)).bit_length() + 2)
 
 
-class _Packing:
-    """Exponent vectors on n variables as ints of n fields (module docstring).
+def _drop_weights(rows, degree, w: int):
+    """W*, one int row that reads every row of rows and degree at once.
 
-    Each field is w exponent bits under one guard bit, variable 0 in the
-    most significant field; guards holds every guard bit, top = 2^w - 1
-    the largest exponent a field holds.
+    With W the rows followed by the degree row (if any), W* = sum over k
+    of W_k 2^(m (R - 1 - k)) for R rows, m one bit above the largest
+    |W_k.(a - b)| that exponents below 2^w allow, so the sign of W*.(a - b)
+    is that of the first nonzero W_k.(a - b).  None when there is no row.
     """
+    if degree is not None:
+        rows = rows + (degree,)
+    if len(rows) < 2:
+        return rows[0] if rows else None
+    m = w + 1 + max(sum(map(abs, r)) for r in rows).bit_length()
+    star = rows[0]
+    for r in rows[1:]:
+        star = tuple((s << m) + x for s, x in zip(star, r))
+    return star
 
-    __slots__ = ("w", "top", "guards")
 
-    def __init__(self, n: int, w: int):
-        self.w = w
-        self.top = (1 << w) - 1
-        # the sum of 2^((w + 1) i) for i < n, moved up to the guard bits
-        self.guards = ((1 << (w + 1) * n) - 1) // ((1 << w + 1) - 1) << w
+def _pack_basis(sides: list[tuple[Monomial, Monomial]], w: int) -> _Packed:
+    """Oriented (lead, trail) pairs packed at width w for monomial reduction."""
+    packing = _Packing(len(sides[0][0]), w)
+    pack = packing.pack
+    basis = [(pack(lead), pack(trail), 0) for lead, trail in sides]
+    return packing, basis, [e[0] for e in basis]
 
-    def pack(self, m: Monomial) -> int:
-        """m with every exponent clamped to top, so exact for a lead."""
-        top, stride = self.top, self.w + 1
-        if max(m) > top:
-            m = [min(x, top) for x in m]
-        packed = 0
-        for x in m:
-            packed = packed << stride | x
-        return packed
+
+def _orient(a: int, b: int, drop: int, rev: bool) -> _Elt | None:
+    """x^a - x^b with its larger side first, for drop = W*.(a - b); None if zero.
+
+    A nonzero drop decides; between sides tied on every row the packed
+    ints decide, the smaller one larger when rev (direction -1).
+    """
+    if drop > 0:
+        return a, b, drop
+    if drop < 0:
+        return b, a, -drop
+    if a == b:
+        return None
+    return (a, b, 0) if (a < b) == rev else (b, a, 0)
+
+
+def _orient_one(a: Monomial, b: Monomial, spec) -> tuple[Monomial, Monomial]:
+    """The nonzero binomial x^a - x^b with its larger side first, unpacked.
+
+    _orient's rule read off the tuples, for a core call too small to
+    pack: the first row of spec, the degree row last, on which a and b
+    differ decides, and then the sides read in layout order, which
+    compare as lists as their packed ints would.
+    """
+    rows, degree, sequence = spec
+    for r in rows if degree is None else rows + (degree,):
+        d = sum(map(mul, r, a)) - sum(map(mul, r, b))
+        if d:
+            return (a, b) if d > 0 else (b, a)
+    smaller = [a[i] for i, _ in sequence] < [b[i] for i, _ in sequence]
+    return (a, b) if smaller == (sequence[0][1] < 0) else (b, a)
 
 
 def _divisor(q: int, packed: list[int], guards: int, skip: int = -1):
-    """Index of the first packed lead but skip that divides the query q.
+    """Index of the first packed lead but skip that divides the packed q.
 
-    None if there is none.  q is a packed (clamped) monomial; a lead p
-    divides it exactly when no field of (q | guards) - p borrows its guard.
+    None if there is none.  A lead p divides q exactly when no field of
+    (q | guards) - p borrows its guard.
     """
     q |= guards
     for i, p in enumerate(packed):
@@ -355,115 +420,147 @@ def _divisor(q: int, packed: list[int], guards: int, skip: int = -1):
 
 
 def _head_reduce(
-    elt: tuple[Monomial, Monomial | None], basis: list[_Elt], packed: list[int],
-    packing: _Packing, cmp, skip: int = -1,
-) -> _Elt | None:
+    elt: tuple[int, int | None, int], basis: list[_Elt], packed: list[int],
+    guards: int, rev: bool, skip: int = -1,
+) -> tuple[int, int | None, int] | None:
     """Reduce elt until no lead of basis divides its lead; None for zero.
 
-    packed holds basis's leads under packing.  A binomial is reoriented by
-    cmp after every step.  For a monomial (m, None) cmp is never called and
-    the result is (m's normal form, None).
+    packed holds basis's leads.  A step by element k turns the lead q
+    into q - lead_k + trail_k and the drop D into D - D_k, and a binomial
+    is then reoriented as _orient does; a monomial (m, None, 0) reduces
+    to its normal form.  Raises _Overflow when a step leaves the field
+    width.
     """
-    lead, trail = elt
-    pack, guards = packing.pack, packing.guards
-    while (k := _divisor(pack(lead), packed, guards, skip)) is not None:
-        gl, gt = basis[k]
-        lead = tuple(map(add, gt, map(sub, lead, gl)))
-        if trail is not None:
-            c = cmp(lead, trail)
-            if c == 0:
-                return None
-            if c < 0:
-                lead, trail = trail, lead
-    return (lead, trail)
+    lead, trail, drop = elt
+    while (k := _divisor(lead, packed, guards, skip)) is not None:
+        gl, gt, gd = basis[k]
+        lead = lead - gl + gt
+        if lead & guards:
+            raise _Overflow
+        drop -= gd
+        if trail is None or drop > 0:
+            continue
+        if drop < 0:
+            lead, trail, drop = trail, lead, -drop
+        elif lead == trail:
+            return None
+        elif (lead < trail) != rev:
+            lead, trail = trail, lead
+    return lead, trail, drop
 
 
-def _s_element(f: _Elt, g: _Elt, cmp) -> _Elt | None:
-    fl, ft = f
-    gl, gt = g
-    lcm_e = tuple(map(max, fl, gl))
-    m1 = tuple(map(add, ft, map(sub, lcm_e, fl)))
-    m2 = tuple(map(add, gt, map(sub, lcm_e, gl)))
-    return _orient(m2, m1, cmp)
+def _s_element(f: _Elt, g: _Elt, lcm: int, guards: int, rev: bool) -> _Elt | None:
+    """The S-binomial of f and g at their packed lead lcm, oriented.
+
+    x^(lcm - lead_g + trail_g) - x^(lcm - lead_f + trail_f), whose drop is
+    D_f - D_g.  Raises _Overflow when a side leaves the field width.
+    """
+    fl, ft, fd = f
+    gl, gt, gd = g
+    m1 = ft + (lcm - fl)
+    m2 = gt + (lcm - gl)
+    if (m1 | m2) & guards:
+        raise _Overflow
+    return _orient(m2, m1, fd - gd, rev)
 
 
 def _buchberger_core(
-    elements: list[_Elt], cmp, weights: tuple[int, ...] | None = None,
-    saturated: int = 0,
-) -> list[_Elt]:
+    elements: list[tuple[Monomial, Monomial]], spec, saturated: int = 0
+) -> tuple[list[tuple[Monomial, Monomial]], _Packed | None]:
     """Completion plus full interreduction; deterministic output order.
 
-    None entries of elements are skipped.  Inputs and pairs wait in one
-    heap, smallest degree first (the weights-degree when weights are
-    given, else the plain degree), ties by the packed lead or lcm: an input
-    is head-reduced when it comes up and joins the basis only if it does
-    not reduce to zero, so an input the earlier ones already generate
-    queues no pairs.  Pairs are pruned by the criteria of Gebauer and
-    Moeller (J. Symbolic Comput. 6, 1988).  When an element is added, its
-    pairs with the earlier elements are queued one per minimal lcm
-    (criteria M and F), and not at all for an lcm that a pair with coprime
-    leads attains.  A queued pair (i, j) is dropped when it comes up if
-    some element k added after it has a lead dividing lcm(i, j) while
-    lcm(i, k) and lcm(j, k) both differ from it (criterion B; the elements
-    added while the pair waited are exactly those after j).
+    elements are binomials as (a, b) exponent pairs in either orientation;
+    zero ones (a == b) are skipped.  spec is the order as TermOrder.spec
+    gives it, (rows, degree, sequence), the sequence's pairs all of one
+    direction.  Returns the reduced basis as (lead, trail) pairs and its
+    packed form, which GroebnerBasis keeps for ip_optimum; fewer than two
+    inputs are oriented without a packing, and their packed form is None.
 
-    A saturation round passes weights, a positive grading its inputs are
-    homogeneous in and cmp refines, and saturated, a bitmask of variables
-    the ideal I the inputs generate is saturated in: homogeneous
-    Buchberger (Bigatti, La Scala and Robbiano, J. Symbolic Comput. 27,
-    1999).  A pair whose S-binomial S has both sides divisible by some
-    x_v of saturated is then dropped unreduced.  Sound: taking inputs and
-    pairs by nondecreasing weights-degree under a weights-graded order,
-    when a pair of degree d comes up the basis is a Groebner basis of I in
-    every degree below d.  S = x_v S', S' is in I because I is saturated
-    in x_v, and S' has lower degree; so S' has a standard representation,
-    and x_v times it is one of S.
+    Inputs and pairs wait in one heap, smallest degree first (the
+    weights-degree of the degree row when spec has one, else the plain
+    degree), ties by the packed lead or lcm: an input is head-reduced
+    when it comes up and joins the basis only if it does not reduce to
+    zero, so an input the earlier ones already generate queues no pairs.
+    Pairs are pruned by the criteria of Gebauer and Moeller (J. Symbolic
+    Comput. 6, 1988).  When an element is added, its pairs with the
+    earlier elements are queued one per minimal lcm (criteria M and F),
+    and not at all for an lcm that a pair with coprime leads attains.  A
+    queued pair (i, j) is dropped when it comes up if some element k
+    added after it has a lead dividing lcm(i, j) while lcm(i, k) and
+    lcm(j, k) both differ from it (criterion B; the elements added while
+    the pair waited are exactly those after j).
 
-    Every lead is also held packed (see the module docstring): the guard
-    bits let one subtraction test all n fields, int order is lex order, a
-    query is clamped to the field width, which every lead fits.  Every
-    comparison of leads is made on the packed ints: _complete's pair
-    criteria and each search for a dividing lead, _divisor.  The first
-    width is two bits above the input's largest exponent (_width); when a
-    new lead does not fit, _complete gives up and the completion reruns
-    from the input at twice the width, so no exponent is ever capped.
+    A saturation round passes a spec with no rows and its positive
+    grading as the degree row, which its inputs are homogeneous in, and
+    saturated, a bitmask of variables the ideal I the inputs generate is
+    saturated in: homogeneous Buchberger (Bigatti, La Scala and Robbiano,
+    J. Symbolic Comput. 27, 1999).  A pair whose S-binomial S has both
+    sides divisible by some x_v of saturated is then dropped unreduced.
+    Sound: taking inputs and pairs by nondecreasing weights-degree under
+    a weights-graded order, when a pair of degree d comes up the basis is
+    a Groebner basis of I in every degree below d.  S = x_v S', S' is in
+    I because I is saturated in x_v, and S' has lower degree; so S' has a
+    standard representation, and x_v times it is one of S.
+
+    Every binomial is held packed, both sides, with its drop (see the
+    module docstring): S-binomials, reduction steps, the saturated-
+    variable test, the pair criteria and interreduction are big-int
+    arithmetic, and orientation is one int comparison when the drop is
+    zero.  The first width is two bits above the input's largest exponent
+    (_width); when any side of any binomial does not fit, the completion
+    reruns from the input at twice the width, so no exponent is ever
+    capped.
     """
-    inputs = list(dict.fromkeys(e for e in elements if e is not None))
+    inputs = list(dict.fromkeys(e for e in elements if e[0] != e[1]))
     if len(inputs) < 2:
-        return inputs  # a single binomial is its own reduced basis
-    n = len(inputs[0][0])
+        # a single binomial is its own reduced basis
+        return [_orient_one(a, b, spec) for a, b in inputs], None
+    layout = [i for i, _ in spec[2]]
+    n = len(layout)
     w = _width(chain.from_iterable(inputs))
-    while (
-        done := _complete(inputs, cmp, packing := _Packing(n, w), weights, saturated)
-    ) is None:
-        w *= 2
-    basis, packed = done
+    while True:
+        packing = _Packing(n, w, layout)
+        try:
+            return _reduced(inputs, spec, packing, saturated)
+        except _Overflow:
+            w *= 2
 
-    # interreduce: one element per minimal lead survives, the earliest
-    # among equal leads.  Visited by lead degree, an element is kept iff no
-    # lead kept before it divides its own.  No kept lead divides another,
-    # so only the trails are reduced: each to its normal form modulo the
-    # kept elements, a Groebner basis, so the reducers' order is immaterial.
-    # A reduction step lowers a monomial in the order, so a trail's normal
-    # form stays below its lead.
+
+def _reduced(inputs, spec, packing: _Packing, saturated: int):
+    """_buchberger_core at one width; raises _Overflow past it.
+
+    Interreduction: one element per minimal lead survives, the earliest
+    among equal leads.  Visited by lead degree, an element is kept iff no
+    lead kept before it divides its own.  No kept lead divides another,
+    so only the trails are reduced: each to its normal form modulo the
+    kept elements, a Groebner basis, so the reducers' order is immaterial.
+    A reduction step lowers a monomial in the order, so a trail's normal
+    form stays below its lead.
+    """
+    basis, packed, leads = _complete(inputs, spec, packing, saturated)
+    guards, rev = packing.guards, spec[2][0][1] < 0
     keep: list[_Elt] = []
     kept: list[int] = []
-    for i in sorted(range(len(basis)), key=lambda i: sum(basis[i][0])):
-        if _divisor(packed[i], kept, packing.guards) is None:
+    kept_leads: list[Monomial] = []
+    for i in sorted(range(len(basis)), key=lambda i: sum(leads[i])):
+        if _divisor(packed[i], kept, guards) is None:
             keep.append(basis[i])
             kept.append(packed[i])
-    out = [
-        (lead, _head_reduce((trail, None), keep, kept, packing, cmp, skip=i)[0])
-        for i, (lead, trail) in enumerate(keep)
-    ]
+            kept_leads.append(leads[i])
+    out = []
+    for i, (lead, trail, _) in enumerate(keep):
+        trail = _head_reduce((trail, None, 0), keep, kept, guards, rev, skip=i)[0]
+        # only monomial reduction reads the packed form, and it reads no drop
+        out.append((kept_leads[i], packing.unpack(trail), (lead, trail, 0)))
     out.sort(key=lambda e: (sum(e[0]), e[0]))
-    return out
+    reduced = [e[2] for e in out]
+    return [e[:2] for e in out], (packing, reduced, [e[0] for e in reduced])
 
 
 def _complete(
-    inputs: list[_Elt], cmp, packing: _Packing, weights, saturated: int
-) -> tuple[list[_Elt], list[int]] | None:
-    """The completed basis and its packed leads; None if a lead overflows.
+    inputs, spec, packing: _Packing, saturated: int
+) -> tuple[list[_Elt], list[int], list[Monomial]]:
+    """The completed basis, its packed leads and its leads as tuples.
 
     For a pair (k, new) with d = (p_k | guards) - p_new, the guard bits
     ge = d & guards mark the fields where lead_k >= lead_new, ge - (ge >> w)
@@ -471,24 +568,35 @@ def _complete(
     (lead_k - lead_new)^+; the lcm is p_new + r.  lcm(c, new) divides
     lcm(k, new) exactly when r_c divides r_k, and a divisor packs to a
     smaller int, so one pass over the distinct r in ascending order keeps
-    the minimal ones.  The coprime pairs are those with r = p_k.
+    the minimal ones.  The coprime pairs are those with r = p_k.  Raises
+    _Overflow when a binomial leaves the field width.
     """
-    w, top, guards = packing.w, packing.top, packing.guards
-    ones = guards >> w
+    rows, degree, sequence = spec
+    w, guards, ones, pack = packing.w, packing.guards, packing.ones, packing.pack
+    rev = sequence[0][1] < 0
+    star = _drop_weights(rows, degree, w)
+    grading = degree or (1,) * len(sequence)
+    # the guard bits of the saturated variables' fields
+    masked = sum(1 << s + w for v, s in enumerate(packing.shifts) if saturated >> v & 1)
+    # the inputs oriented, a binomial given twice (in either orientation)
+    # kept once, each with its lead as a tuple
+    oriented: dict[_Elt, Monomial] = {}
+    for a, b in inputs:
+        pa = pack(a)
+        drop = sum(map(mul, star, a)) - sum(map(mul, star, b)) if star else 0
+        e = _orient(pa, pack(b), drop, rev)
+        oriented.setdefault(e, a if e[0] == pa else b)
+    starts = list(oriented)
     basis: list[_Elt] = []
     packed: list[int] = []
-    if weights is None:
-        degree = sum
-    else:
-        def degree(m):
-            return sum(map(mul, weights, m))
-    masked = [v for v in range(len(inputs[0][0])) if saturated >> v & 1]
+    leads: list[Monomial] = []
     # (degree, packed lcm, j, i) for a pair, (degree, packed lead, -1, i)
     # for input i: pairs pushed for one j have distinct lcms and j grows
     # with every push, so entries come up in the order of (degree, packed
     # monomial), inputs first, and then of queueing
     heap = [
-        (degree(lead), packing.pack(lead), -1, i) for i, (lead, _) in enumerate(inputs)
+        (sum(map(mul, grading, lead)), e[0], -1, i)
+        for i, (e, lead) in enumerate(oriented.items())
     ]
     heapq.heapify(heap)
 
@@ -504,7 +612,7 @@ def _complete(
             if r == p:
                 coprime.add(r)
         minimal: list[int] = []
-        lead = basis[new][0]
+        lead = leads[new]
         for r in sorted(first):
             rg = r | guards
             for q in minimal:
@@ -514,9 +622,8 @@ def _complete(
                 minimal.append(r)
                 if r not in coprime:
                     k = first[r]
-                    heapq.heappush(
-                        heap, (degree(map(max, basis[k][0], lead)), p_new + r, new, k)
-                    )
+                    l = sum(map(mul, grading, map(max, leads[k], lead)))
+                    heapq.heappush(heap, (l, p_new + r, new, k))
 
     def criterion_b(l, i, j):
         # lead_k | l, and lcm(i, k) = l exactly when lead_k meets l on every
@@ -535,22 +642,27 @@ def _complete(
     while heap:
         _, l, j, i = heapq.heappop(heap)
         if j < 0:
-            s = inputs[i]
+            s = starts[i]
         else:
             if criterion_b(l, i, j):
                 continue
-            s = _s_element(basis[i], basis[j], cmp)
-            if s is None or any(s[0][v] and s[1][v] for v in masked):
+            s = _s_element(basis[i], basis[j], l, guards, rev)
+            if s is None:
                 continue
-        s = _head_reduce(s, basis, packed, packing, cmp)
+            # both sides divisible by a saturated variable: the field is
+            # nonzero in each, so its guard survives subtracting ones
+            if masked and (
+                ((s[0] | guards) - ones) & ((s[1] | guards) - ones) & masked
+            ):
+                continue
+        s = _head_reduce(s, basis, packed, guards, rev)
         if s is None:
             continue
-        if max(s[0]) > top:
-            return None
         basis.append(s)
-        packed.append(packing.pack(s[0]))
+        packed.append(s[0])
+        leads.append(packing.unpack(s[0]))
         add_pairs(len(basis) - 1)
-    return basis, packed
+    return basis, packed, leads
 
 
 def check_order_preconditions(vectors, order: TermOrder) -> None:
@@ -608,12 +720,16 @@ def buchberger(gens, order: TermOrder) -> GroebnerBasis:
     """
     gens = tuple(gens)
     check_order_preconditions((g.vector() for g in gens), order)
-    oriented = [_orient(g.plus, g.minus, order.compare) for g in gens]
-    core = _buchberger_core(oriented, order.compare)
-    return GroebnerBasis(tuple(Binomial(lead, trail) for lead, trail in core), order)
+    if not gens:
+        return GroebnerBasis((), order)
+    sides = [(g.plus, g.minus) for g in gens]
+    core, packed = _buchberger_core(sides, order.spec(gens[0].nvars))
+    return GroebnerBasis(
+        tuple(Binomial(lead, trail) for lead, trail in core), order, packed
+    )
 
 
-def _graded_revlex_cmp(weights: tuple[int, ...], cheap: int):
+def _graded_revlex_spec(weights: tuple[int, ...], cheap: int) -> tuple:
     """w-graded order whose tiebreak makes variable `cheap` revlex-last.
 
     For w-homogeneous ideals this gives the classic saturation property:
@@ -621,7 +737,7 @@ def _graded_revlex_cmp(weights: tuple[int, ...], cheap: int):
     element.
     """
     rest = tuple((i, -1) for i in reversed(range(len(weights))) if i != cheap)
-    return _comparator((), tuple(weights), ((cheap, -1),) + rest)
+    return (), tuple(weights), ((cheap, -1),) + rest
 
 
 def _positive_orthogonal_weight(columns) -> tuple[int, ...] | None:
@@ -661,11 +777,10 @@ def _saturation_round(
     Also says whether any element was divided; if none was, I is
     saturated in x_i and the generators are its reduced basis.
     """
-    cmp = _graded_revlex_cmp(weights, i)
-    oriented = [_orient(lead, trail, cmp) for lead, trail in elements]
     out = []
     divided = False
-    for lead, trail in _buchberger_core(oriented, cmp, weights, saturated):
+    reduced, _ = _buchberger_core(elements, _graded_revlex_spec(weights, i), saturated)
+    for lead, trail in reduced:
         k = min(lead[i], trail[i])
         if k:
             divided = True
@@ -862,12 +977,25 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
 
 def ip_optimum(gb: GroebnerBasis, z) -> tuple[int, ...]:
     """Normal form of the exponent z: the optimal point of z's fiber."""
-    cur = tuple(int(x) for x in z)
-    if gb.nvars is not None and len(cur) != gb.nvars:
+    cur = tuple(map(int, z))
+    n = gb.nvars
+    if n is not None and len(cur) != n:
         raise BadParameter("starting point length does not match the variable count")
-    if any(x < 0 for x in cur):
+    if min(cur, default=0) < 0:
         raise BadParameter("negative exponent in starting point")
     if not gb.elements:
         return cur
-    elements, packed, packing = gb._reducer
-    return _head_reduce((cur, None), elements, packed, packing, None)[0]
+    # a z, or a step on the way, past the basis's field width reduces
+    # again at a width that fits
+    packing, basis, packed = gb._reducer
+    while True:
+        if max(cur) <= packing.top:
+            q = packing.pack(cur)
+            try:
+                m = _head_reduce((q, None, 0), basis, packed, packing.guards, False)[0]
+            except _Overflow:
+                pass
+            else:
+                return cur if m == q else packing.unpack(m)
+        sides = [(g.plus, g.minus) for g in gb.elements]
+        packing, basis, packed = _pack_basis(sides, max(2 * packing.w, _width([cur])))

@@ -2,13 +2,14 @@
 
 Nothing in the package uses these: they restate lattice membership,
 saturation by every variable in turn, rational solving, the Buchberger
-core on exponent tuples, Buchberger without pair criteria, the
-non-optimal ideal by completing the cost-initial forms, standard pairs,
-colon, sum and intersection of monomial ideals, the containment tests on
-monomial ideals and components, the throwing form of the relaxation
-value, the Schrijver bound over every maximal minor and the degree-bound
-link of a table model directly, so tests can check the package's answers
-against them.  Each favours the plain textbook construction over speed.
+core and normal forms on exponent tuples, Buchberger without pair
+criteria, the non-optimal ideal by completing the cost-initial forms,
+standard pairs, colon, sum and intersection of monomial ideals, the
+containment tests on monomial ideals and components, the throwing form
+of the relaxation value, the Schrijver bound over every maximal minor
+and the degree-bound link of a table model directly, so tests can check
+the package's answers against them.  Each favours the plain textbook
+construction over speed.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from ipgap.toric import (
     Binomial,
     GroebnerBasis,
     TermOrder,
-    _graded_revlex_cmp,
-    _orient,
+    _comparator,
+    _graded_revlex_spec,
     _positive_orthogonal_weight,
     _split,
     _support,
@@ -90,10 +91,10 @@ def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
         weights = (1,) * (n + 1)
     elements = [_split(v) for v in columns]
     for i in range(len(weights) - 1, -1, -1):
-        cmp = _graded_revlex_cmp(weights, i)
-        oriented = [_orient(lead, trail, cmp) for lead, trail in elements]
+        cmp = _comparator(*_graded_revlex_spec(weights, i))
+        reduced = tuple_buchberger_core(elements, cmp)
         elements = []
-        for lead, trail in tuple_buchberger_core([e for e in oriented if e], cmp):
+        for lead, trail in reduced:
             k = min(lead[i], trail[i])
             lead = tuple(x - k if j == i else x for j, x in enumerate(lead))
             trail = tuple(x - k if j == i else x for j, x in enumerate(trail))
@@ -141,6 +142,14 @@ def solve_rational(a: IntMatrix, b) -> tuple[Fraction, ...] | None:
 # ------------------------------------------------------------------ groebner
 
 
+def orient(a, b, cmp):
+    """(a, b) with its larger side first under cmp; None if a == b."""
+    c = cmp(a, b)
+    if c == 0:
+        return None
+    return (a, b) if c > 0 else (b, a)
+
+
 def _tuple_divisor(m, basis, masks, skip=-1):
     outside = ~_support(m)
     for i, mask in enumerate(masks):
@@ -163,19 +172,29 @@ def _tuple_head_reduce(elt, basis, masks, cmp, skip=-1):
     return (lead, trail)
 
 
-def tuple_buchberger_core(elements, cmp):
-    """toric._buchberger_core with every lead a tuple of exponents.
+def normal_form(gb: GroebnerBasis, z) -> tuple[int, ...]:
+    """toric.ip_optimum by reduction on exponent tuples: no field width."""
+    basis = [(g.plus, g.minus) for g in gb.elements]
+    masks = [_support(lead) for lead, _ in basis]
+    return _tuple_head_reduce((tuple(z), None), basis, masks, None)[0]
 
-    The same Gebauer-Moeller pair criteria and interreduction as the
-    package's core, but every input is inserted up front, no pair is
-    skipped for a saturated variable, and leads are compared coordinate
-    by coordinate through divides and lcm tuples, behind support
-    bitmasks, instead of as packed ints: no field width, so no widening.
-    Returns what the package's core returns, element for element, since
-    the reduced basis is unique.
+
+def tuple_buchberger_core(elements, cmp):
+    """toric._buchberger_core on exponent tuples and a comparator.
+
+    elements are binomials (a, b) in either orientation, zero ones
+    skipped; cmp is the order, _comparator of the core's spec.  The same
+    Gebauer-Moeller pair criteria and interreduction as the package's
+    core, but every input is inserted up front, no pair is skipped for a
+    saturated variable, every binomial is a pair of tuples oriented by
+    cmp, and leads are compared coordinate by coordinate through divides
+    and lcm tuples, behind support bitmasks, instead of as packed ints:
+    no field width, so no widening.  Returns the reduced basis the
+    package's core returns, element for element, since it is unique.
     """
     basis = []
-    for e in elements:
+    for a, b in elements:
+        e = orient(a, b, cmp)
         if e is not None and e not in basis:
             basis.append(e)
     masks = [_support(lead) for lead, _ in basis]
@@ -223,7 +242,7 @@ def tuple_buchberger_core(elements, cmp):
         (fl, ft), (gl, gt) = basis[i], basis[j]
         m1 = tuple(x - a + b for x, a, b in zip(l, fl, ft))
         m2 = tuple(x - a + b for x, a, b in zip(l, gl, gt))
-        s = _orient(m2, m1, cmp)
+        s = orient(m2, m1, cmp)
         if s is None:
             continue
         s = _tuple_head_reduce(s, basis, masks, cmp)
@@ -250,8 +269,9 @@ def tuple_buchberger_core(elements, cmp):
 def buchberger_core(elements, cmp):
     """toric._buchberger_core by textbook Buchberger on polynomials as dicts.
 
-    elements are (lead, trail) pairs, trail None for a monomial element,
-    which the package's core does not take.  Every pair is reduced (no
+    elements are nonzero binomials (a, b) in either orientation, or
+    monomials (m, None), which the package's core does not take; cmp
+    finds each polynomial's lead.  Every pair is reduced (no
     criterion prunes any), divisibility is tested coordinate by
     coordinate, and the basis is made minimal and reduced only at the
     end.  Returns (lead, trail) pairs, trail None for a monomial, sorted

@@ -13,6 +13,7 @@ from _reference import schrijver_bound as reference_schrijver_bound
 from ipgap import gapcore, lp
 from ipgap.cli import load_instance
 from ipgap.errors import (
+    BadParameter,
     NonTerminatingOrder,
     UnboundedAux,
     UnboundedProgram,
@@ -34,6 +35,7 @@ from ipgap.gapcore import (
 from ipgap.models import (
     MarginalModel,
     entry_instance,
+    k4_model,
     margin_matrix,
     transportation_model,
 )
@@ -216,6 +218,30 @@ def test_schrijver_bound_leaves_the_lattice_memo_alone():
     for (a, c), bound in zip(kernel_side, bounds):
         held = LatticeIdeal(matrix=a, lattice=kernel_lattice(a))
         assert schrijver_bound(held, c) == bound
+
+
+@pytest.mark.parametrize("a", [COIN_A, margin_matrix(k4_model())], ids=["row side", "kernel side"])
+def test_lattice_ideal_walks_the_minors_once(monkeypatch, a):
+    # D(A) depends on the matrix alone: bounds for two costs on one
+    # LatticeIdeal share one minor walk, on either side of the duality,
+    # and give what a direct call gives
+    walks = []
+    walk = gapcore._max_maximal_minor
+
+    def counted(rows):
+        walks.append(len(rows))
+        return walk(rows)
+
+    monkeypatch.setattr(gapcore, "_max_maximal_minor", counted)
+    held = LatticeIdeal(matrix=a, lattice=kernel_lattice(a))
+    n = a.ncols
+    costs = [(1,) + (0,) * (n - 1), tuple(Fraction(i, 2) for i in range(n))]
+    bounds = [schrijver_bound(held, c) for c in costs]
+    assert len(walks) == 1
+    assert bounds == [schrijver_bound(a, c) for c in costs]
+    assert len(walks) == 3
+    with pytest.raises(BadParameter):
+        schrijver_bound(LatticeIdeal(matrix=None, lattice=kernel_lattice(a)), costs[0])
 
 
 @pytest.mark.slow

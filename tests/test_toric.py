@@ -29,8 +29,8 @@ from ipgap.toric import (
     GroebnerBasis,
     TermOrder,
     _buchberger_core,
-    _graded_revlex_cmp,
-    _orient,
+    _comparator,
+    _graded_revlex_spec,
     _positive_orthogonal_weight,
     buchberger,
     ip_optimum,
@@ -322,6 +322,24 @@ def test_ip_optimum_coin():
         ip_optimum(gb, (1, -1, 0, 0))
 
 
+def test_ip_optimum_past_the_basis_width():
+    # the coin basis packs at 5-bit fields; z with exponents near 2^80,
+    # z that fit but step past the width on the way (3 dimes become 40),
+    # and a fresh basis without the core's packing all reach the tuple
+    # normal form
+    gb = coin_basis()
+    assert gb._reducer[0].w == 5
+    big = 2**80
+    assert ip_optimum(gb, (big, 3, 0, 1)) == (big, 0, 4, 0)
+    assert ip_optimum(gb, (3, 31, 0, 31)) == (3, 1, 40, 21)
+    zs = [(big, 3, 0, 1), (big, 2, 2**70, 4), (3, 31, 0, 31), (0, 30, 31, 0), (31, 0, 0, 31)]
+    fresh = GroebnerBasis(gb.elements, gb.order)
+    for z in zs:
+        want = _reference.normal_form(gb, z)
+        assert ip_optimum(gb, z) == want == ip_optimum(fresh, z), z
+        assert COIN_A.mul_vector(want) == COIN_A.mul_vector(z)
+
+
 def in_normal_form(gb: GroebnerBasis, z) -> bool:
     return all(any(p > x for p, x in zip(g.plus, z)) for g in gb.elements)
 
@@ -361,14 +379,13 @@ def test_random_kernel_bases_stay_primitive():
                     assert not MonomialIdeal(3, others).contains(g.minus)
 
 
-def _random_elements(rng, n, cmp):
+def _random_elements(rng, n):
     elements = []
     for _ in range(rng.randrange(2, 4)):
         a = tuple(rng.randrange(3) for _ in range(n))
         b = tuple(rng.randrange(3) for _ in range(n))
-        e = _orient(a, b, cmp)
-        if e is not None:
-            elements.append(e)
+        if a != b:
+            elements.append((a, b))
     return elements
 
 
@@ -377,28 +394,33 @@ def _random_order(rng, n, trial):
     kind = trial % 3
     if kind == 0:
         cost = tuple(rng.randrange(4) for _ in range(n))
-        return TermOrder(cost, rng.choice(TIEBREAKS)).compare
+        return TermOrder(cost, rng.choice(TIEBREAKS)).spec(n)
     if kind == 1:
         weights = tuple(rng.randrange(1, 4) for _ in range(n))
-        return _graded_revlex_cmp(weights, rng.randrange(n))
-    return TermOrder((), rng.choice(TIEBREAKS)).compare
+        return _graded_revlex_spec(weights, rng.randrange(n))
+    return TermOrder((), rng.choice(TIEBREAKS)).spec(n)
 
 
-def _assert_core_matches_references(elements, cmp, *extra):
+def _assert_core_matches_references(elements, spec, *extra):
     # the packed core, the same criteria on exponent tuples, and textbook
     # Buchberger without criteria give one reduced basis, element for
-    # element; returns it.  extra is a saturation round's weights and
-    # saturated mask, which only the packed core takes
-    got = _buchberger_core(elements, cmp, *extra)
+    # element; returns it.  extra is a saturation round's saturated mask,
+    # which only the packed core takes
+    got, _ = _buchberger_core(elements, spec, *extra)
+    cmp = _comparator(*spec)
     assert got == _reference.tuple_buchberger_core(elements, cmp), elements
     assert got == _reference.buchberger_core(elements, cmp), elements
     return got
 
 
+def _start_width(elements):
+    return toric._width(m for e in elements for m in e)
+
+
 def _outgrew_start_width(elements, out):
     # some lead of the output needs more bits than the core started with
     top = max((max(lead) for lead, _ in out), default=0)
-    return top > 0 and top >> toric._width(m for e in elements if e for m in e) > 0
+    return top >> _start_width(elements) > 0
 
 
 def test_core_matches_reference_buchberger():
@@ -409,8 +431,8 @@ def test_core_matches_reference_buchberger():
     rng = random.Random(20261017)
     for trial in range(300):
         n = rng.randrange(2, 6)
-        cmp = _random_order(rng, n, trial)
-        _assert_core_matches_references(_random_elements(rng, n, cmp), cmp)
+        spec = _random_order(rng, n, trial)
+        _assert_core_matches_references(_random_elements(rng, n), spec)
 
 
 def test_core_matches_references_on_large_exponents():
@@ -420,13 +442,13 @@ def test_core_matches_references_on_large_exponents():
     widened = 0
     for trial in range(150):
         n = rng.randrange(2, 5)
-        cmp = _random_order(rng, n, trial)
+        spec = _random_order(rng, n, trial)
         elements = []
         for _ in range(rng.randrange(2, 5)):
             v = [rng.choice((0, rng.randint(-60, 60))) for _ in range(n)]
             if any(v):
-                elements.append(_orient(*toric._split(v), cmp))
-        out = _assert_core_matches_references(elements, cmp)
+                elements.append(toric._split(v))
+        out = _assert_core_matches_references(elements, spec)
         widened += _outgrew_start_width(elements, out)
     assert widened >= 8
 
@@ -440,9 +462,9 @@ def test_core_matches_references_on_lifted_lattices(monkeypatch):
     calls = []
     core = toric._buchberger_core
 
-    def recorded(elements, cmp, *extra):
-        calls.append((elements, cmp, extra))
-        return core(elements, cmp, *extra)
+    def recorded(elements, spec, *extra):
+        calls.append((elements, spec, extra))
+        return core(elements, spec, *extra)
 
     monkeypatch.setattr(toric, "_buchberger_core", recorded)
     finite_index = top = 0
@@ -458,8 +480,9 @@ def test_core_matches_references_on_lifted_lattices(monkeypatch):
         calls.clear()
         gens = lattice_ideal_generators(basis)
         assert gens == _reference.lattice_ideal_generators(basis), basis.rows
-        for elements, cmp, extra in calls:
-            out = _assert_core_matches_references(elements, cmp, *extra)
+        assert calls
+        for elements, spec, extra in calls:
+            out = _assert_core_matches_references(elements, spec, *extra)
             top = max(top, max(max(lead) for lead, _ in out))
     assert finite_index >= 10 and top > 60
 
@@ -479,9 +502,9 @@ def test_completion_widens_past_the_starting_width(monkeypatch, basis):
     outputs = []
     core = toric._buchberger_core
 
-    def recorded(elements, cmp, *extra):
-        out = core(elements, cmp, *extra)
-        outputs.append((elements, cmp, out))
+    def recorded(elements, spec, *extra):
+        out = core(elements, spec, *extra)
+        outputs.append((elements, spec, out[0]))
         return out
 
     monkeypatch.setattr(toric, "_buchberger_core", recorded)
@@ -489,8 +512,123 @@ def test_completion_widens_past_the_starting_width(monkeypatch, basis):
     monkeypatch.undo()
     assert gens == _reference.lattice_ideal_generators(basis)
     assert any(_outgrew_start_width(elements, out) for elements, _, out in outputs)
-    for elements, cmp, out in outputs:
-        assert out == _reference.tuple_buchberger_core(elements, cmp)
+    for elements, spec, out in outputs:
+        assert out == _reference.tuple_buchberger_core(elements, _comparator(*spec))
+
+
+def test_completion_widens_for_a_trail(monkeypatch):
+    # x2 - x1^8 and x2^8 - x3 under a cost that makes x1 cheapest: every
+    # lead stays at exponent 1 while interreduction takes the trail of
+    # x3 - x2^7 x1^8 to x1^64, past the starting width's largest field
+    # value 63, so the completion reruns at twice the width for a trail
+    elements = [((0, 1, 0), (8, 0, 0)), ((0, 8, 0), (0, 0, 1))]
+    spec = TermOrder((-1, 0, 0), "grevlex").spec(3)
+    widths = []
+    complete = toric._complete
+
+    def recorded(inputs, spec, packing, saturated):
+        widths.append(packing.w)
+        return complete(inputs, spec, packing, saturated)
+
+    monkeypatch.setattr(toric, "_complete", recorded)
+    out = _assert_core_matches_references(elements, spec)
+    assert out == [((0, 0, 1), (64, 0, 0)), ((0, 1, 0), (8, 0, 0))]
+    assert _start_width(elements) == 6 and widths == [6, 12]
+
+
+def _cost_order_case(rng):
+    """A kernel lattice's generators and a cost with negative entries.
+
+    The first row is positive in every other case, so every fiber is
+    finite and any cost is admissible; the other lattices may hold
+    nonnegative directions, and their costs may fail the preconditions.
+    """
+    n = rng.randint(2, 5)
+    rows = [[rng.randint(-4, 5) for _ in range(n)] for _ in range(rng.randint(1, max(1, n - 2)))]
+    if rng.random() < 0.5:
+        rows[0] = [rng.randint(1, 5) for _ in range(n)]
+    gens = lattice_ideal_generators(kernel_lattice(IntMatrix(rows)))
+    cost = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(n))
+    return gens, cost
+
+
+def test_core_matches_the_tuple_core_under_cost_orders():
+    # costs with negative entries under all four tiebreaks, each as the
+    # plain order, the refined order and the refined order's rows spelled
+    # out under lex, whose drop reads n + 1 rows at once: the packed core
+    # and buchberger give the tuple core's reduced basis
+    rng = random.Random(20261023)
+    seen = Counter()
+    for _ in range(120):
+        gens, cost = _cost_order_case(rng)
+        if not gens:
+            continue
+        n = gens[0].nvars
+        sides = [(g.plus, g.minus) for g in gens]
+        for tb in TIEBREAKS:
+            refined = TermOrder.refined(cost, tb)
+            for kind, order in [
+                ("plain", TermOrder(cost, tb)),
+                ("refined", refined),
+                ("spelled", TermOrder(refined.costs, "lex")),
+            ]:
+                try:
+                    gb = buchberger(gens, order)
+                except (UnboundedProgram, NonTerminatingOrder):
+                    seen["rejected"] += 1
+                    continue
+                want = _reference.tuple_buchberger_core(sides, order.compare)
+                assert _buchberger_core(sides, order.spec(n))[0] == want, (sides, order)
+                assert [(g.plus, g.minus) for g in gb] == want
+                seen[kind] += 1
+                seen[tb] += 1
+                seen["negative"] += min(cost) < 0
+    assert min(seen[k] for k in ("plain", "refined", "spelled", *TIEBREAKS)) >= 50
+    assert seen["negative"] >= 300 and seen["rejected"] >= 20
+
+
+def test_packed_orientation_matches_compare():
+    # within one fiber, the drop over the order's rows and then one int
+    # comparison of the sides packed in sequence order orient a binomial
+    # as TermOrder.compare does; so does the unpacked rule of a core call
+    # with one input
+    rng = random.Random(20261024)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        basis = kernel_lattice(IntMatrix([[rng.randint(-3, 4) for _ in range(n)]]))
+        cost = tuple(rng.randint(-5, 5) for _ in range(n))
+        weights = tuple(rng.randint(1, 4) for _ in range(n))
+        specs = [(_graded_revlex_spec(weights, rng.randrange(n)), None)]
+        for tb in TIEBREAKS:
+            refined = TermOrder.refined(cost, tb)
+            specs += [(TermOrder(cost, tb).spec(n), TermOrder(cost, tb).compare)]
+            specs += [(refined.spec(n), refined.compare)]
+            specs += [(TermOrder(refined.costs, "lex").spec(n), refined.compare)]
+            specs += [(TermOrder((), tb).spec(n), TermOrder((), tb).compare)]
+        for _ in range(20):
+            a = tuple(rng.randrange(12) for _ in range(n))
+            v = [0] * n
+            for col in basis.columns():
+                k = rng.randint(-2, 2)
+                v = [x + k * y for x, y in zip(v, col)]
+            b = tuple(x + y for x, y in zip(a, v))
+            if min(b) < 0 or a == b:
+                continue
+            w = toric._width([a, b])
+            for spec, compare in specs:
+                rows, degree, sequence = spec
+                if compare is None:
+                    compare = _comparator(*spec)
+                packing = toric._Packing(n, w, [i for i, _ in sequence])
+                star = toric._drop_weights(rows, degree, w)
+                drop = sum(map(mul, star, a)) - sum(map(mul, star, b)) if star else 0
+                lead = toric._orient(packing.pack(a), packing.pack(b), drop, sequence[0][1] < 0)[0]
+                want = a if compare(a, b) > 0 else b
+                assert packing.unpack(lead) == want, (spec, a, b)
+                assert toric._orient_one(a, b, spec)[0] == want, (spec, a, b)
+                checked += 1
+    assert checked >= 10_000
 
 
 def _saturation_case(rng, trial):
@@ -567,7 +705,7 @@ def test_saturated_variable_skip_on_non_unit_gradings(monkeypatch):
     # variable the ideal is saturated in, where the weights-degree and the
     # plain degree differ.  A variable masked that the ideal is not
     # saturated in changes the generators; the heap keyed by plain degree
-    # (S-elements 829, reductions 2,518), the skip left out (reductions
+    # (S-elements 796, reductions 2,507), the skip left out (reductions
     # 2,777), the coprime-lead criterion left out (1,157, 2,783) or
     # criterion B left out (759, 2,500) moves the pinned work
     rng = random.Random(20261022)
@@ -631,9 +769,9 @@ def test_model_saturation_skips_proven_variables(monkeypatch, model, most_rounds
     runs = []
     core = toric._buchberger_core
 
-    def counted(elements, cmp, *extra):
+    def counted(elements, spec, *extra):
         runs.append(len(elements))
-        return core(elements, cmp, *extra)
+        return core(elements, spec, *extra)
 
     basis = kernel_lattice(margin_matrix(model))
     monkeypatch.setattr(toric, "_buchberger_core", counted)
@@ -655,7 +793,7 @@ def test_pair_criteria_work_is_pinned(monkeypatch, model, s_elements, reductions
     # the outputs alone do not show a pair criterion gone.  S-elements
     # formed and head reductions begun (inputs, S-elements and trails):
     # without the coprime-lead criterion they read (314, 404) and
-    # (740, 790), without criterion B (300, 397), unmoved, and (798, 837),
+    # (740, 790), without criterion B (300, 397), unmoved, and (805, 837),
     # and without the skip of S-pairs sharing a saturated variable, which
     # comes after the S-element is formed, the reductions read 483 and
     # 1,075
@@ -711,9 +849,9 @@ def test_tied_demo_reads_the_ideal_off_the_basis(monkeypatch):
     runs = []
     core = toric._buchberger_core
 
-    def counted(elements, cmp, *extra):
+    def counted(elements, spec, *extra):
         runs.append(len(elements))
-        return core(elements, cmp, *extra)
+        return core(elements, spec, *extra)
 
     monkeypatch.setattr(toric, "_buchberger_core", counted)
     ideal = non_optimal_ideal(gb)
@@ -798,4 +936,5 @@ def test_orders_match_their_definitions():
                 rest = tuple(-m[i] for i in reversed(range(4)) if i != cheap)
                 return (sum(w * x for w, x in zip(weights, m)), -m[cheap]) + rest
 
-            _assert_sorts_like(_graded_revlex_cmp(weights, cheap), key, monomials)
+            cmp = _comparator(*_graded_revlex_spec(weights, cheap))
+            _assert_sorts_like(cmp, key, monomials)
