@@ -4,9 +4,11 @@ The reduced basis, hence the non-optimal ideal, is constant on full
 dimensional cones of cost space.  On one such cone the gap is the maximum
 of finitely many linear forms, one per irreducible component, so the cone
 subdivides into full-dimensional pieces on which a single component wins
-and the gap function is linear.  This module computes the cone of a
-basis, that subdivision, point evaluations, and walks cone to cone by
-reflecting interior points across facets.
+and the gap function is linear.  A piece is found by a feasibility test:
+by Gordan's theorem of the alternative, {c : h.c > 0 for every row h} is
+nonempty exactly when no convex combination of the rows h is zero.  This
+module computes the cone of a basis, that subdivision, point evaluations,
+and walks cone to cone by reflecting interior points across facets.
 """
 
 from __future__ import annotations
@@ -93,6 +95,16 @@ def _strict_point(n, rows) -> tuple[Fraction, ...] | None:
     return sol.x[:n]
 
 
+def _full_dimensional(n, rows) -> bool:
+    """Whether {c : h.c > 0 for every row h} is nonempty (Gordan, 1873).
+
+    It is empty exactly when some y >= 0 with sum y = 1 has sum y_h h = 0:
+    n + 1 equality rows over one variable per row h.
+    """
+    cols = [tuple(h[j] for h in rows) for j in range(n)]
+    return not lp.feasible(cols + [(1,) * len(rows)], (0,) * n + (1,))
+
+
 @dataclass(frozen=True)
 class GapFanPiece:
     """Sub-cone of a Groebner cone where one component's form is maximal."""
@@ -121,6 +133,9 @@ def gap_fan_subdivide(inst: GapInstance, cone: Cone | None = None) -> list[GapFa
     Every component's auxiliary optimum is computed once at the cone's
     canonical interior point, giving a linear form; the full-dimensional
     regions of the resulting max-of-linear-forms envelope are the pieces.
+    A form's region (the cone's inequalities and the form's dominance over
+    every other form) is tested by one Gordan system of n + 1 equality
+    rows (_full_dimensional); no point of it is computed.
     When the instance's own cost is another point, linearity of each
     component's value is re-verified there, so a vertex jump inside the
     cone cannot pass silently.  cone, when given, must be the instance's
@@ -164,7 +179,7 @@ def gap_fan_subdivide(inst: GapInstance, cone: Cone | None = None) -> list[GapFa
             if other != form
         ]
         region = cone.inequalities + tuple(_primitive_vector(d) for d in dominance)
-        if _strict_point(inst.nvars, region) is None:
+        if not _full_dimensional(inst.nvars, region):
             continue
         pieces.append(GapFanPiece(Cone(inst.nvars, region), comp, form))
     return pieces

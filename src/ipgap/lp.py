@@ -14,7 +14,8 @@ byte-reproducible.
 
 The solver is written for the small dense problems this package produces
 (auxiliary programs over a lattice basis, relaxations of table problems,
-cone interior searches); it is not a general-purpose LP code.
+cone interior searches, feasibility systems); it is not a general-purpose
+LP code.
 """
 
 from __future__ import annotations
@@ -272,6 +273,15 @@ def lp_value(a, b, c) -> LPSolution:
     if len(b) != len(rows):
         raise BadParameter("right-hand side length does not match the row count")
     return solve(LPProblem(objective=c, eq=tuple(zip(rows, b))))
+
+
+def feasible(rows, rhs) -> bool:
+    """Whether some y >= 0 solves M y = rhs, M given by its (nonempty) rows.
+
+    The objective is zero, so phase 1 decides; only the status is read.
+    """
+    problem = LPProblem((0,) * len(rows[0]), eq=tuple(zip(rows, rhs)))
+    return solve(problem).status == OPTIMAL
 
 
 def _coefficient_lp(vectors, cost, base, rows, extra=()) -> LPSolution:

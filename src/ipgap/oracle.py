@@ -18,7 +18,7 @@ from math import floor, prod
 
 from . import lp
 from .errors import BadParameter, EmptyFiber, FiberCapExceeded, InfiniteFiber
-from .exactmath import IntMatrix, _Packing, _scaled
+from .exactmath import IntMatrix, _echelon, _Packing, _scaled
 
 DEFAULT_POINT_CAP = 10_000_000
 
@@ -164,9 +164,11 @@ def brute_gap_box(a, c, box, cap: int = DEFAULT_POINT_CAP) -> tuple[Fraction, tu
     Scans every z below the componentwise bounds in lexicographic order,
     groups by b = A z, and solves each fiber once, by the recursion of
     _ip_memo when every entry of A is >= 0 and no column is zero, else by
-    exhausting it with brute_ip.  The result is a lower bound on the true
-    gap, exact whenever the box contains a gap-attaining point.  Returns
-    the value and the first z (lexicographically) attaining it.
+    exhausting it with brute_ip.  Each relaxation is posed over a full-row-
+    rank subset of A's rows: every b here is A z, so it satisfies the rows
+    left out, and the LP value is the same.  The result is a lower bound on
+    the true gap, exact whenever the box contains a gap-attaining point.
+    Returns the value and the first z (lexicographically) attaining it.
     """
     a = _as_matrix(a)
     box = _check_box(a, box)
@@ -175,13 +177,15 @@ def brute_gap_box(a, c, box, cap: int = DEFAULT_POINT_CAP) -> tuple[Fraction, tu
         raise BadParameter("cost length does not match the column count")
     recursive = all(min(col, default=0) >= 0 and any(col) for col in a.columns())
     ip = _ip_memo(a, c, cap, box) if recursive else lambda b: brute_ip(a, b, c, cap)
+    keep = [i for i, _, _ in _echelon(a.rows)]
+    rows = [a.rows[i] for i in keep]
     seen: dict[tuple[int, ...], Fraction] = {}
     best = best_z = None
     for z in product(*(range(x + 1) for x in box)):
         b = a.mul_vector(z)
         if b not in seen:
             value = ip(b)
-            relax = lp.lp_value(a, b, c)
+            relax = lp.lp_value(rows, [b[i] for i in keep], c)
             if relax.status != lp.OPTIMAL:
                 raise InfiniteFiber("relaxation unbounded below on a box fiber")
             seen[b] = value - relax.value

@@ -673,10 +673,13 @@ def check_order_preconditions(vectors, order: TermOrder) -> None:
     primary cost there makes fibers unbounded below (UnboundedProgram); a
     nonzero direction of zero cost leaves infinitely many equal-cost points,
     which only a degree-compatible tiebreak well-orders (otherwise
-    NonTerminatingOrder).  Both tests are exact LPs over the coefficients
-    of the span's reduced echelon basis, so they pose rank-many free
-    variables however many vectors come in; the second runs only under
-    lex, the one tiebreak it can reject.  A passed check is remembered per
+    NonTerminatingOrder).  Both tests read the span's reduced echelon
+    basis B, rank-many rows however many vectors come in.  The first is a
+    feasibility system of rank-many equality rows: by Farkas's lemma no
+    such direction has negative cost exactly when B y = B c has a solution
+    y >= 0, a nonnegative cost agreeing with c on the span.  The second
+    is an exact LP in rank-many free coefficients; it runs only under lex,
+    the one tiebreak it can reject.  A passed check is remembered per
     span, primary cost and tiebreak, the only parts of the order it reads
     (the memo holds no TermOrder): a lattice basis checked before
     saturation spares the check of its saturated generators.
@@ -692,10 +695,10 @@ def check_order_preconditions(vectors, order: TermOrder) -> None:
 @lru_cache(maxsize=64)
 def _check_span(span: tuple[tuple[int, ...], ...], c, tiebreak: str) -> None:
     n = len(span[0])
-    zero = (0,) * n
-    # v = -sum t_k vec_k over free t: max -c.v is unbounded on v >= 0
-    # exactly when some nonnegative direction has negative cost
-    if lp._coefficient_lp(span, c, zero, range(n)).status == lp.UNBOUNDED:
+    # some v = -B^T t >= 0 has c.v < 0 exactly when max (B c).t over
+    # B^T t <= 0 is unbounded, that is (Farkas) when its dual
+    # {y >= 0 : B y = B c} is empty
+    if not lp.feasible(span, _dots(c, span)):
         raise UnboundedProgram(
             "the nonnegative kernel cone has a direction of negative cost; "
             "fibers are unbounded below"
@@ -704,7 +707,7 @@ def _check_span(span: tuple[tuple[int, ...], ...], c, tiebreak: str) -> None:
         return  # a graded tiebreak well-orders the zero-cost directions
     # zero-cost ray: maximize the coordinate sum at cost <= 0, capped at 1
     sol = lp._coefficient_lp(
-        span, (-1,) * n, zero, range(n), extra=((c, 0), ((1,) * n, 1))
+        span, (-1,) * n, (0,) * n, range(n), extra=((c, 0), ((1,) * n, 1))
     )
     if sol.status == lp.OPTIMAL and sol.value > 0:
         raise NonTerminatingOrder(

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ipgap import fan
+from ipgap import fan, lp
 from ipgap.errors import BadParameter, DegenerateCone, TrivialInstance, UnboundedProgram
 from ipgap.exactmath import IntMatrix
 from ipgap.fan import (
@@ -62,6 +63,55 @@ def test_cone_interior_point():
     assert dot((1, -1), p) > 0 and dot((0, 1), p) > 0
     assert Cone(2, [(1, -1), (-1, 1)]).interior_point() is None
     assert Cone(3, []).interior_point() == (0, 0, 0)
+
+
+def test_gordan_verdict_matches_the_interior_point_lp():
+    # a region is full dimensional exactly when no convex combination of
+    # its rows vanishes; the l1 interior-point LP decides the same question
+    rng = random.Random(20261026)
+    seen = Counter()
+    for case in range(600):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 12))]
+        if rows and case % 4 == 1:
+            rows.append(rng.choice(rows))
+        if rows and case % 4 == 2:
+            rows.append(tuple(-x for x in rng.choice(rows)))
+        if case % 4 == 3:
+            rows.append((0,) * n)
+        rng.shuffle(rows)
+        want = fan._strict_point(n, rows) is not None
+        assert fan._full_dimensional(n, rows) == want, (n, rows)
+        seen[want, case % 4] += 1
+    assert fan._full_dimensional(3, [])
+    assert min(seen[True, k] for k in (0, 1)) >= 40
+    assert min(seen[False, k] for k in (0, 1, 2, 3)) >= 40
+
+
+def test_knapsack_pieces_take_one_gordan_system_per_form(monkeypatch):
+    # ipgap fan demos/knapsack.txt: 11 cones, 41 distinct forms, 21 pieces;
+    # past each component's auxiliary LP, every LP of the subdivision is
+    # one region test of n + 1 = 5 equality rows
+    a = IntMatrix([[3, 5, 7, 11]])
+    cones = explore_cones(a, [(32, 45, 51, 14)], 20)
+    instances = [GapInstance.from_matrix(a, cone.center) for _, cone in cones]
+    calls = []
+    solve = lp.solve
+
+    def counted(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    tests = pieces = 0
+    for inst, (_, cone) in zip(instances, cones):
+        components = len(inst.components)
+        calls.clear()
+        pieces += len(gap_fan_subdivide(inst, cone))
+        region = calls[components:]
+        assert all((len(p.eq), len(p.ub)) == (5, 0) for p in region)
+        tests += len(region)
+    assert (len(cones), tests, pieces) == (11, 41, 21)
 
 
 def test_coin_groebner_cone():

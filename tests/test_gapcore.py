@@ -384,18 +384,20 @@ def test_rejected_costs_saturate_nothing(monkeypatch):
 def test_cost_is_checked_once_per_instance(monkeypatch):
     # the verdict on the lattice basis carries over to buchberger on the
     # saturated generators, which span the same space: under lex that is
-    # one unbounded-direction LP and one zero-cost-ray LP in all
+    # one Farkas system (rank-many equality rows over the 4 coordinates)
+    # and one zero-cost-ray LP (rank-many free coefficients) in all, beside
+    # saturation's one positive-grading LP
     calls = []
-    original = lp._coefficient_lp
+    solve = lp.solve
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return original(*args, **kwargs)
+    def counted(problem):
+        calls.append((len(problem.eq), len(problem.ub), problem.nvars))
+        return solve(problem)
 
-    monkeypatch.setattr(lp, "_coefficient_lp", counted)
+    monkeypatch.setattr(lp, "solve", counted)
     inst = GapInstance.from_matrix(IntMatrix([[4, 7, 10, 13]]), (2, 1, 3, 1), "lex")
     assert len(inst.lattice_ideal.generators) > 3
-    assert calls == [3, 3]
+    assert calls == [(3, 0, 4), (0, 6, 3), (3, 4, 4)]
 
 
 @pytest.mark.parametrize("name", ["coin", "tied"])

@@ -197,8 +197,9 @@ K4_MIN_FIRST = (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0)
 
 @pytest.mark.slow
 def test_k4_box_one_reaches_the_algebra_gap():
-    # about 110 s per sense on a 2-vCPU box, two thirds of it one relaxation LP
-    # per fiber (61,419 of them); bounded at 600 s for both senses
+    # about 125 s of CPU for both senses on a 2-vCPU box (191 s while each
+    # of the 61,419 fiber relaxations kept all 24 rows of A, not the 11
+    # independent ones); bounded at 600 s for both senses
     model = k4_model()
     a = margin_matrix(model)
     t0 = time.monotonic()

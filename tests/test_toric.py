@@ -11,9 +11,9 @@ import pytest
 
 import _reference
 from _reference import is_primitive, lattice_contains, leading_ideal
-from ipgap import models, toric
+from ipgap import lp, models, toric
 from ipgap.errors import BadParameter, NonTerminatingOrder, UnboundedProgram
-from ipgap.exactmath import IntMatrix, kernel_lattice
+from ipgap.exactmath import IntMatrix, _span_basis, kernel_lattice
 from ipgap.gapcore import GapInstance, gap_report
 from ipgap.models import (
     MarginalModel,
@@ -308,6 +308,30 @@ def test_zero_cost_ray_needs_graded_tiebreak():
         buchberger(gens, TermOrder((1, -1), "lex"))
     gb = buchberger(gens, TermOrder((1, -1), "grevlex"))
     assert len(gb) == 1
+
+
+def test_farkas_verdict_matches_the_coefficient_lp():
+    # B y = B c, y >= 0 is feasible exactly when max (B c).t over
+    # B^T t <= 0 is bounded, so the check rejects the same costs
+    rng = random.Random(20261025)
+    seen = Counter()
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        span = _span_basis(
+            [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        )
+        if not span:
+            continue
+        c = tuple(Fraction(rng.randint(-3, 9), rng.randint(1, 4)) for _ in range(n))
+        want = lp._coefficient_lp(span, c, (0,) * n, range(n)).status == lp.UNBOUNDED
+        try:
+            toric._check_span(span, c, "grevlex")
+            got = False
+        except UnboundedProgram:
+            got = True
+        assert got == want, (span, c)
+        seen[want, min(c) < 0] += 1
+    assert min(seen[k] for k in ((False, False), (False, True), (True, True))) >= 200
 
 
 def test_ip_optimum_coin():
