@@ -33,6 +33,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import lp, oracle
 from .errors import BadParameter, IpgapError, ParseError, VerificationError
@@ -598,7 +599,9 @@ COMMANDS = {
 }
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as is."""
     top = argparse.ArgumentParser(
         prog="ipgap",
         description="Exact integer-programming gap computations.",

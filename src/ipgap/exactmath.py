@@ -314,9 +314,11 @@ class _Packing:
 def _scaled(v) -> tuple[list[int], int]:
     """Numerators of an int/Fraction sequence over its least common denominator.
 
-    Returns (numerators, denominator).
+    Returns (numerators, denominator); integral entries need no scaling.
     """
     scale = lcm(*(x.denominator for x in v))
+    if scale == 1:
+        return [x.numerator for x in v], 1
     return [x.numerator * (scale // x.denominator) for x in v], scale
 
 
@@ -332,7 +334,7 @@ def _dots(a, vectors) -> list:
 
 def _primitive_vector(v) -> tuple[int, ...]:
     """The shortest integer vector on the ray of a rational vector (zero stays zero)."""
-    ints, _ = _scaled([Fraction(x) for x in v])
+    ints, _ = _scaled([x if type(x) in (int, Fraction) else Fraction(x) for x in v])
     g = reduce(gcd, ints, 0)
     return tuple(x // g for x in ints) if g else tuple(ints)
 

@@ -6,9 +6,12 @@ of finitely many linear forms, one per irreducible component, so the cone
 subdivides into full-dimensional pieces on which a single component wins
 and the gap function is linear.  A piece is found by a feasibility test:
 by Gordan's theorem of the alternative, {c : h.c > 0 for every row h} is
-nonempty exactly when no convex combination of the rows h is zero.  This
-module computes the cone of a basis, that subdivision, point evaluations,
-and walks cone to cone by reflecting interior points across facets.
+nonempty exactly when no convex combination of the rows h is zero.  The
+one form strictly largest at the cone's center, when there is one, skips
+the test: the center is interior to the cone, so that form's region holds
+it with every inequality strict.  This module computes the cone of a
+basis, that subdivision, point evaluations, and walks cone to cone by
+reflecting interior points across facets.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import lp
 from .errors import (
@@ -135,7 +139,9 @@ def gap_fan_subdivide(inst: GapInstance, cone: Cone | None = None) -> list[GapFa
     regions of the resulting max-of-linear-forms envelope are the pieces.
     A form's region (the cone's inequalities and the form's dominance over
     every other form) is tested by one Gordan system of n + 1 equality
-    rows (_full_dimensional); no point of it is computed.
+    rows (_full_dimensional); no point of it is computed.  The form that
+    is strictly largest at the center, if one is, needs no test: the
+    center satisfies every inequality of its region strictly.
     When the instance's own cost is another point, linearity of each
     component's value is re-verified there, so a vertex jump inside the
     cone cannot pass silently.  cone, when given, must be the instance's
@@ -171,15 +177,18 @@ def gap_fan_subdivide(inst: GapInstance, cone: Cone | None = None) -> list[GapFa
     for comp, form in forms:
         if form not in (f for _, f in distinct):
             distinct.append((comp, form))
+    at_center = [sum(map(mul, form, center)) for _, form in distinct]
+    top = max(at_center)
+    winner = at_center.index(top) if at_center.count(top) == 1 else None
     pieces = []
-    for comp, form in distinct:
+    for k, (comp, form) in enumerate(distinct):
         dominance = [
             tuple(a - b for a, b in zip(form, other))
             for _, other in distinct
             if other != form
         ]
         region = cone.inequalities + tuple(_primitive_vector(d) for d in dominance)
-        if not _full_dimensional(inst.nvars, region):
+        if k != winner and not _full_dimensional(inst.nvars, region):
             continue
         pieces.append(GapFanPiece(Cone(inst.nvars, region), comp, form))
     return pieces

@@ -208,6 +208,10 @@ def gap_value(
     a program in only rank-many free variables.  Returns the exact value
     and the attaining v.  cost overrides the instance's cost row, for
     callers probing other points of the same cone.
+
+    v is the vertex lp.solve's pivot path reaches, and reports print it
+    as aux_optimum.  Most of these programs have more than one optimal
+    point (120 of the k4 report's 140), so that path is part of the output.
     """
     cols = inst.lattice.columns()
     u = comp.bound

@@ -1,29 +1,30 @@
 """Exact rational linear programming by two-phase primal simplex.
 
-There is no floating point anywhere, so optima and infeasibility /
-unboundedness verdicts are exact.  The tableau is kept fraction-free
-(Edmonds 1967; Bareiss 1968): each row is a list of Python ints whose last
-entry is a positive common denominator, and the row is divided by the gcd
-of all its entries after every update, so one row has one canonical form.
-Signs are read from numerators and ratios are compared by integer
-cross-products.  Inputs are kept exact as given (ints stay ints until the
-tableau scales each row); Fractions are built for the returned value and
-point.  Bland's smallest-index rule is used for both the entering and the
-leaving choice, which guarantees termination and makes every run
-byte-reproducible.
+No floating point anywhere: optima and infeasibility / unboundedness
+verdicts are exact.  The tableau is fraction-free (Edmonds 1967; Bareiss
+1968): each row is a list of ints ending in a positive common denominator,
+divided by the gcd of its entries after every update, so one row has one
+canonical form.  Signs are read from numerators and ratios are compared by
+integer cross-products.  Inputs stay exact as given; Fractions are built
+for the returned value and point only.
 
-The solver is written for the small dense problems this package produces
-(auxiliary programs over a lattice basis, relaxations of table problems,
-cone interior searches, feasibility systems); it is not a general-purpose
-LP code.
+Bland's smallest-index rule picks the entering and the leaving column,
+which ensures termination.  The pivot path is part of the output: most
+auxiliary programs have several optimal points (120 of the k4 report's
+140, 86 of perfbench ladder's 136), and the vertex reached is the
+aux_optimum reports print and the cone center the fan walk reads.  A
+faster solve must take the same pivots; tests/test_lp.py pins them.
+
+The solver is written for the small dense problems this package produces;
+it is not a general-purpose LP code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from functools import partial, reduce
+from math import gcd, lcm
 
 from .errors import BadParameter
 from .exactmath import _dots, _scaled
@@ -46,9 +47,8 @@ class LPProblem:
 
     eq rows are pairs (row, rhs) meaning row.x == rhs; ub rows mean
     row.x <= rhs.  free[i] marks variable i as unrestricted in sign;
-    everything else is >= 0.  There are no other bound forms: callers shift
-    or split variables themselves if they need them.  int and Fraction
-    entries are kept as given; any other number becomes its exact Fraction.
+    everything else is >= 0.  int and Fraction entries are kept as given;
+    any other number becomes its exact Fraction.
     """
 
     objective: Vec
@@ -58,23 +58,21 @@ class LPProblem:
     free: tuple[bool, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", tuple(map(_exact, self.objective)))
+        put = partial(object.__setattr__, self)
+        put("objective", tuple(map(_exact, self.objective)))
         if self.sense not in ("min", "max"):
             raise BadParameter(f"sense must be min or max, got {self.sense!r}")
         n = len(self.objective)
-        object.__setattr__(
-            self, "eq", tuple((tuple(map(_exact, r)), _exact(b)) for r, b in self.eq)
-        )
-        object.__setattr__(
-            self, "ub", tuple((tuple(map(_exact, r)), _exact(b)) for r, b in self.ub)
-        )
+        for name in ("eq", "ub"):
+            rows = getattr(self, name)
+            put(name, tuple((tuple(map(_exact, r)), _exact(b)) for r, b in rows))
         for r, _ in self.eq + self.ub:
             if len(r) != n:
                 raise BadParameter("constraint row length disagrees with objective")
         fr = tuple(bool(f) for f in self.free) if self.free else (False,) * n
         if len(fr) != n:
             raise BadParameter("free flag length disagrees with objective")
-        object.__setattr__(self, "free", fr)
+        put("free", fr)
 
     @property
     def nvars(self) -> int:
@@ -98,8 +96,9 @@ class LPSolution:
 
 # Tableau rows (and the reduced-cost row) are int lists laid out as
 # [columns..., rhs, d]: the entries stand for the rationals v / d, d > 0.
-# There are no artificial columns: an artificial is only a basis index
-# ncol + i, the one unit column of row i that the pivots never read.
+# Columns are (j, sign), stored column j read with sign: a free variable's
+# minus column is its column negated, not stored.  An artificial is only a
+# basis index ncol + i, row i's unit column, which no pivot reads.
 
 
 def _reduced(row):
@@ -113,21 +112,23 @@ def _reduced(row):
 
 
 def _eliminate(row, p0, j):
-    """row minus row[j] times the pivot row, whose entry j is 1.
+    """row minus row[j] times the pivot row, whose entry j is +1 or -1.
 
-    p0 is the pivot row with 0 in its denominator slot, so the result's
-    denominator comes out as row's denominator times p0[j].
+    p0 is the pivot row with its denominator slot 0, so the result's
+    denominator is row's times |p0[j]|.
     """
     pj, f = p0[j], row[j]
+    if pj < 0:
+        pj, f = -pj, -f
     return _reduced([a * pj - f * b for a, b in zip(row, p0)])
 
 
-def _pivot(rows, obj, r, j):
+def _pivot(rows, obj, r, j, sign):
+    """Pivot column (j, sign) into row r: its entry there becomes 1."""
     p = rows[r]
-    pj = p[j]
+    pj = sign * p[j]
     if pj < 0:
-        # a negative pivot (phase-1 cleanup) flips the row's sign so that
-        # its denominator stays positive
+        # a negative pivot (phase-1 cleanup) flips the row: d stays > 0
         p = [-v for v in p]
         pj = -pj
     p = _reduced(p[:-1] + [pj])
@@ -140,15 +141,14 @@ def _pivot(rows, obj, r, j):
         obj[:] = _eliminate(obj, p0, j)
 
 
-def _leaving_row(rows, basis, enter):
-    """Minimum-ratio row for the entering column, ties to the lowest basic index.
+def _leaving_row(rows, basis, j, sign):
+    """Minimum-ratio row for column (j, sign), ties to the lowest basic index.
 
-    The ratio of row i is rhs_i / a_i in the row's own denominator, so two
-    ratios compare by cross-multiplying numerators (a_i > 0 throughout).
+    Ratios rhs_i / a_i (a_i > 0) compare by cross-multiplied numerators.
     """
     leave = None
     for i, row in enumerate(rows):
-        a = row[enter]
+        a = sign * row[j]
         if a > 0:
             if leave is None:
                 leave, num, den = i, row[-2], a
@@ -159,23 +159,22 @@ def _leaving_row(rows, basis, enter):
     return leave
 
 
-def _run_simplex(rows, obj, basis):
-    """Minimize until every reduced cost is nonnegative.
+def _run_simplex(rows, obj, basis, cols):
+    """Minimize by Bland's rule until every reduced cost is nonnegative.
 
     Returns (optimal, pivots): optimal is False on unboundedness.  obj is
-    the reduced cost row (rhs entry: minus the current value).  Bland's rule
-    throughout.
+    the reduced cost row (rhs entry: minus the current value); cols lists
+    the columns (j, sign) in Bland's order.
     """
     pivots = 0
-    ncol = len(obj) - 2
     while True:
-        enter = next((j for j in range(ncol) if obj[j] < 0), None)
+        enter = next((k for k, (j, sign) in enumerate(cols) if sign * obj[j] < 0), None)
         if enter is None:
             return True, pivots
-        leave = _leaving_row(rows, basis, enter)
+        leave = _leaving_row(rows, basis, *cols[enter])
         if leave is None:
             return False, pivots
-        _pivot(rows, obj, leave, enter)
+        _pivot(rows, obj, leave, *cols[enter])
         basis[leave] = enter
         pivots += 1
 
@@ -185,55 +184,52 @@ def solve(problem: LPProblem) -> LPSolution:
     n = problem.nvars
     minimize = problem.sense == "min"
     c0 = problem.objective if minimize else tuple(-x for x in problem.objective)
-
-    # column layout: the n variables, then for each free variable a minus
-    # column, then one slack per ub row
-    minus = {}
-    ncol = n
-    for i in range(n):
-        if problem.free[i]:
-            minus[i] = ncol
-            ncol += 1
     neq = len(problem.eq)
     cons = problem.eq + problem.ub
     m = len(cons)
-    ncol += m - neq
+    width = n + m - neq
+    # Bland's order: variables, a minus column per free one, slacks
+    cols = [(i, 1) for i in range(n)] + [(i, -1) for i in range(n) if problem.free[i]]
+    cols += [(j, 1) for j in range(n, width)]
+    ncol = len(cols)
 
     rows = []
     for k, (r, b) in enumerate(cons):
         # negative right-hand sides are flipped so the artificial basis is
-        # feasible
+        # feasible; integer rows enter as they are
         sign = -1 if b < 0 else 1
         nums, scale = _scaled(r + (b,))
-        row = [sign * v for v in nums[:n]] + [0] * (ncol - n) + [sign * nums[n], scale]
-        for i, col in minus.items():
-            row[col] = -row[i]
+        row = [sign * v for v in nums[:n]] + [0] * (width - n) + [sign * nums[n], scale]
         if k >= neq:
-            row[ncol - m + k] = sign * scale
+            row[n + k - neq] = sign * scale
         rows.append(_reduced(row))
 
     # phase 1: minimize the sum of artificials, whose reduced costs are
-    # minus the sum of the rows
+    # minus the column sums over the rows' common denominator
+    d = lcm(*(row[-1] for row in rows))
+    obj = [
+        -sum(col)
+        for col in zip(*(r if r[-1] == d else [v * (d // r[-1]) for v in r] for r in rows))
+    ] or [0] * (width + 2)
+    obj[-1] = d
+    obj = _reduced(obj)
     basis = [ncol + i for i in range(m)]
-    obj = [0] * (ncol + 1) + [1]
-    for row in rows:
-        od, rd = obj[-1], row[-1]
-        obj = _reduced([a * rd - v * od for a, v in zip(obj[:-1], row[:-1])] + [od * rd])
-    _, pivots = _run_simplex(rows, obj, basis)
+    _, pivots = _run_simplex(rows, obj, basis, cols)
     if obj[-2]:
         return LPSolution(status=INFEASIBLE, pivots=pivots)
 
-    # drive leftover artificials out of the basis; rows that cannot pivot
-    # are redundant originals and get dropped
+    # drive leftover artificials out of the basis (never into a minus
+    # column: its variable's comes first); rows that cannot pivot are
+    # redundant originals and get dropped
     drop = []
     for i in range(m):
         if basis[i] >= ncol:
-            j = next((j for j in range(ncol) if rows[i][j]), None)
+            j = next((j for j in range(width) if rows[i][j]), None)
             if j is None:
                 drop.append(i)
             else:
-                _pivot(rows, obj, i, j)
-                basis[i] = j
+                _pivot(rows, obj, i, j, 1)
+                basis[i] = j if j < n else j + ncol - width
                 pivots += 1
     if drop:
         rows = [row for i, row in enumerate(rows) if i not in drop]
@@ -241,25 +237,24 @@ def solve(problem: LPProblem) -> LPSolution:
 
     # phase 2: the real objective
     nums, scale = _scaled(c0)
-    obj = nums + [0] * (ncol - n + 1) + [scale]
-    for i, col in minus.items():
-        obj[col] = -obj[i]
-    obj = _reduced(obj)
+    obj = _reduced(nums + [0] * (width - n + 1) + [scale])
     for row, bv in zip(rows, basis):
-        if obj[bv]:
-            obj = _eliminate(obj, row[:-1] + [0], bv)
-    ok, more = _run_simplex(rows, obj, basis)
+        j = cols[bv][0]
+        if obj[j]:
+            obj = _eliminate(obj, row[:-1] + [0], j)
+    ok, more = _run_simplex(rows, obj, basis, cols)
     pivots += more
     if not ok:
         return LPSolution(status=UNBOUNDED, pivots=pivots)
 
-    xstd = [Fraction(0)] * ncol
+    x = [Fraction(0)] * n
     for row, bv in zip(rows, basis):
-        xstd[bv] = Fraction(row[-2], row[-1])
-    x = tuple(xstd[i] - xstd[minus[i]] if i in minus else xstd[i] for i in range(n))
+        j, sign = cols[bv]
+        if j < n:
+            x[j] = Fraction(sign * row[-2], row[-1])
     value = Fraction(-obj[-2], obj[-1])
     return LPSolution(
-        status=OPTIMAL, value=value if minimize else -value, x=x, pivots=pivots
+        status=OPTIMAL, value=value if minimize else -value, x=tuple(x), pivots=pivots
     )
 
 
@@ -291,9 +286,8 @@ def _coefficient_lp(vectors, cost, base, rows, extra=()) -> LPSolution:
     in extra.  Posed over the coefficients t this is
         max (B^T cost).t  s.t.  (row i of B).t <= base_i,
                                 -(B^T a).t <= r - a.base,
-    a program in only len(vectors) free variables; the solution's x is t.
-    vectors and base are integer; B^T a and a.base are summed in ints over
-    a's common denominator (exactmath._dots).
+    in len(vectors) free variables; the solution's x is t.  vectors and
+    base are integer; B^T a and a.base are summed in ints (_dots).
     """
     brows = tuple(zip(*vectors))
     prob = LPProblem(

@@ -293,7 +293,8 @@ class GroebnerBasis:
 
     _packed is the packed form of the elements that ip_optimum reduces
     with: the core's own when buchberger builds the basis, else packed on
-    first use (see _reducer).  It takes no part in equality.
+    first use (see _reducer); a basis of one element is never packed.  It
+    takes no part in equality.
     """
 
     elements: tuple[Binomial, ...]
@@ -988,6 +989,15 @@ def ip_optimum(gb: GroebnerBasis, z) -> tuple[int, ...]:
         raise BadParameter("negative exponent in starting point")
     if not gb.elements:
         return cur
+    if len(gb.elements) == 1:
+        # x^u - x^v steps z to z - (u - v) while u divides it: k times for
+        # the largest k with z - (k - 1)(u - v) >= u, read off the
+        # coordinates u - v lowers; no packing
+        (g,) = gb.elements
+        if not divides(g.plus, cur):
+            return cur
+        k = 1 + min((x - u) // (u - v) for x, u, v in zip(cur, g.plus, g.minus) if u > v)
+        return tuple(x - k * (u - v) for x, u, v in zip(cur, g.plus, g.minus))
     # a z, or a step on the way, past the basis's field width reduces
     # again at a width that fits
     packing, basis, packed = gb._reducer

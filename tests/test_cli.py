@@ -160,6 +160,15 @@ def test_format_choices_are_text_and_json():
         assert exc.value.code == 2
 
 
+def test_parser_is_built_once_and_keeps_no_state():
+    parser = cli._parser()
+    assert cli._parser() is parser
+    first = parser.parse_args(["oracle", COIN, "--box", "3", "--sense", "min", "--verify"])
+    again = parser.parse_args(["oracle", COIN])
+    assert (first.box, first.sense, first.verify) == ((3,), "min", True)
+    assert (again.box, again.sense, again.verify) == (None, None, False)
+
+
 def test_decompose_coin(capsys):
     code, out, _ = run(capsys, "decompose", COIN)
     assert code == 0

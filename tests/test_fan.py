@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -15,7 +16,7 @@ from ipgap.fan import (
     groebner_cone,
 )
 from ipgap.gapcore import GapInstance, LatticeIdeal, gap, gap_value
-from ipgap.toric import Binomial, GroebnerBasis, TermOrder
+from ipgap.toric import Binomial, GroebnerBasis, TermOrder, is_generic
 
 COIN_A = IntMatrix([[1, 1, 1, 1], [1, 5, 10, 25]])
 COIN_COST = (0, 1, 0, 1)
@@ -91,7 +92,8 @@ def test_gordan_verdict_matches_the_interior_point_lp():
 def test_knapsack_pieces_take_one_gordan_system_per_form(monkeypatch):
     # ipgap fan demos/knapsack.txt: 11 cones, 41 distinct forms, 21 pieces;
     # past each component's auxiliary LP, every LP of the subdivision is
-    # one region test of n + 1 = 5 equality rows
+    # one region test of n + 1 = 5 equality rows.  Each of the 11 cones has
+    # one form strictly largest at its center, kept untested: 30 tests
     a = IntMatrix([[3, 5, 7, 11]])
     cones = explore_cones(a, [(32, 45, 51, 14)], 20)
     instances = [GapInstance.from_matrix(a, cone.center) for _, cone in cones]
@@ -111,7 +113,44 @@ def test_knapsack_pieces_take_one_gordan_system_per_form(monkeypatch):
         region = calls[components:]
         assert all((len(p.eq), len(p.ub)) == (5, 0) for p in region)
         tests += len(region)
-    assert (len(cones), tests, pieces) == (11, 41, 21)
+    assert (len(cones), tests, pieces) == (11, 30, 21)
+
+
+def _gordan_pieces(inst, cone):
+    """gap_fan_subdivide's pieces with every distinct form's region tested."""
+    n = inst.nvars
+    forms = {}
+    for comp in inst.components:
+        _, v = gap_value(comp, inst, cost=cone.center)
+        forms.setdefault(tuple(Fraction(u) - x for u, x in zip(comp.bound, v)), comp)
+    pieces = []
+    for form, comp in forms.items():
+        dominance = [tuple(map(sub, form, other)) for other in forms if other != form]
+        region = Cone(n, cone.inequalities + tuple(dominance))
+        if fan._full_dimensional(n, region.inequalities):
+            pieces.append(fan.GapFanPiece(region, comp, form))
+    return pieces
+
+
+def test_center_winner_pieces_match_gordan_on_every_form():
+    # the knapsack walk's cones at their centers, and the cones of seeded
+    # generic costs, where the linearity check also runs
+    a = IntMatrix([[3, 5, 7, 11]])
+    cases = [
+        (GapInstance.from_matrix(a, cone.center), cone)
+        for _, cone in explore_cones(a, [(32, 45, 51, 14)], 20)
+    ]
+    rng = random.Random(20261019)
+    while len(cases) < 23:
+        inst = GapInstance.from_matrix(a, tuple(rng.randint(1, 60) for _ in range(4)))
+        if inst.components and is_generic(inst.groebner):
+            cases.append((inst, groebner_cone(inst.groebner)))
+    pieces = 0
+    for inst, cone in cases:
+        got = gap_fan_subdivide(inst, cone)
+        assert got == _gordan_pieces(inst, cone)
+        pieces += len(got)
+    assert pieces > len(cases)
 
 
 def test_coin_groebner_cone():
@@ -192,6 +231,23 @@ def test_tie_on_the_split_hyperplane():
     tied = dot(plus.linear_form, c)
     assert tied == dot(minus.linear_form, c)
     assert gap(COIN_A, c).gap == tied
+
+
+def test_forms_tied_at_the_center_are_each_tested(monkeypatch):
+    # three forms equal at the center, the first the midpoint of the other
+    # two: it is never strictly largest, so only those two are pieces
+    for _, cone in coin_cones():
+        inst = GapInstance.from_matrix(COIN_A, cone.center)
+        if len(inst.components) == 3:
+            break
+    p = cone.center
+    h = (p[1], -p[0], 0, 0)  # h.p = 0, and h cuts the cone through p
+    g = (Fraction(1),) * 4
+    designed = [g, tuple(map(sum, zip(g, h))), tuple(map(sub, g, h))]
+    forms = dict(zip(inst.components, designed))
+    monkeypatch.setattr(fan, "_component_form", lambda inst, comp, cost: forms[comp])
+    pieces = gap_fan_subdivide(inst, cone)
+    assert [piece.linear_form for piece in pieces] == designed[1:]
 
 
 def test_gap_value_cost_override():

@@ -190,13 +190,15 @@ def _ref_pivot(rows, obj, r, j):
         obj[:] = [a - f * p for a, p in zip(obj, pr)]
 
 
-def _ref_simplex(rows, obj, basis, eligible, seen):
+def _ref_simplex(rows, obj, basis, eligible, seen, minus_cols):
     rhs = len(obj) - 1
     pivots = 0
     while True:
         enter = next((j for j in eligible if obj[j] < 0), None)
         if enter is None:
             return True, pivots
+        if enter in minus_cols:
+            seen.add("minus column entered")
         leave = best = None
         for i, row in enumerate(rows):
             a = row[enter]
@@ -254,6 +256,9 @@ def reference_solve(problem, seen=None):
         arows.append(row)
         brhs.append(b)
     m = len(arows)
+    entries = [x for r in arows for x in r] + brhs
+    if arows and all(Fraction(x).denominator == 1 for x in entries):
+        seen.add("integral rows")
     flipped = [b < 0 for b in brhs]
     if any(flipped):
         seen.add("flip")
@@ -269,7 +274,7 @@ def reference_solve(problem, seen=None):
     for row in rows:
         obj = [a - b for a, b in zip(obj, row)]
     eligible = range(ncol)
-    _, pivots = _ref_simplex(rows, obj, basis, eligible, seen)
+    _, pivots = _ref_simplex(rows, obj, basis, eligible, seen, minus.values())
     if obj[T - 1] != 0:
         seen.add("infeasible")
         return Reference(lp.INFEASIBLE, None, None, None, None, pivots)
@@ -294,7 +299,7 @@ def reference_solve(problem, seen=None):
         if obj[bv]:
             f = obj[bv]
             obj = [a - f * p for a, p in zip(obj, rows[i])]
-    ok, more = _ref_simplex(rows, obj, basis, eligible, seen)
+    ok, more = _ref_simplex(rows, obj, basis, eligible, seen, minus.values())
     pivots += more
     if not ok:
         seen.add("unbounded")
@@ -410,6 +415,7 @@ def test_cross_check_coverage():
     assert seen >= {
         "eq", "free", "negative ub rhs", "large denominators", "flip", "tie",
         "drop", "negative cleanup pivot", "infeasible", "unbounded",
+        "minus column entered", "integral rows",
     }
 
 
@@ -417,7 +423,7 @@ def test_cross_check_catches_inverted_tie_break(monkeypatch):
     leaving = lp._leaving_row
     # ties then go to the largest basic index instead of the smallest
     monkeypatch.setattr(
-        lp, "_leaving_row", lambda rows, basis, enter: leaving(rows, [-b for b in basis], enter)
+        lp, "_leaving_row", lambda rows, basis, *col: leaving(rows, [-b for b in basis], *col)
     )
     monkeypatch.setattr(lp, "_pivot", _capped(lp._pivot))
     assert _disagreements(CROSS_CHECK)
@@ -426,9 +432,9 @@ def test_cross_check_catches_inverted_tie_break(monkeypatch):
 def test_cross_check_catches_negative_denominator(monkeypatch):
     pivot = lp._pivot
 
-    def negated(rows, obj, r, j):
+    def negated(rows, obj, r, *col):
         # same rationals, but the pivot row's denominator ends up negative
-        pivot(rows, obj, r, j)
+        pivot(rows, obj, r, *col)
         rows[r] = [-v for v in rows[r]]
 
     monkeypatch.setattr(lp, "_pivot", _capped(negated))

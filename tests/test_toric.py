@@ -364,6 +364,31 @@ def test_ip_optimum_past_the_basis_width():
         assert COIN_A.mul_vector(want) == COIN_A.mul_vector(z)
 
 
+def test_ip_optimum_on_one_binomial_matches_the_tuple_normal_form():
+    # a one-element basis is reduced on tuples in one step count, never
+    # packed; exponents reach 2^70 on coordinates the step does not lower
+    rng = random.Random(20261019)
+    steps = 0
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        v = [rng.randint(-4, 4) for _ in range(n)]
+        v[0], v[-1] = rng.randint(1, 4), -rng.randint(1, 4)
+        rng.shuffle(v)
+        order = TermOrder(tuple(rng.randint(1, 9) for _ in range(n)), "grevlex")
+        gb = buchberger([Binomial.from_vector(v)], order)
+        (g,) = gb.elements
+        for _ in range(5):
+            z = tuple(
+                rng.randint(0, 40) if u > w else rng.choice((0, 3, 2**70))
+                for u, w in zip(g.plus, g.minus)
+            )
+            want = _reference.normal_form(gb, z)
+            assert ip_optimum(gb, z) == want, (gb, z)
+            steps += want != z
+        assert gb._packed is None
+    assert steps > 800
+
+
 def in_normal_form(gb: GroebnerBasis, z) -> bool:
     return all(any(p > x for p, x in zip(g.plus, z)) for g in gb.elements)
 
