@@ -542,7 +542,7 @@ def cmd_fan(spec: InstanceSpec, args) -> tuple[list[str], dict]:
     data_cones = []
     total_pieces = 0
     for i, (gb, cone) in enumerate(cones, 1):
-        inst = GapInstance.from_matrix(a, cone.center)
+        inst = GapInstance.from_basis(a, gb, cone.center)
         pieces = gap_fan_subdivide(inst, cone)
         total_pieces += len(pieces)
         lines.append(f"cone {i}:")

@@ -132,7 +132,24 @@ class GapInstance:
         return cls._build(LatticeIdeal.from_lattice(l), cost, tiebreak)
 
     @classmethod
-    def _build(cls, lattice_ideal: LatticeIdeal, cost, tiebreak) -> "GapInstance":
+    def from_basis(cls, a: IntMatrix, gb: GroebnerBasis, cost) -> "GapInstance":
+        """a's instance at cost, with gb's elements as its reduced basis.
+
+        gb must be a reduced basis of a's lattice ideal under some order,
+        and cost must mark it strictly: every lead costs more than its
+        trail, so cost lies inside gb's Groebner cone.  The leads then
+        stay leads under cost refined by gb's tiebreak, so gb's elements
+        are that order's reduced basis too and no completion runs; this
+        is how the fan builds each cone's instance at its center.  A cost
+        that does not mark every element so raises BadParameter; the
+        precondition check runs as in from_matrix.
+        """
+        return cls._build(LatticeIdeal.from_matrix(a), cost, gb.order.tiebreak, gb)
+
+    @classmethod
+    def _build(
+        cls, lattice_ideal: LatticeIdeal, cost, tiebreak, known: GroebnerBasis | None = None
+    ) -> "GapInstance":
         order = _as_order(cost, tiebreak)
         n = lattice_ideal.lattice.nrows
         if order.nvars is not None and order.nvars != n:
@@ -140,7 +157,13 @@ class GapInstance:
         # a rejected cost saturates nothing; a passed check is remembered,
         # so buchberger does not repeat it on the saturated generators
         check_order_preconditions(lattice_ideal.lattice.columns(), order)
-        gb = buchberger(lattice_ideal.generators, order)
+        if known is None:
+            gb = buchberger(lattice_ideal.generators, order)
+        elif all(order.cost_drop(g) > 0 for g in known.elements):
+            # the packed form reduces monomials, which reads no order
+            gb = GroebnerBasis(known.elements, order, known._packed)
+        else:
+            raise BadParameter("the cost does not mark every element of the basis given")
         ideal = non_optimal_ideal(gb) if gb.elements else MonomialIdeal(n)
         comps = () if ideal.is_zero else irreducible_decomposition(ideal)
         return cls(lattice_ideal, order.cost, gb, ideal, comps)

@@ -4,15 +4,20 @@ Monomials are plain tuples of nonnegative ints.  A MonomialIdeal stores its
 unique minimal generating set in a canonical order, so equality of objects
 is equality of ideals.  irreducible_decomposition returns the irredundant
 components ``<x_i^(bound_i + 1) : i in support>``; these are the data the
-gap computation optimizes over.
+gap computation optimizes over.  Its inner loop, the maximal corners, runs
+on exponent vectors packed into single ints (exactmath._Packing), so each
+coordinatewise comparison is a few big-int operations whatever the
+number of variables.  The layer reads nothing from the algebra above it:
+it imports only errors and exactmath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le, lt
+from operator import le
 
 from .errors import BadParameter, UnitIdeal, ZeroIdeal
+from .exactmath import _Packing
 
 Monomial = tuple[int, ...]
 
@@ -95,36 +100,56 @@ def _maximal_corners(gens: tuple[Monomial, ...], nvars: int) -> list[tuple]:
     avoids the generator g exactly when u_i < g_i somewhere, so the boxes
     avoiding the whole ideal form a downward-closed set.  Its maximal
     elements are built one generator at a time: rows already avoiding g
-    survive unchanged, and each stale row spawns one candidate per
-    variable in g's support, capped just below g there.  Candidates are
-    kept only when nothing else dominates them; surviving old rows never
-    become dominated because candidates only shrink existing rows.
+    survive unchanged, and each stale row R (one with R >= g) spawns one
+    candidate per variable i in g's support, R capped just below g there.
+    The rows form an antichain, so a candidate is maximal exactly when no
+    old row but R dominates it: a candidate c' of R' that dominates c
+    gives R' >= c' >= c, and no two candidates coincide.  An old row q
+    other than R dominates R's candidate at i exactly when q >= R on every
+    variable but i, where q_i < R_i, and q_i >= g_i - 1; so one pass over
+    the old rows per stale row, keeping the largest q_i of such rows for
+    each i, decides all of R's candidates at once.  Surviving old rows
+    never become dominated because candidates only shrink existing rows.
 
     While building, "no cap" on variable i is the largest exponent of x_i
     among the generators: no generator exceeds it, so it avoids none, and
-    every real cap g_i - 1 lies below it.
+    every real cap g_i - 1 lies below it.  Rows and generators are ints
+    of exactmath._Packing at a width that holds those largest exponents,
+    so R >= g, the variables where q falls below R and a candidate are
+    each a few big-int operations; rows are unpacked only at the end.
     """
-    free = tuple(max(g[i] for g in gens) for i in range(nvars))
-    rows = [free]
+    free = tuple(map(max, *gens)) if len(gens) > 1 else gens[0]
+    packing = _Packing(nvars, max(free).bit_length() or 1)
+    w, top, guards, shifts = packing.w, packing.top, packing.guards, packing.shifts
+    rows = [packing.pack(free)]
     for g in gens:
-        keep, stale = [], []
-        for row in rows:
-            (keep if any(map(lt, row, g)) else stale).append(row)
-        cands = list(
-            dict.fromkeys(
-                row[:i] + (gi - 1,) + row[i + 1 :]
-                for row in stale
-                for i, gi in enumerate(g)
-                if gi
-            )
-        )
-        pool = keep + cands
-        rows = keep + [
-            c
-            for c in cands
-            if not any(c != p and all(map(le, c, p)) for p in pool)
-        ]
-    return [tuple(None if x == f else x for x, f in zip(row, free)) for row in rows]
+        p = packing.pack(g)
+        # (shift, cap g_i - 1, guard bit) of each variable in g's support
+        caps = [(s, gi - 1, 1 << s + w) for s, gi in zip(shifts, g) if gi]
+        pool = [row | guards for row in rows]
+        keep = []
+        cands = []
+        for row, rg in zip(rows, pool):
+            if (rg - p) & guards != guards:
+                keep.append(row)
+                continue
+            # guard bit of i -> the largest q_i of the rows q that fall
+            # below row on the one variable i
+            reach: dict[int, int] = {}
+            for q in pool:
+                below = ~(q - row) & guards
+                if below and not below & (below - 1):
+                    x = q >> below.bit_length() - 1 - w & top
+                    if x > reach.get(below, -1):
+                        reach[below] = x
+            for s, cap, bit in caps:
+                if reach.get(bit, -1) < cap:
+                    cands.append(row - ((row >> s & top) - cap << s))
+        rows = keep + cands
+    return [
+        tuple(None if x == f else x for x, f in zip(packing.unpack(row), free))
+        for row in rows
+    ]
 
 
 def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:

@@ -65,10 +65,14 @@ exponents below 2^w reaches, so the sign of D is that of the first row
 on which the sides differ.  The S-binomial of f and g has drop
 D_f - D_g, a step by g turns D into D - D_g, and only a zero drop leaves
 the decision to the packed comparison.  A saturation round's inputs are
-homogeneous in its only row, so its drops are all zero.  The width
-starts two bits above the input's largest exponent, and any side of any
-binomial that outgrows it, lead or trail, reruns the completion at twice
-the width, so no field width caps an exponent.
+homogeneous in its only row, so its drops are all zero.  Each basis
+element keeps its lead's weights-degree as an int, and a queued pair's
+degree is that of the newer lead plus the grading over the nonzero
+fields of the packed (lead_k - lead_new)^+, the part of the lcm the
+newer lead lacks.  The width starts two bits above the input's largest
+exponent, and any side of any binomial that outgrows it, lead or trail,
+reruns the completion at twice the width, so no field width caps an
+exponent.
 
 Cost rows may have negative entries, so the refined comparison is not a
 global well-order.  Every comparison Buchberger makes here is between two
@@ -420,6 +424,28 @@ def _divisor(q: int, packed: list[int], guards: int, skip: int = -1):
     return None
 
 
+def _graded_fields(packing: _Packing, grading) -> dict[int, tuple[int, int]]:
+    """The guard bit of each variable's field -> (the field's shift, its grading)."""
+    return {1 << s + packing.w: (s, g) for s, g in zip(packing.shifts, grading)}
+
+
+def _graded(r: int, fields: dict[int, tuple[int, int]], packing: _Packing) -> int:
+    """grading . r for a packed r, one product per nonzero field of r.
+
+    fields is _graded_fields(packing, grading); ((r | guards) - ones) &
+    guards holds the guard bit of every nonzero field.
+    """
+    top, guards = packing.top, packing.guards
+    nonzero = ((r | guards) - packing.ones) & guards
+    total = 0
+    while nonzero:
+        bit = nonzero & -nonzero
+        s, g = fields[bit]
+        total += g * (r >> s & top)
+        nonzero ^= bit
+    return total
+
+
 def _head_reduce(
     elt: tuple[int, int | None, int], basis: list[_Elt], packed: list[int],
     guards: int, rev: bool, skip: int = -1,
@@ -531,28 +557,27 @@ def _reduced(inputs, spec, packing: _Packing, saturated: int):
     """_buchberger_core at one width; raises _Overflow past it.
 
     Interreduction: one element per minimal lead survives, the earliest
-    among equal leads.  Visited by lead degree, an element is kept iff no
+    among equal leads.  Visited by lead weights-degree (the grading is
+    positive, so a proper divisor comes first), an element is kept iff no
     lead kept before it divides its own.  No kept lead divides another,
     so only the trails are reduced: each to its normal form modulo the
     kept elements, a Groebner basis, so the reducers' order is immaterial.
     A reduction step lowers a monomial in the order, so a trail's normal
     form stays below its lead.
     """
-    basis, packed, leads = _complete(inputs, spec, packing, saturated)
+    basis, packed, degrees = _complete(inputs, spec, packing, saturated)
     guards, rev = packing.guards, spec[2][0][1] < 0
     keep: list[_Elt] = []
     kept: list[int] = []
-    kept_leads: list[Monomial] = []
-    for i in sorted(range(len(basis)), key=lambda i: sum(leads[i])):
+    for i in sorted(range(len(basis)), key=degrees.__getitem__):
         if _divisor(packed[i], kept, guards) is None:
             keep.append(basis[i])
             kept.append(packed[i])
-            kept_leads.append(leads[i])
     out = []
     for i, (lead, trail, _) in enumerate(keep):
         trail = _head_reduce((trail, None, 0), keep, kept, guards, rev, skip=i)[0]
         # only monomial reduction reads the packed form, and it reads no drop
-        out.append((kept_leads[i], packing.unpack(trail), (lead, trail, 0)))
+        out.append((packing.unpack(lead), packing.unpack(trail), (lead, trail, 0)))
     out.sort(key=lambda e: (sum(e[0]), e[0]))
     reduced = [e[2] for e in out]
     return [e[:2] for e in out], (packing, reduced, [e[0] for e in reduced])
@@ -560,8 +585,8 @@ def _reduced(inputs, spec, packing: _Packing, saturated: int):
 
 def _complete(
     inputs, spec, packing: _Packing, saturated: int
-) -> tuple[list[_Elt], list[int], list[Monomial]]:
-    """The completed basis, its packed leads and its leads as tuples.
+) -> tuple[list[_Elt], list[int], list[int]]:
+    """The completed basis, its packed leads and their weights-degrees.
 
     For a pair (k, new) with d = (p_k | guards) - p_new, the guard bits
     ge = d & guards mark the fields where lead_k >= lead_new, ge - (ge >> w)
@@ -569,36 +594,34 @@ def _complete(
     (lead_k - lead_new)^+; the lcm is p_new + r.  lcm(c, new) divides
     lcm(k, new) exactly when r_c divides r_k, and a divisor packs to a
     smaller int, so one pass over the distinct r in ascending order keeps
-    the minimal ones.  The coprime pairs are those with r = p_k.  Raises
-    _Overflow when a binomial leaves the field width.
+    the minimal ones.  The coprime pairs are those with r = p_k.  The
+    degree is linear, so a queued pair's is the new lead's plus
+    _graded(r); no lead is unpacked.  Raises _Overflow when a binomial
+    leaves the field width.
     """
     rows, degree, sequence = spec
     w, guards, ones, pack = packing.w, packing.guards, packing.ones, packing.pack
     rev = sequence[0][1] < 0
     star = _drop_weights(rows, degree, w)
     grading = degree or (1,) * len(sequence)
+    fields = _graded_fields(packing, grading)
     # the guard bits of the saturated variables' fields
     masked = sum(1 << s + w for v, s in enumerate(packing.shifts) if saturated >> v & 1)
     # the inputs oriented, a binomial given twice (in either orientation)
-    # kept once, each with its lead as a tuple
-    oriented: dict[_Elt, Monomial] = {}
+    # kept once
+    oriented: dict[_Elt, None] = {}
     for a, b in inputs:
-        pa = pack(a)
         drop = sum(map(mul, star, a)) - sum(map(mul, star, b)) if star else 0
-        e = _orient(pa, pack(b), drop, rev)
-        oriented.setdefault(e, a if e[0] == pa else b)
+        oriented.setdefault(_orient(pack(a), pack(b), drop, rev))
     starts = list(oriented)
     basis: list[_Elt] = []
     packed: list[int] = []
-    leads: list[Monomial] = []
+    degrees: list[int] = []
     # (degree, packed lcm, j, i) for a pair, (degree, packed lead, -1, i)
     # for input i: pairs pushed for one j have distinct lcms and j grows
     # with every push, so entries come up in the order of (degree, packed
     # monomial), inputs first, and then of queueing
-    heap = [
-        (sum(map(mul, grading, lead)), e[0], -1, i)
-        for i, (e, lead) in enumerate(oriented.items())
-    ]
+    heap = [(_graded(e[0], fields, packing), e[0], -1, i) for i, e in enumerate(starts)]
     heapq.heapify(heap)
 
     def add_pairs(new):
@@ -613,7 +636,7 @@ def _complete(
             if r == p:
                 coprime.add(r)
         minimal: list[int] = []
-        lead = leads[new]
+        deg_new = degrees[new]
         for r in sorted(first):
             rg = r | guards
             for q in minimal:
@@ -622,9 +645,9 @@ def _complete(
             else:
                 minimal.append(r)
                 if r not in coprime:
-                    k = first[r]
-                    l = sum(map(mul, grading, map(max, leads[k], lead)))
-                    heapq.heappush(heap, (l, p_new + r, new, k))
+                    # lcm = lead_new + r, and the degree is linear
+                    l = deg_new + _graded(r, fields, packing)
+                    heapq.heappush(heap, (l, p_new + r, new, first[r]))
 
     def criterion_b(l, i, j):
         # lead_k | l, and lcm(i, k) = l exactly when lead_k meets l on every
@@ -661,9 +684,9 @@ def _complete(
             continue
         basis.append(s)
         packed.append(s[0])
-        leads.append(packing.unpack(s[0]))
+        degrees.append(_graded(s[0], fields, packing))
         add_pairs(len(basis) - 1)
-    return basis, packed, leads
+    return basis, packed, degrees
 
 
 def check_order_preconditions(vectors, order: TermOrder) -> None:

@@ -4,7 +4,8 @@ Nothing in the package uses these: they restate lattice membership,
 saturation by every variable in turn, rational solving, the Buchberger
 core and normal forms on exponent tuples, Buchberger without pair
 criteria, the non-optimal ideal by completing the cost-initial forms,
-standard pairs, colon, sum and intersection of monomial ideals, the
+the maximal corners of a monomial ideal on exponent tuples, standard
+pairs, colon, sum and intersection of monomial ideals, the
 containment tests on monomial ideals and components, the throwing form
 of the relaxation value, the Schrijver bound over every maximal minor
 and the degree-bound link of a table model directly, so tests can check
@@ -19,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import mul
+from operator import le, lt, mul
 
 from ipgap import lp
 from ipgap.errors import BadParameter, EmptyFiber, UnboundedProgram
@@ -519,6 +520,38 @@ def intersection_of_components(comps, nvars: int) -> MonomialIdeal:
     if ideal is None:
         raise BadParameter("no components to intersect")
     return ideal
+
+
+def tuple_maximal_corners(gens, nvars: int) -> list[tuple]:
+    """monomial._maximal_corners on exponent tuples, rows in the same order.
+
+    Each generator g splits the rows into those avoiding it (some
+    coordinate below g's) and the stale rest; each stale row spawns one
+    candidate per variable of g's support, capped at g_i - 1 there, and a
+    candidate is kept when no other row or candidate dominates it.  Every
+    comparison is coordinate by coordinate: no packing, no field width.
+    """
+    free = tuple(max(g[i] for g in gens) for i in range(nvars))
+    rows = [free]
+    for g in gens:
+        keep, stale = [], []
+        for row in rows:
+            (keep if any(map(lt, row, g)) else stale).append(row)
+        cands = list(
+            dict.fromkeys(
+                row[:i] + (gi - 1,) + row[i + 1 :]
+                for row in stale
+                for i, gi in enumerate(g)
+                if gi
+            )
+        )
+        pool = keep + cands
+        rows = keep + [
+            c
+            for c in cands
+            if not any(c != p and all(map(le, c, p)) for p in pool)
+        ]
+    return [tuple(None if x == f else x for x, f in zip(row, free)) for row in rows]
 
 
 @dataclass(frozen=True, order=True)

@@ -16,7 +16,7 @@ from ipgap.fan import (
     groebner_cone,
 )
 from ipgap.gapcore import GapInstance, LatticeIdeal, gap, gap_value
-from ipgap.toric import Binomial, GroebnerBasis, TermOrder, is_generic
+from ipgap.toric import Binomial, GroebnerBasis, TermOrder, buchberger, is_generic
 
 COIN_A = IntMatrix([[1, 1, 1, 1], [1, 5, 10, 25]])
 COIN_COST = (0, 1, 0, 1)
@@ -114,6 +114,26 @@ def test_knapsack_pieces_take_one_gordan_system_per_form(monkeypatch):
         assert all((len(p.eq), len(p.ub)) == (5, 0) for p in region)
         tests += len(region)
     assert (len(cones), tests, pieces) == (11, 30, 21)
+
+
+def test_walk_basis_is_the_basis_at_each_center():
+    # ipgap fan builds each cone's instance at its center from the walk's
+    # own basis; on the knapsack walk that basis is what a completion at
+    # the center returns, on all 11 cones, and so is the whole instance
+    a = IntMatrix([[3, 5, 7, 11]])
+    gens = LatticeIdeal.from_matrix(a).generators
+    cones = explore_cones(a, [(32, 45, 51, 14)], 20)
+    for gb, cone in cones:
+        order = TermOrder(cone.center, "grevlex")
+        assert buchberger(gens, order).elements == gb.elements
+        assert GapInstance.from_basis(a, gb, cone.center) == GapInstance.from_matrix(
+            a, cone.center
+        )
+    assert len(cones) == 11
+    # a cost outside the basis's cone marks some element the other way
+    (gb, _), (_, other) = cones[:2]
+    with pytest.raises(BadParameter):
+        GapInstance.from_basis(a, gb, other.center)
 
 
 def _gordan_pieces(inst, cone):

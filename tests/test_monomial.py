@@ -1,5 +1,8 @@
+import ast
 import itertools
 import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -13,14 +16,34 @@ from _reference import (
     intersection_of_components,
     standard_pairs,
     subset_of,
+    tuple_maximal_corners,
 )
+from ipgap import monomial
 from ipgap.errors import UnitIdeal, ZeroIdeal
+from ipgap.gapcore import LatticeIdeal
+from ipgap.models import MarginalModel, entry_instance, k4_model, margin_matrix
 from ipgap.monomial import (
     IrreducibleComponent,
     MonomialIdeal,
+    _maximal_corners,
     irreducible_decomposition,
     minimal_generators,
 )
+from ipgap.toric import TermOrder, buchberger, non_optimal_ideal
+
+
+def test_monomial_imports_only_errors_and_exactmath():
+    # the monomial layer sits below the algebra: no toric, no gapcore
+    tree = ast.parse(Path(monomial.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else (x.name for x in node.names))
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("ipgap"):
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names.update(x.name for x in node.names if x.name.startswith("ipgap"))
+    assert names <= {"errors", "exactmath"}
 
 
 def test_minimal_generators():
@@ -156,3 +179,63 @@ def test_standard_pairs_random_cross_check():
             if not any(o != q and ideal_subset_of(o, q) for o in cands)
         }
         assert minimal == set(irreducible_decomposition(ideal))
+
+
+def _corner_corpus():
+    """Seeded ideals for the packed corners: one generator, largest
+    exponents at, just below and just past a power of two (the packing's
+    field width is that of the largest), and small random ideals in one
+    to five variables."""
+    rng = random.Random(20261019)
+    corpus = [MonomialIdeal(3, [(0, 5, 0)]), MonomialIdeal(4, [(1, 2, 3, 4)])]
+    for k in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63):
+        e = 1 << k
+        corpus.append(MonomialIdeal(2, [(e - 1, 0), (0, e), (e - 1, 1)]))
+        corpus.append(MonomialIdeal(3, [(e, 0, 0), (1, e - 1, 0), (0, 1, e), (e, e, e)]))
+        corpus.append(MonomialIdeal(2, [(e, 0), (e - 1, e + 1), (0, e + 1)]))
+        # every largest exponent e - 1 fills its field
+        corpus.append(MonomialIdeal(3, [(e - 1, 1, 0), (0, e - 1, 1), (1, 0, e - 1)]))
+    while len(corpus) < 150:
+        nvars = rng.randint(1, 5)
+        ideal = _random_ideal(rng, nvars, rng.choice((1, 3, 8, 16)), rng.randint(1, 8))
+        if not ideal.is_zero and not ideal.is_unit:
+            corpus.append(ideal)
+    return corpus
+
+
+def test_packed_corners_match_the_tuple_walk():
+    for ideal in _corner_corpus():
+        got = _maximal_corners(ideal.gens, ideal.nvars)
+        assert got == tuple_maximal_corners(ideal.gens, ideal.nvars), ideal.gens
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_packed_corners_match_the_tuple_walk_on_k4(sense):
+    ideal = entry_instance(k4_model(), sense).ideal
+    got = _maximal_corners(ideal.gens, ideal.nvars)
+    assert len(got) == 139
+    assert got == tuple_maximal_corners(ideal.gens, ideal.nvars)
+
+
+@pytest.mark.slow
+def test_3x3x3_refined_decompositions():
+    # the refined non-optimal ideals of 3x3x3 with all 2-margins, cell 1's
+    # upper and lower bound (110 generators each): about 1 s and 6 s of
+    # CPU on a 2-vCPU box for the two decompositions, bounded here at
+    # about four times that; the max ideal is also checked against the
+    # tuple walk (about 6 s)
+    model = MarginalModel((3, 3, 3), ((1, 2), (1, 3), (2, 3)))
+    gens = LatticeIdeal.from_matrix(margin_matrix(model)).generators
+    elapsed = 0.0
+    for lead in (-1, 1):
+        order = TermOrder.refined((lead,) + (0,) * 26, "revgrevlex")
+        ideal = non_optimal_ideal(buchberger(gens, order))
+        assert len(ideal.gens) == 110
+        t0 = time.process_time()
+        comps = irreducible_decomposition(ideal)
+        elapsed += time.process_time() - t0
+        assert len(comps) == 2457
+        if lead < 0:
+            got = _maximal_corners(ideal.gens, 27)
+            assert got == tuple_maximal_corners(ideal.gens, 27)
+    assert elapsed < 30.0

@@ -680,6 +680,40 @@ def test_packed_orientation_matches_compare():
     assert checked >= 10_000
 
 
+def test_packed_pair_degree_matches_the_tuple_degree():
+    # a queued pair's degree, deg(lead_new) plus the grading over the
+    # nonzero fields of the packed r = (lead_k - lead_new)^+ formed as the
+    # core forms it, is the tuple degree of max(lead_k, lead_new): unit
+    # and non-unit gradings, entries up to every field's top, and r
+    # nonzero in every field
+    rng = random.Random(20261030)
+    full = 0
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        w = rng.randint(1, 9)
+        if trial % 2:
+            grading = (1,) * n
+        else:
+            grading = tuple(rng.randint(1, 9) for _ in range(n))
+        packing = toric._Packing(n, w, rng.sample(range(n), n))
+        fields = toric._graded_fields(packing, grading)
+        guards, top = packing.guards, packing.top
+        for _ in range(20):
+            new = [rng.randint(0, top) for _ in range(n)]
+            if rng.random() < 0.3:
+                new = [min(x, top - 1) for x in new]
+                k = [rng.randint(x + 1, top) for x in new]
+            else:
+                k = [rng.randint(0, top) for _ in range(n)]
+            d = (packing.pack(k) | guards) - packing.pack(new)
+            ge = d & guards
+            r = d & (ge - (ge >> w))
+            full += all(map(int.__gt__, k, new))
+            got = sum(map(mul, grading, new)) + toric._graded(r, fields, packing)
+            assert got == sum(map(mul, grading, map(max, k, new))), (grading, k, new)
+    assert full >= 1000
+
+
 def _saturation_case(rng, trial):
     """A graded kernel lattice with n <= 6, or a basis of rank <= n <= 4.
 
