@@ -49,6 +49,7 @@ from .toric import (
     buchberger,
     check_order_preconditions,
     ip_optimum,
+    is_generic,
     lattice_ideal_generators,
     non_optimal_ideal,
 )
@@ -159,11 +160,11 @@ class GapInstance:
         check_order_preconditions(lattice_ideal.lattice.columns(), order)
         if known is None:
             gb = buchberger(lattice_ideal.generators, order)
-        elif all(order.cost_drop(g) > 0 for g in known.elements):
+        else:
             # the packed form reduces monomials, which reads no order
             gb = GroebnerBasis(known.elements, order, known._packed)
-        else:
-            raise BadParameter("the cost does not mark every element of the basis given")
+            if not is_generic(gb):
+                raise BadParameter("the cost does not mark every element of the basis given")
         ideal = non_optimal_ideal(gb) if gb.elements else MonomialIdeal(n)
         comps = () if ideal.is_zero else irreducible_decomposition(ideal)
         return cls(lattice_ideal, order.cost, gb, ideal, comps)
@@ -267,8 +268,10 @@ def _relaxation_value(inst: GapInstance, z) -> int | Fraction:
     return base - sol.value
 
 
-def _integer_value(inst: GapInstance, z) -> int | Fraction:
-    return _dots(inst.cost, (ip_optimum(inst.groebner, z),))[0]
+def _integer_optimum(inst: GapInstance, z) -> tuple[tuple[int, ...], int | Fraction]:
+    """The optimal point of z's fiber and its cost."""
+    point = ip_optimum(inst.groebner, z)
+    return point, _dots(inst.cost, (point,))[0]
 
 
 def gap_witness(report: GapReport, inst: GapInstance) -> tuple[int, ...]:
@@ -285,7 +288,7 @@ def gap_witness(report: GapReport, inst: GapInstance) -> tuple[int, ...]:
     u = entry.component.bound
     vprime = tuple(max(0, -floor(v)) for v in entry.aux_optimum)
     z = tuple(int(a) + b for a, b in zip(u, vprime))
-    achieved = _integer_value(inst, z) - _relaxation_value(inst, z)
+    achieved = _integer_optimum(inst, z)[1] - _relaxation_value(inst, z)
     if achieved != report.gap:
         raise WitnessMismatch(
             f"constructed witness attains {achieved}, expected {report.gap}"

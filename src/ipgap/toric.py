@@ -10,19 +10,21 @@ along the elements they leave tied.  The Groebner core only ever holds
 binomials.
 
 Every order here is weight rows followed by a tiebreak sequence of
-(variable, direction) pairs (Robbiano 1985), the triple (rows, degree row
-or None, sequence) that TermOrder.spec gives and _comparator turns into
-TermOrder.compare.  Between monomials equal on every row, the first
-variable of the sequence in which they differ decides: direction 1
-favours the larger exponent, -1 the smaller.  Every sequence here has one
-direction throughout.  On n variables, lex is (x1, 1), ..., (xn, 1);
-grlex is the same after the degree row (1, ..., 1); grevlex is (xn, -1),
-..., (x1, -1) after the degree row, and revgrevlex (x1, -1), ...,
-(xn, -1).  TermOrder.refined spells the same sequence as rows after the
-costs: the degree row, if any, then the row direction * e_x for each
-pair, the last pair dropped when the degree fixes it.  Saturation uses
-the w-graded order with sequence (x_cheap, -1), then (x, -1) for the
-other variables from xn down.
+(variable, direction) pairs (Robbiano 1985): the triple (rows, degree row
+or None, sequence) that TermOrder.spec gives, the one form in which the
+Groebner core reads an order.  The first of the rows, then the degree
+row, on which two monomials differ decides, the larger dot product
+winning; between monomials equal on every row, the first variable of the
+sequence in which they differ decides: direction 1 favours the larger
+exponent, -1 the smaller.  Every sequence here has one direction
+throughout.  On n variables, lex is (x1, 1), ..., (xn, 1); grlex is the
+same after the degree row (1, ..., 1); grevlex is (xn, -1), ...,
+(x1, -1) after the degree row, and revgrevlex (x1, -1), ..., (xn, -1).
+TermOrder.refined spells the same sequence as rows after the costs: the
+degree row, if any, then the row direction * e_x for each pair, the last
+pair dropped when the degree fixes it.  Saturation uses the w-graded
+order with sequence (x_cheap, -1), then (x, -1) for the other variables
+from xn down.
 
 The lattice ideal is the saturation of the ideal of a lattice basis by
 every variable.  A variable needs no round of its own once the lemma of
@@ -150,40 +152,6 @@ def _tiebreak(name: str, n: int):
     return degree, tuple((i, -1) for i in variables)
 
 
-def _comparator(rows, degree, sequence):
-    """cmp(a, b) in {-1, 0, 1} for the order rows, degree, sequence spell.
-
-    rows are integer weight rows and degree, unless None, one more; the
-    first row on which a and b differ decides, the larger dot product
-    winning.  Then the first variable of the (variable, direction) pairs
-    of sequence in which the exponents differ decides: the larger exponent
-    wins for direction 1 and loses for -1.
-    """
-    unit = degree is not None and set(degree) <= {1}
-    if degree is not None and not unit:
-        rows = rows + (degree,)
-
-    def cmp(a: Monomial, b: Monomial) -> int:
-        for w in rows:
-            da = sum(map(mul, w, a))
-            db = sum(map(mul, w, b))
-            if da != db:
-                return 1 if da > db else -1
-        if unit:
-            da = sum(a)
-            db = sum(b)
-            if da != db:
-                return 1 if da > db else -1
-        for i, s in sequence:
-            x = a[i]
-            y = b[i]
-            if x != y:
-                return s if x > y else -s
-        return 0
-
-    return cmp
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """Compare exponent vectors by cost rows in sequence, then a tiebreak.
@@ -196,10 +164,8 @@ class TermOrder:
     is grevlex over the reversed variable list: after degree, ties go to
     the point with more mass on early variables.
 
-    compare(a, b) is 1, 0 or -1.  It weighs the cost rows, scaled to
-    integers, and then the tiebreak's degree row and sequence (see the
-    module docstring).  Without cost rows it takes any number of
-    variables.  Equality and hashing read costs and tiebreak only.
+    spec(n) is the order as the Groebner core reads it (see the module
+    docstring).  Equality and hashing read costs and tiebreak only.
     """
 
     costs: tuple[tuple[Fraction, ...], ...]
@@ -219,15 +185,6 @@ class TermOrder:
         if rows:
             spec = (tuple(tuple(_scaled(r)[0]) for r in rows), degree, sequence)
             object.__setattr__(self, "_spec", spec)
-            compare = _comparator(*spec)
-        else:
-            def compare(a: Monomial, b: Monomial) -> int:
-                return _comparator((), *_tiebreak(tiebreak, len(a)))(a, b)
-        object.__setattr__(self, "compare", compare)
-
-    def __reduce__(self):
-        # compare is a closure; a refined order's rows sort like its own
-        return TermOrder, (self.costs, self.tiebreak)
 
     @classmethod
     def degree_lexicographic(cls, n: int) -> "TermOrder":
@@ -241,17 +198,17 @@ class TermOrder:
     def refined(cls, cost, tiebreak: str = "grevlex") -> "TermOrder":
         """Total order with the tiebreak spelled out as weight rows.
 
-        Sorts points exactly like TermOrder(cost, tiebreak), and compares
-        them with that order's comparator, but because the tiebreak rows
-        are part of the cost sequence, tie resolution counts as
-        optimality: the non-optimal ideal becomes the full leading-term
+        Its spec is TermOrder(cost, tiebreak)'s, which sorts points as the
+        spelled-out rows do with fewer rows to weigh.  But because the
+        tiebreak rows are part of the cost sequence, tie resolution counts
+        as optimality: the non-optimal ideal becomes the full leading-term
         ideal rather than its strictly-suboptimal part.
         """
         base = cls(cost, tiebreak)
         if not base.costs:
             raise BadParameter("refined order needs at least one cost row")
         n = base.nvars
-        degree, sequence = _tiebreak(tiebreak, n)
+        _, degree, sequence = base._spec
         rows = list(base.costs)
         if degree is not None:
             rows.append(degree)
@@ -260,16 +217,14 @@ class TermOrder:
             rows.append(tuple(s if j == i else 0 for j in range(n)))
         order = cls(tuple(rows), tiebreak)
         object.__setattr__(order, "_spec", base._spec)
-        object.__setattr__(order, "compare", base.compare)
         return order
 
     def spec(self, n: int) -> tuple:
         """The order on n variables as (integer rows, degree row or None, sequence).
 
-        What compare weighs, in the form _comparator and the Groebner
-        core read: the cost rows scaled to integers, then the tiebreak's
-        degree row and sequence.  A refined order gives its base order's
-        spec, as its compare is its base order's.
+        The cost rows scaled to integers, then the tiebreak's degree row
+        and sequence; n is read only when there is no cost row.  A
+        refined order gives its base order's spec.
         """
         if self.costs:
             return self._spec
@@ -285,10 +240,6 @@ class TermOrder:
     @property
     def nvars(self) -> int | None:
         return len(self.costs[0]) if self.costs else None
-
-    def cost_drop(self, g: Binomial) -> int | Fraction:
-        """Primary-cost difference lead minus trail (> 0 means strict win)."""
-        return _dots(self.cost, (g.vector(),))[0]
 
 
 @dataclass(frozen=True)
@@ -950,10 +901,13 @@ def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
 
 
 def is_generic(gb: GroebnerBasis) -> bool:
-    """True iff every element strictly drops the primary cost lead to trail."""
+    """True iff the primary cost marks every element strictly.
+
+    Each lead costs more than its trail.  Without cost rows, True.
+    """
     if not gb.order.costs:
         return True
-    return all(gb.order.cost_drop(g) > 0 for g in gb.elements)
+    return all(d > 0 for d in _dots(gb.order.cost, (g.vector() for g in gb.elements)))
 
 
 def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:

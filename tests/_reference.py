@@ -1,8 +1,9 @@
 """Test-side reference implementations and cross-check oracles.
 
 Nothing in the package uses these: they restate lattice membership,
-saturation by every variable in turn, rational solving, the Buchberger
-core and normal forms on exponent tuples, Buchberger without pair
+saturation by every variable in turn, rational solving, the comparison
+a term order's spec defines, the Buchberger core and normal forms on
+exponent tuples, Buchberger without pair
 criteria, the non-optimal ideal by completing the cost-initial forms,
 the maximal corners of a monomial ideal on exponent tuples, standard
 pairs, colon, sum and intersection of monomial ideals, the
@@ -32,7 +33,6 @@ from ipgap.toric import (
     Binomial,
     GroebnerBasis,
     TermOrder,
-    _comparator,
     _graded_revlex_spec,
     _positive_orthogonal_weight,
     _split,
@@ -92,7 +92,7 @@ def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
         weights = (1,) * (n + 1)
     elements = [_split(v) for v in columns]
     for i in range(len(weights) - 1, -1, -1):
-        cmp = _comparator(*_graded_revlex_spec(weights, i))
+        cmp = comparator(*_graded_revlex_spec(weights, i))
         reduced = tuple_buchberger_core(elements, cmp)
         elements = []
         for lead, trail in reduced:
@@ -173,6 +173,30 @@ def _tuple_head_reduce(elt, basis, masks, cmp, skip=-1):
     return (lead, trail)
 
 
+def comparator(rows, degree, sequence):
+    """cmp(a, b) in {-1, 0, 1} for the order TermOrder.spec spells.
+
+    From the order's definition: the first of rows, then degree unless
+    None, on which a and b differ decides, the larger dot product
+    winning; then the first (variable, direction) pair of sequence whose
+    variable's exponents differ, the larger exponent winning for
+    direction 1 and losing for -1.
+    """
+    weights = rows if degree is None else rows + (degree,)
+
+    def cmp(a, b) -> int:
+        for w in weights:
+            d = sum(map(mul, w, a)) - sum(map(mul, w, b))
+            if d:
+                return 1 if d > 0 else -1
+        for i, s in sequence:
+            if a[i] != b[i]:
+                return s if a[i] > b[i] else -s
+        return 0
+
+    return cmp
+
+
 def normal_form(gb: GroebnerBasis, z) -> tuple[int, ...]:
     """toric.ip_optimum by reduction on exponent tuples: no field width."""
     basis = [(g.plus, g.minus) for g in gb.elements]
@@ -184,7 +208,7 @@ def tuple_buchberger_core(elements, cmp):
     """toric._buchberger_core on exponent tuples and a comparator.
 
     elements are binomials (a, b) in either orientation, zero ones
-    skipped; cmp is the order, _comparator of the core's spec.  The same
+    skipped; cmp is the order, comparator of the core's spec.  The same
     Gebauer-Moeller pair criteria and interreduction as the package's
     core, but every input is inserted up front, no pair is skipped for a
     saturated variable, every binomial is a pair of tuples oriented by
@@ -379,7 +403,7 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
             forms.append((g.plus, g.minus))
     if all(trail is None for _, trail in forms):
         return MonomialIdeal(n, (g.plus for g in gb.elements))
-    completed = buchberger_core(forms, TermOrder((), gb.order.tiebreak).compare)
+    completed = buchberger_core(forms, comparator(*TermOrder((), gb.order.tiebreak).spec(n)))
     monomials = [lead for lead, trail in completed if trail is None]
     binomials = [(lead, trail) for lead, trail in completed if trail is not None]
     ideal = MonomialIdeal(n, monomials)

@@ -8,6 +8,7 @@ from ipgap.errors import BadParameter
 from ipgap.gapcore import GapInstance, gap_report, gap_value
 from ipgap.models import (
     MarginalModel,
+    _entry_cost,
     cells,
     coin_instance,
     entry_gap,
@@ -180,6 +181,33 @@ def test_simplicial_representatives():
         seen.add(m.faces)
     assert k4_model().faces in seen
     assert ((1, 2, 3, 4),) in seen
+
+
+def _refined_and_unrefined_gaps(model, sense):
+    # entry_instance's refined order and the bare entry cost under the
+    # same tiebreak: the gap is a property of (A, c), so both must agree
+    # though they read different non-optimal ideals
+    unrefined = TermOrder(_entry_cost(model, sense), "revgrevlex")
+    plain = gap_report(GapInstance.from_matrix(margin_matrix(model), unrefined))
+    return gap_report(entry_instance(model, sense)).gap, plain.gap
+
+
+def test_simplicial_gaps_do_not_depend_on_the_refinement():
+    gaps = {
+        (model.faces, sense): _refined_and_unrefined_gaps(model, sense)
+        for model in simplicial_model_representatives()
+        for sense in ("max", "min")
+    }
+    assert len(gaps) == 56
+    assert {key: pair for key, pair in gaps.items() if pair[0] != pair[1]} == {}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_3x3x3_gap_does_not_depend_on_the_refinement(sense):
+    model = MarginalModel((3, 3, 3), ((1, 2), (1, 3), (2, 3)))
+    refined, unrefined = _refined_and_unrefined_gaps(model, sense)
+    assert refined == unrefined
 
 
 def test_k4_groebner_and_generators(k4):

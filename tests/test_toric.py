@@ -2,6 +2,7 @@ import pickle
 import random
 import time
 from collections import Counter
+from copy import deepcopy
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
@@ -10,7 +11,7 @@ from operator import mul
 import pytest
 
 import _reference
-from _reference import is_primitive, lattice_contains, leading_ideal
+from _reference import comparator, is_primitive, lattice_contains, leading_ideal
 from ipgap import lp, models, toric
 from ipgap.errors import BadParameter, NonTerminatingOrder, UnboundedProgram
 from ipgap.exactmath import IntMatrix, _span_basis, kernel_lattice
@@ -29,7 +30,6 @@ from ipgap.toric import (
     GroebnerBasis,
     TermOrder,
     _buchberger_core,
-    _comparator,
     _graded_revlex_spec,
     _positive_orthogonal_weight,
     buchberger,
@@ -66,22 +66,22 @@ def test_binomial_validation():
 
 
 def test_term_order_compare():
-    grevlex = TermOrder((0, 0, 0), "grevlex")
-    grlex = TermOrder((0, 0, 0), "grlex")
-    lex = TermOrder((0, 0, 0), "lex")
+    grevlex, grlex, lex = (
+        comparator(*TermOrder((0, 0, 0), tb).spec(3)) for tb in ("grevlex", "grlex", "lex")
+    )
     # same degree, distinguished by the tiebreak family
-    assert grevlex.compare((1, 0, 2), (0, 2, 1)) == -1
-    assert grlex.compare((1, 0, 2), (0, 2, 1)) == 1
-    assert lex.compare((1, 0, 2), (0, 2, 1)) == 1
+    assert grevlex((1, 0, 2), (0, 2, 1)) == -1
+    assert grlex((1, 0, 2), (0, 2, 1)) == 1
+    assert lex((1, 0, 2), (0, 2, 1)) == 1
     # x1 beats x2 in every family
-    for o in (grevlex, grlex, lex):
-        assert o.compare((1, 0, 0), (0, 1, 0)) == 1
-        assert o.compare((0, 1, 0), (0, 1, 0)) == 0
+    for cmp in (grevlex, grlex, lex):
+        assert cmp((1, 0, 0), (0, 1, 0)) == 1
+        assert cmp((0, 1, 0), (0, 1, 0)) == 0
     # cost dominates the tiebreak
-    costed = TermOrder((5, 1, 1), "grevlex")
-    assert costed.compare((1, 0, 0), (0, 3, 0)) == 1
+    costed = comparator(*TermOrder((5, 1, 1), "grevlex").spec(3))
+    assert costed((1, 0, 0), (0, 3, 0)) == 1
     # lex ignores degree entirely
-    assert lex.compare((1, 0, 0), (0, 9, 9)) == 1
+    assert lex((1, 0, 0), (0, 9, 9)) == 1
 
 
 def test_term_order_validation():
@@ -96,40 +96,42 @@ def test_term_order_validation():
 
 
 def test_revgrevlex_compare():
-    o = TermOrder((0, 0, 0), "revgrevlex")
+    cmp = comparator(*TermOrder((0, 0, 0), "revgrevlex").spec(3))
     # degree first; ties go to the point with more mass on early variables
-    assert o.compare((0, 0, 1), (1, 1, 0)) == -1
-    assert o.compare((1, 0, 2), (0, 2, 1)) == -1
-    assert o.compare((1, 0, 0), (0, 1, 0)) == -1
-    assert o.compare((0, 1, 0), (0, 0, 1)) == -1
-    assert o.compare((0, 0, 1), (1, 0, 0)) == 1
-    assert o.compare((2, 0, 1), (2, 0, 1)) == 0
+    assert cmp((0, 0, 1), (1, 1, 0)) == -1
+    assert cmp((1, 0, 2), (0, 2, 1)) == -1
+    assert cmp((1, 0, 0), (0, 1, 0)) == -1
+    assert cmp((0, 1, 0), (0, 0, 1)) == -1
+    assert cmp((0, 0, 1), (1, 0, 0)) == 1
+    assert cmp((2, 0, 1), (2, 0, 1)) == 0
 
 
 def test_refined_orders_sort_like_their_models():
     # refined() must reproduce the plain order exactly, and its trimmed
-    # comparison must agree with evaluating every weight row
+    # spec must agree with evaluating every weight row
     rng = random.Random(3)
     for cost in [(0, 1, 0, 1), (1, 1, 1, 1), (-1, 0, 0, 0), (2, -1, 3, 0)]:
         for tb in TIEBREAKS:
-            plain = TermOrder(cost, tb)
-            fast = TermOrder.refined(cost, tb)
-            full = TermOrder(fast.costs, "lex")
+            refined = TermOrder.refined(cost, tb)
+            plain = comparator(*TermOrder(cost, tb).spec(4))
+            fast = comparator(*refined.spec(4))
+            full = comparator(*TermOrder(refined.costs, "lex").spec(4))
             for _ in range(120):
                 a = tuple(rng.randrange(7) for _ in range(4))
                 b = tuple(rng.randrange(7) for _ in range(4))
-                want = plain.compare(a, b)
-                assert fast.compare(a, b) == want, (cost, tb, a, b)
-                assert full.compare(a, b) == want, (cost, tb, a, b)
+                want = plain(a, b)
+                assert fast(a, b) == want, (cost, tb, a, b)
+                assert full(a, b) == want, (cost, tb, a, b)
 
 
 def test_degree_lexicographic_sequence():
     order = TermOrder.degree_lexicographic(3)
     assert order.costs == ((1, 1, 1), (1, 0, 0), (0, 1, 0))
+    cmp = comparator(*order.spec(3))
     # degree first, then leftmost coordinate
-    assert order.compare((0, 0, 1), (2, 0, 0)) == -1
-    assert order.compare((2, 0, 0), (0, 2, 0)) == 1
-    assert order.compare((0, 2, 0), (0, 0, 2)) == 1
+    assert cmp((0, 0, 1), (2, 0, 0)) == -1
+    assert cmp((2, 0, 0), (0, 2, 0)) == 1
+    assert cmp((0, 2, 0), (0, 0, 2)) == 1
 
 
 def test_coin_saturation():
@@ -456,7 +458,7 @@ def _assert_core_matches_references(elements, spec, *extra):
     # element; returns it.  extra is a saturation round's saturated mask,
     # which only the packed core takes
     got, _ = _buchberger_core(elements, spec, *extra)
-    cmp = _comparator(*spec)
+    cmp = comparator(*spec)
     assert got == _reference.tuple_buchberger_core(elements, cmp), elements
     assert got == _reference.buchberger_core(elements, cmp), elements
     return got
@@ -562,7 +564,7 @@ def test_completion_widens_past_the_starting_width(monkeypatch, basis):
     assert gens == _reference.lattice_ideal_generators(basis)
     assert any(_outgrew_start_width(elements, out) for elements, _, out in outputs)
     for elements, spec, out in outputs:
-        assert out == _reference.tuple_buchberger_core(elements, _comparator(*spec))
+        assert out == _reference.tuple_buchberger_core(elements, comparator(*spec))
 
 
 def test_completion_widens_for_a_trail(monkeypatch):
@@ -626,7 +628,7 @@ def test_core_matches_the_tuple_core_under_cost_orders():
                 except (UnboundedProgram, NonTerminatingOrder):
                     seen["rejected"] += 1
                     continue
-                want = _reference.tuple_buchberger_core(sides, order.compare)
+                want = _reference.tuple_buchberger_core(sides, comparator(*order.spec(n)))
                 assert _buchberger_core(sides, order.spec(n))[0] == want, (sides, order)
                 assert [(g.plus, g.minus) for g in gb] == want
                 seen[kind] += 1
@@ -639,8 +641,8 @@ def test_core_matches_the_tuple_core_under_cost_orders():
 def test_packed_orientation_matches_compare():
     # within one fiber, the drop over the order's rows and then one int
     # comparison of the sides packed in sequence order orient a binomial
-    # as TermOrder.compare does; so does the unpacked rule of a core call
-    # with one input
+    # as the order's spec defines; so does the unpacked rule of a core
+    # call with one input
     rng = random.Random(20261024)
     checked = 0
     for _ in range(60):
@@ -648,13 +650,15 @@ def test_packed_orientation_matches_compare():
         basis = kernel_lattice(IntMatrix([[rng.randint(-3, 4) for _ in range(n)]]))
         cost = tuple(rng.randint(-5, 5) for _ in range(n))
         weights = tuple(rng.randint(1, 4) for _ in range(n))
-        specs = [(_graded_revlex_spec(weights, rng.randrange(n)), None)]
+        # (spec oriented by, spec defining the order): a refined order's
+        # rows spelled out under lex must orient as the refined order does
+        pairs = [(_graded_revlex_spec(weights, rng.randrange(n)),) * 2]
         for tb in TIEBREAKS:
             refined = TermOrder.refined(cost, tb)
-            specs += [(TermOrder(cost, tb).spec(n), TermOrder(cost, tb).compare)]
-            specs += [(refined.spec(n), refined.compare)]
-            specs += [(TermOrder(refined.costs, "lex").spec(n), refined.compare)]
-            specs += [(TermOrder((), tb).spec(n), TermOrder((), tb).compare)]
+            pairs += [(TermOrder(cost, tb).spec(n),) * 2, (refined.spec(n),) * 2]
+            pairs += [(TermOrder(refined.costs, "lex").spec(n), refined.spec(n))]
+            pairs += [(TermOrder((), tb).spec(n),) * 2]
+        specs = [(spec, comparator(*definition)) for spec, definition in pairs]
         for _ in range(20):
             a = tuple(rng.randrange(12) for _ in range(n))
             v = [0] * n
@@ -667,8 +671,6 @@ def test_packed_orientation_matches_compare():
             w = toric._width([a, b])
             for spec, compare in specs:
                 rows, degree, sequence = spec
-                if compare is None:
-                    compare = _comparator(*spec)
                 packing = toric._Packing(n, w, [i for i, _ in sequence])
                 star = toric._drop_weights(rows, degree, w)
                 drop = sum(map(mul, star, a)) - sum(map(mul, star, b)) if star else 0
@@ -986,14 +988,15 @@ def _assert_sorts_like(cmp, key, monomials):
 
 
 def test_orders_match_their_definitions():
-    # every comparator the package builds, against a sort key written here:
-    # each tiebreak with and without cost rows (refined ones included), on
-    # every monomial of degree <= 3 in 4 variables
+    # every spec the package builds, read by the reference comparator,
+    # against a sort key written here: each tiebreak with and without cost
+    # rows (refined ones included), on every monomial of degree <= 3 in 4
+    # variables
     monomials = _monomials(4, 3)
     for tb in TIEBREAKS:
         for n in (2, 4, 5):
             _assert_sorts_like(
-                TermOrder((), tb).compare,
+                comparator(*TermOrder((), tb).spec(n)),
                 lambda m: _tiebreak_key(tb, m),
                 _monomials(n, 3),
             )
@@ -1002,14 +1005,15 @@ def test_orders_match_their_definitions():
                 return (sum(c * x for c, x in zip(cost, m)),) + _tiebreak_key(tb, m)
 
             for order in (TermOrder(cost, tb), TermOrder.refined(cost, tb)):
-                _assert_sorts_like(order.compare, key, monomials)
-                # a copy through pickle is the same order
-                copy = pickle.loads(pickle.dumps(order))
-                assert copy == order
-                _assert_sorts_like(copy.compare, key, monomials)
+                _assert_sorts_like(comparator(*order.spec(4)), key, monomials)
+                # a copy through pickle or deepcopy is the same order,
+                # spec included: a refined one keeps its base order's rows
+                for copy in (pickle.loads(pickle.dumps(order)), deepcopy(order)):
+                    assert copy == order
+                    assert copy.spec(4) == order.spec(4)
         rows = ((1, 1, 0, 0), (0, 0, 1, 0))
         _assert_sorts_like(
-            TermOrder(rows, tb).compare,
+            comparator(*TermOrder(rows, tb).spec(4)),
             lambda m: (m[0] + m[1], m[2]) + _tiebreak_key(tb, m),
             monomials,
         )
@@ -1019,5 +1023,5 @@ def test_orders_match_their_definitions():
                 rest = tuple(-m[i] for i in reversed(range(4)) if i != cheap)
                 return (sum(w * x for w, x in zip(weights, m)), -m[cheap]) + rest
 
-            cmp = _comparator(*_graded_revlex_spec(weights, cheap))
+            cmp = comparator(*_graded_revlex_spec(weights, cheap))
             _assert_sorts_like(cmp, key, monomials)
