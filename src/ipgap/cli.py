@@ -39,7 +39,7 @@ from . import oracle
 from .errors import BadParameter, IpgapError, ParseError, VerificationError
 from .exactmath import IntMatrix
 from .fan import DEFAULT_BUDGET, explore_cones, gap_fan_subdivide
-from .gapcore import GapInstance, GapReport, _integer_optimum, _relaxation_value, gap_report
+from .gapcore import GapInstance, GapReport, gap_report
 from .models import MarginalModel, _entry_cost, cells, entry_instance, margin_matrix
 from .monomial import IrreducibleComponent
 from .toric import TIEBREAKS
@@ -418,14 +418,14 @@ def cmd_witness(spec: InstanceSpec, args) -> tuple[list[str], dict]:
     lines.append(f"gap: {_rat_with_dec(rep.gap)}")
     lines.append(f"witness z: {_vec(rep.witness_z)}")
     if inst.matrix is not None:
+        # the values gap_report verified at the witness
         b = inst.matrix.mul_vector(rep.witness_z)
-        zopt, ipval = _integer_optimum(inst, rep.witness_z)
-        relax = _relaxation_value(inst, rep.witness_z)
+        ipval, relax = rep.witness_ip, rep.witness_lp
         data["witness_b"] = list(b)
         data["ip_value"] = str(ipval)
         data["lp_value"] = str(relax)
         lines.append(f"witness b: {_vec(b)}")
-        lines.append(f"integer optimum: {_vec(zopt)} with value {ipval}")
+        lines.append(f"integer optimum: {_vec(rep.witness_optimum)} with value {ipval}")
         lines.append(f"relaxation value: {_rat_with_dec(relax)}")
         lines.append(f"difference: {_rat_with_dec(ipval - relax)}")
     return lines, data

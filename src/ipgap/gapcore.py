@@ -196,7 +196,10 @@ class GapReport:
     maximum value; winner is the first component attaining it in the
     canonical component order and attaining lists all of them; witness_z
     is a nonnegative integer point whose program exhibits the gap;
-    instance is the instance reported on.
+    instance is the instance reported on.  witness_optimum is the optimal
+    point of witness_z's fiber, and witness_ip and witness_lp are the
+    values of the program and its relaxation there, as gap_witness
+    verified them; like instance they take no part in equality.
     """
 
     per_component: tuple[ComponentGap, ...]
@@ -205,6 +208,9 @@ class GapReport:
     attaining: tuple[IrreducibleComponent, ...]
     witness_z: tuple[int, ...]
     instance: GapInstance = field(repr=False, compare=False)
+    witness_optimum: tuple[int, ...] = field(default=(), compare=False)
+    witness_ip: int | Fraction = field(default=0, compare=False)
+    witness_lp: int | Fraction = field(default=0, compare=False)
 
     @cached_property
     def schrijver_bound(self) -> Fraction | None:
@@ -274,26 +280,33 @@ def _integer_optimum(inst: GapInstance, z) -> tuple[tuple[int, ...], int | Fract
     return point, _dots(inst.cost, (point,))[0]
 
 
-def gap_witness(report: GapReport, inst: GapInstance) -> tuple[int, ...]:
-    """A nonnegative integer point whose program attains the reported gap.
+def gap_witness(report: GapReport, inst: GapInstance) -> GapReport:
+    """The report with a witness: a point whose program attains the gap.
 
     Rounds the winning component's optimum v* up coordinatewise to kill
     negative entries (z = u + v' with v'_i = max(0, -floor(v*_i))) and
     verifies IP(z) - LP(z) = gap by an independent exact solve of both
-    sides; any disagreement is an internal error, never silent.
+    sides; any disagreement is an internal error, never silent.  The
+    report returned holds z, z's optimal point and both values.
     """
     if report.winner is None:
-        return (0,) * inst.nvars
+        zero = (0,) * inst.nvars
+        return dataclasses.replace(
+            report, witness_z=zero, witness_optimum=zero, witness_ip=0, witness_lp=0
+        )
     entry = next(e for e in report.per_component if e.component == report.winner)
     u = entry.component.bound
     vprime = tuple(max(0, -floor(v)) for v in entry.aux_optimum)
     z = tuple(int(a) + b for a, b in zip(u, vprime))
-    achieved = _integer_optimum(inst, z)[1] - _relaxation_value(inst, z)
-    if achieved != report.gap:
+    point, ip = _integer_optimum(inst, z)
+    relax = _relaxation_value(inst, z)
+    if ip - relax != report.gap:
         raise WitnessMismatch(
-            f"constructed witness attains {achieved}, expected {report.gap}"
+            f"constructed witness attains {ip - relax}, expected {report.gap}"
         )
-    return z
+    return dataclasses.replace(
+        report, witness_z=z, witness_optimum=point, witness_ip=ip, witness_lp=relax
+    )
 
 
 def gap_report(inst: GapInstance) -> GapReport:
@@ -304,15 +317,14 @@ def gap_report(inst: GapInstance) -> GapReport:
     ideal is zero.
     """
     if not inst.components:
-        return GapReport((), Fraction(0), None, (), (0,) * inst.nvars, inst)
+        zero = (0,) * inst.nvars
+        return GapReport((), Fraction(0), None, (), zero, inst, zero)
     per = tuple(
         ComponentGap(comp, *gap_value(comp, inst)) for comp in inst.components
     )
     best = max(e.value for e in per)
     attaining = tuple(e.component for e in per if e.value == best)
-    report = GapReport(per, best, attaining[0], attaining, (), inst)
-    witness = gap_witness(report, inst)
-    return dataclasses.replace(report, witness_z=witness)
+    return gap_witness(GapReport(per, best, attaining[0], attaining, (), inst), inst)
 
 
 def gap(a, c, tiebreak: str = "grevlex") -> GapReport:

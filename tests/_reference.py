@@ -2,15 +2,15 @@
 
 Nothing in the package uses these: they restate lattice membership,
 saturation by every variable in turn, rational solving, the comparison
-a term order's spec defines, the Buchberger core and normal forms on
-exponent tuples, Buchberger without pair
-criteria, the non-optimal ideal by completing the cost-initial forms,
-the maximal corners of a monomial ideal on exponent tuples, standard
-pairs, colon, sum and intersection of monomial ideals, the
-containment tests on monomial ideals and components, the throwing form
-of the relaxation value, the Schrijver bound over every maximal minor
-and the degree-bound link of a table model directly, so tests can check
-the package's answers against them.  Each favours the plain textbook
+a term order's spec defines, the Buchberger core, interreduction and
+normal forms on exponent tuples, Buchberger without pair criteria, the
+non-optimal ideal by completing the cost-initial forms, the maximal
+corners of a monomial ideal on exponent tuples, standard pairs, colon,
+sum and intersection of monomial ideals, the containment tests on
+monomial ideals and components, the throwing form of the relaxation
+value, the Schrijver bound over every maximal minor and the
+degree-bound link of a table model directly, so tests can check the
+package's answers against them.  Each favours the plain textbook
 construction over speed.
 """
 
@@ -209,13 +209,14 @@ def tuple_buchberger_core(elements, cmp):
 
     elements are binomials (a, b) in either orientation, zero ones
     skipped; cmp is the order, comparator of the core's spec.  The same
-    Gebauer-Moeller pair criteria and interreduction as the package's
-    core, but every input is inserted up front, no pair is skipped for a
-    saturated variable, every binomial is a pair of tuples oriented by
-    cmp, and leads are compared coordinate by coordinate through divides
-    and lcm tuples, behind support bitmasks, instead of as packed ints:
-    no field width, so no widening.  Returns the reduced basis the
-    package's core returns, element for element, since it is unique.
+    pair criteria as the package's core, Gebauer and Moeller's M and F
+    and the coprime-lead criterion, and the same interreduction, but
+    every input is inserted up front, no pair is skipped for a saturated
+    variable, every binomial is a pair of tuples oriented by cmp, and
+    leads are compared coordinate by coordinate through divides and lcm
+    tuples, behind support bitmasks, instead of as packed ints: no field
+    width, so no widening.  Returns the reduced basis the package's core
+    returns, element for element, since it is unique.
     """
     basis = []
     for a, b in elements:
@@ -254,16 +255,6 @@ def tuple_buchberger_core(elements, cmp):
 
     while heap:
         _, l, _, i, j = heapq.heappop(heap)
-        outside = ~(masks[i] | masks[j])
-        li, lj = basis[i][0], basis[j][0]
-        if any(
-            not masks[k] & outside
-            and divides(basis[k][0], l)
-            and tuple(map(max, li, basis[k][0])) != l
-            and tuple(map(max, lj, basis[k][0])) != l
-            for k in range(j + 1, len(basis))
-        ):
-            continue
         (fl, ft), (gl, gt) = basis[i], basis[j]
         m1 = tuple(x - a + b for x, a, b in zip(l, fl, ft))
         m2 = tuple(x - a + b for x, a, b in zip(l, gl, gt))
@@ -276,7 +267,18 @@ def tuple_buchberger_core(elements, cmp):
         basis.append(s)
         masks.append(_support(s[0]))
         add_pairs(len(basis) - 1)
+    return interreduce(basis, cmp)
 
+
+def interreduce(basis, cmp):
+    """The reduced basis of the ideal a Groebner basis generates.
+
+    basis holds oriented binomials (lead, trail), cmp the order.  One
+    element per minimal lead is kept, the earliest among equal leads,
+    and each trail is reduced to its normal form modulo the kept ones;
+    sorted as the package's core sorts its output.
+    """
+    masks = [_support(lead) for lead, _ in basis]
     keep: list = []
     kept_masks: list = []
     for i in sorted(range(len(basis)), key=lambda i: sum(basis[i][0])):

@@ -78,7 +78,7 @@ def test_02_coin_basis_and_decomposition():
 def test_03_coin_witness_and_named_rhs():
     inst = coin()
     rep = gap_report(inst)
-    z = gap_witness(rep, inst)
+    z = gap_witness(rep, inst).witness_z
     b = COIN_A.mul_vector(z)
     # the brute-force route must see the same difference at that b
     ip = oracle.brute_ip(COIN_A, b, COIN_COST)

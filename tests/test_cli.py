@@ -205,6 +205,24 @@ def test_witness_coin(capsys):
     assert "difference: 76/15" in out
 
 
+def test_witness_solves_the_witness_program_once(capsys, monkeypatch):
+    # gap_report verifies IP(z) and LP(z) at the witness, and the report
+    # lines read those values instead of solving both again
+    calls = []
+    ip_optimum = gapcore.ip_optimum
+
+    def counted(*args):
+        calls.append(args)
+        return ip_optimum(*args)
+
+    monkeypatch.setattr(gapcore, "ip_optimum", counted)
+    code, out, _ = run(capsys, "witness", K4)
+    assert code == 0
+    assert "integer optimum: (0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1) with value 0" in out
+    assert "difference: 5/3" in out
+    assert len(calls) == 1
+
+
 def test_margins_k4(capsys):
     code, out, _ = run(capsys, "margins", K4)
     assert code == 0

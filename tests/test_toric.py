@@ -455,12 +455,19 @@ def _random_order(rng, n, trial):
 def _assert_core_matches_references(elements, spec, *extra):
     # the packed core, the same criteria on exponent tuples, and textbook
     # Buchberger without criteria give one reduced basis, element for
-    # element; returns it.  extra is a saturation round's saturated mask,
-    # which only the packed core takes
+    # element; returns the packed core's output.  extra is a saturation
+    # round's saturated mask and whether it reduces trails, which only
+    # the packed core takes.  A call that reduces no trail must give the
+    # reduced basis's leads in its order and interreduce to that basis
     got, _ = _buchberger_core(elements, spec, *extra)
     cmp = comparator(*spec)
-    assert got == _reference.tuple_buchberger_core(elements, cmp), elements
-    assert got == _reference.buchberger_core(elements, cmp), elements
+    want = _reference.tuple_buchberger_core(elements, cmp)
+    assert want == _reference.buchberger_core(elements, cmp), elements
+    if extra[1:] == (False,):
+        assert [lead for lead, _ in got] == [lead for lead, _ in want], elements
+        assert _reference.interreduce(got, cmp) == want, elements
+    else:
+        assert got == want, elements
     return got
 
 
@@ -507,8 +514,9 @@ def test_core_matches_references_on_large_exponents():
 def test_core_matches_references_on_lifted_lattices(monkeypatch):
     # every core call of saturating lattices without a positive grading
     # (the lifted branch), finite-index ones among them, with exponents
-    # past 60; their generators as the one-round-per-variable reference
-    # on the tuple core makes them
+    # past 60, the rounds that reduce no trail among them; their
+    # generators as the one-round-per-variable reference on the tuple
+    # core makes them
     rng = random.Random(20261021)
     calls = []
     core = toric._buchberger_core
@@ -518,7 +526,7 @@ def test_core_matches_references_on_lifted_lattices(monkeypatch):
         return core(elements, spec, *extra)
 
     monkeypatch.setattr(toric, "_buchberger_core", recorded)
-    finite_index = top = 0
+    finite_index = top = unreduced = 0
     for _ in range(40):
         k = rng.randint(2, 3)
         n = k + rng.randint(0, 1)
@@ -535,7 +543,8 @@ def test_core_matches_references_on_lifted_lattices(monkeypatch):
         for elements, spec, extra in calls:
             out = _assert_core_matches_references(elements, spec, *extra)
             top = max(top, max(max(lead) for lead, _ in out))
-    assert finite_index >= 10 and top > 60
+            unreduced += out != _reference.interreduce(out, comparator(*spec))
+    assert finite_index >= 10 and top > 60 and unreduced >= 5
 
 
 @pytest.mark.parametrize(
@@ -755,6 +764,44 @@ def test_saturation_matches_one_round_per_variable_reference():
     assert lifted >= 100 and finite_index >= 50
 
 
+def test_rounds_without_trail_reduction_match_reduced_rounds(monkeypatch):
+    # a round on any variable but x_0 reduces no trail.  Replayed with
+    # trail reduction forced, every such round of graded and lifted
+    # lattices must give the same leads in the same order and the same
+    # divided flag, and both outputs must interreduce to one basis under
+    # the round's order
+    rng = random.Random(20261025)
+    rounds = []
+    saturation_round = toric._saturation_round
+
+    def recorded(*args):
+        out = saturation_round(*args)
+        rounds.append((args, out))
+        return out
+
+    monkeypatch.setattr(toric, "_saturation_round", recorded)
+    for trial in range(120):
+        lattice_ideal_generators(_saturation_case(rng, trial))
+    core = toric._buchberger_core
+
+    def reducing(elements, spec, saturated, reduce):
+        return core(elements, spec, saturated, True)
+
+    monkeypatch.setattr(toric, "_buchberger_core", reducing)
+    replayed = differ = 0
+    for (elements, weights, i, saturated), (got, divided) in rounds:
+        if i == 0:
+            continue
+        want, want_divided = saturation_round(elements, weights, i, saturated)
+        assert [lead for lead, _ in got] == [lead for lead, _ in want], elements
+        assert divided == want_divided, elements
+        cmp = comparator(*_graded_revlex_spec(weights, i))
+        assert _reference.interreduce(got, cmp) == _reference.interreduce(want, cmp)
+        replayed += 1
+        differ += got != want
+    assert replayed >= 100 and differ >= 10
+
+
 def _count_core_work(monkeypatch):
     """Counts of S-elements formed and head reductions begun from now on."""
     calls = {"s": 0, "reduce": 0}
@@ -790,23 +837,23 @@ def test_saturated_variable_skip_on_non_unit_gradings(monkeypatch):
     # variable the ideal is saturated in, where the weights-degree and the
     # plain degree differ.  A variable masked that the ideal is not
     # saturated in changes the generators; the heap keyed by plain degree
-    # (S-elements 796, reductions 2,507), the skip left out (reductions
-    # 2,777), the coprime-lead criterion left out (1,157, 2,783) or
-    # criterion B left out (759, 2,500) moves the pinned work
+    # (S-elements 524, reductions 2,019), the skip left out (759, 2,279)
+    # or the coprime-lead criterion left out (766, 2,286) moves the
+    # pinned work
     rng = random.Random(20261022)
     calls = _count_core_work(monkeypatch)
     for _ in range(100):
         basis = _non_unit_graded_lattice(rng)
         gens = lattice_ideal_generators(basis)
         assert gens == _reference.lattice_ideal_generators(basis), basis.rows
-    assert calls == {"s": 756, "reduce": 2497}
+    assert calls == {"s": 479, "reduce": 1999}
 
 
 @pytest.mark.slow
 def test_3x3x3_all_2_margins_generators_by_degree():
     # 27 cells, lattice rank 8, 15 saturation rounds from the 8 basis
     # binomials and the 12 short combinations of them that seed the first
-    # round: about 7 s on a 2-vCPU box, bounded here at about four times
+    # round: about 5 s on a 2-vCPU box, bounded here at about six times
     # that.  Of the 110 generators 27 have degree 4, 54 degree 6, 28
     # degree 7 and 1 degree 9; the 27 and 54 are the degree counts of the
     # minimal Markov basis Aoki and Takemura give for this model (Aust.
@@ -822,7 +869,7 @@ def test_3x3x3_all_2_margins_generators_by_degree():
 def test_lifted_six_variable_lattice_generators_by_norm():
     # a 6-variable lattice holding a nonnegative vector, so the lifted
     # branch, where the rounds still grow to thousands of elements.  About
-    # 15 s on a 2-vCPU box, bounded here at four times that.  The 88
+    # 11 s on a 2-vCPU box, bounded here at about five times that.  The 88
     # generators and their 1-norms were computed without the seeds
     basis = IntMatrix(
         [(1, 0, 0), (0, 1, 0), (1, 8, 54), (0, -2, -6), (-1, -9, -58), (1, 4, 21)]
@@ -869,19 +916,19 @@ def test_model_saturation_skips_proven_variables(monkeypatch, model, most_rounds
 @pytest.mark.parametrize(
     "model, s_elements, reductions",
     [
-        (transportation_model(3, 4), 300, 397),
-        (MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3))), 731, 781),
+        (transportation_model(3, 4), 214, 318),
+        (MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3))), 453, 624),
+        (k4_model(), 3591, 3815),
     ],
-    ids=["transport 3x4", "2x3x3"],
+    ids=["transport 3x4", "2x3x3", "k4"],
 )
 def test_pair_criteria_work_is_pinned(monkeypatch, model, s_elements, reductions):
     # the outputs alone do not show a pair criterion gone.  S-elements
-    # formed and head reductions begun (inputs, S-elements and trails):
-    # without the coprime-lead criterion they read (314, 404) and
-    # (740, 790), without criterion B (300, 397), unmoved, and (805, 837),
-    # and without the skip of S-pairs sharing a saturated variable, which
-    # comes after the S-element is formed, the reductions read 483 and
-    # 1,075
+    # formed and head reductions begun (inputs, S-elements and the trails
+    # of the rounds on x_0): without the coprime-lead criterion they read
+    # (266, 370), (567, 738) and (3,659, 3,883), and without the skip of
+    # S-pairs sharing a saturated variable, made when a pair is queued,
+    # (300, 404), (805, 934) and (5,061, 5,227)
     basis = kernel_lattice(margin_matrix(model))
     calls = _count_core_work(monkeypatch)
     lattice_ideal_generators(basis)
