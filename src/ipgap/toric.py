@@ -27,27 +27,23 @@ order with sequence (x_cheap, -1), then (x, -1) for the other variables
 from xn down.
 
 The lattice ideal is the saturation of the ideal of a lattice basis by
-every variable.  A variable needs no round of its own once the lemma of
+every variable.  A lattice on more than six coordinates is saturated by
+project-and-lift (Hemmecke and Malkin 2009): the ideal of its projection
+onto a pointed coordinate set first, then one round per other
+coordinate, each saturating only that coordinate's new variable.  A
+smaller lattice, and the projection, are saturated variable by
+variable, and a variable needs no round of its own once the lemma of
 _close_saturated proves the current ideal saturated in it: if I is
 saturated in the variables of S and holds x^u - x^w with supp(u) in S,
 then I is saturated in supp(w).  The generators returned are the reduced
 basis under one fixed order, the grading with the first variable
-revlex-cheapest, so they do not depend on which rounds ran.
-
-The first round starts from more than the basis: every +-1 combination
-of two or three basis vectors that is no longer, in 1-norm, than the
-longest vector it combines joins it as a seed.  A seed is a lattice
-vector, so the ideal the inputs generate lies between the basis ideal
-and the lattice ideal and saturates to the lattice ideal all the same.
-The seeds cost at most r(r - 1) + (2/3) r (r - 1)(r - 2) candidates for
-rank r, and few pass: 16 of 60 for k4, 12 of 280 for the 3x3x3 table.
-They keep the rounds' bases small (3x3x3's largest falls from 4,345
-elements to 1,365).  Each round completes homogeneously: its inputs,
-the basis the round before left, enter one by one in order of
-weights-degree and are dropped when the basis so far already reduces
-them to zero, and an S-pair whose two sides share a variable the ideal
-is proven saturated in is never queued (_buchberger_core states why
-that is sound).  Only rounds on x_0 reduce trails (_saturation_round).
+revlex-cheapest, so they do not depend on which rounds ran.  Each round
+completes homogeneously: its inputs, the basis the round before left,
+enter one by one in order of weights-degree and are dropped when the
+basis so far already reduces them to zero, and an S-pair whose two
+sides share a variable the ideal is proven saturated in is never queued
+(_buchberger_core states why that is sound).  Only rounds on x_0 reduce
+trails (_saturation_round).
 
 Inside the Groebner core both sides of every binomial are held as ints,
 exactmath._Packing's layout: n fields of w bits, each under a guard bit,
@@ -87,11 +83,13 @@ checks run up front and reject bad inputs instead of looping forever.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations, product
-from operator import add, mul, sub
+from functools import lru_cache, reduce
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
 from . import lp
 from .errors import BadParameter, NonTerminatingOrder, UnboundedProgram
@@ -785,57 +783,22 @@ def _close_saturated(saturated: int, sides: list[tuple[int, int]]) -> int:
     return saturated
 
 
-def _short_combinations(elements: list[_Elt]) -> list[_Elt]:
-    """The short +-1 combinations of two or three lattice vectors, split.
-
-    For each pair i < j the vectors v_i + v_j and v_i - v_j, and for each
-    triple i < j < k the four v_i +- v_j +- v_k, where v is lead - trail
-    of an element; a combination is kept when its 1-norm is at most that
-    of the longest vector it combines.
-    """
-    vectors = [tuple(map(sub, lead, trail)) for lead, trail in elements]
-    norms = [sum(map(abs, v)) for v in vectors]
-    indices = range(len(vectors))
-    out = []
-    for combo in chain(combinations(indices, 2), combinations(indices, 3)):
-        longest = max(norms[i] for i in combo)
-        first, *rest = (vectors[i] for i in combo)
-        for ops in product((add, sub), repeat=len(rest)):
-            v = first
-            for op, u in zip(ops, rest):
-                v = tuple(map(op, v, u))
-            if sum(map(abs, v)) <= longest:
-                out.append(_split(v))
-    return out
-
-
 def _saturate_all_vars(elements: list[_Elt], weights: tuple[int, ...]) -> list[_Elt]:
     """Saturate in every variable, running rounds only where needed.
 
     elements must be weights-homogeneous binomials, x^(v+) - x^(v-) for
-    the vectors v of a lattice basis B.  Before the first round they are
-    joined by the short combinations of two or three of them
-    (_short_combinations: at most r(r - 1) + (2/3) r (r - 1)(r - 2) more
-    for r elements), which keeps the rounds' bases small.  The result is
-    the same: every such seed is a lattice vector, homogenized as the
-    basis is on the lifted branch, so it is weights-homogeneous and the
-    ideal J the inputs generate has I_B <= J <= I_L; J saturated is then
-    I_L, whose reduced basis under the fixed final order is unique.  A
-    variable no basis vector uses is used by no seed either, so the
-    starting set S below and _close_saturated stay sound.  The set S of
-    variables the current ideal is proven saturated in starts at those no
-    element uses and is closed by _close_saturated after every round; no
-    round runs for a variable of S.  The next round's variable is the one
-    whose addition to S grows the closure over the current elements most,
-    ties to the highest index.  Saturation in one variable keeps the
-    others, so once S holds every variable the ideal is the full
-    saturation.  The result is its reduced basis under the graded order
-    with x_0 revlex-cheapest: a final pass, unless the last round, on
-    x_0, already left that basis.
+    the vectors v of a lattice basis.  The set S of variables the current
+    ideal is proven saturated in starts at those no element uses and is
+    closed by _close_saturated after every round; no round runs for a
+    variable of S.  The next round's variable is the one whose addition
+    to S grows the closure over the current elements most, ties to the
+    highest index.  Saturation in one variable keeps the others, so once
+    S holds every variable the ideal is the full saturation.  The result
+    is its reduced basis under the graded order with x_0 revlex-cheapest:
+    a final pass, unless the last round, on x_0, already left that basis.
     """
     n = len(weights)
     full = (1 << n) - 1
-    elements = elements + _short_combinations(elements)
     sides = [(_support(lead), _support(trail)) for lead, trail in elements]
     saturated = full
     for a, b in sides:
@@ -862,19 +825,92 @@ def _saturate_all_vars(elements: list[_Elt], weights: tuple[int, ...]) -> list[_
     return elements
 
 
+# lattices on at most this many coordinates saturate in _saturate_all_vars
+# alone.  On 150 kernels of random one- and two-row matrices per size
+# (entries in [-6, 6], 2-vCPU box), the linear programs that choose the
+# projection cost more than the lifts save on six coordinates (0.36 s
+# direct, 0.64 s lifted), and the lifts win on seven (5.4 s against 1.0 s)
+_DIRECT_COORDINATES = 6
+
+
+def _project_and_lift(columns, weights: tuple[int, ...]) -> list[_Elt]:
+    """_saturate_all_vars's result for the lattice L the columns span.
+
+    Project-and-lift (Hemmecke and Malkin, J. Symbolic Comput. 44, 2009).
+    The pivot columns R of L's reduced echelon basis (_span_basis) fix a
+    lattice vector, v_j = lam_j . v_R / den in ints for every coordinate
+    j; so L projects one-to-one onto every coordinate set T holding R.
+    T starts as R plus the highest-index other coordinates, as few as give
+    the projection pi_T(L) a positive grading (_positive_orthogonal_weight,
+    tried from one added coordinate up), and _saturate_all_vars gives
+    generators of I_pi_T(L).  The other coordinates are then lifted from
+    the highest index down.  A lift of j gives each generator its j
+    exponents, v_j's positive part on the lead and negative part on the
+    trail, and runs one _saturation_round on x_j alone, with no variable
+    masked.  That round is sound: the lifted generators J satisfy
+    J : x_j^oo = I_pi_T+j(L).  J lies in that lattice ideal, which is
+    saturated.  Conversely, the two sides of a binomial of it have
+    T-parts in one fiber of pi_T(L), joined by a path of moves along the
+    generators; each move lifts to the one vector of L it comes from,
+    whose j-coordinate injectivity fixes, so the lifted path joins the two
+    sides, and times a high enough power of x_j it keeps the j-exponent
+    nonnegative.  The round's weights-graded order needs a grading of the
+    lifted lattice, made without a linear program from the grading w so
+    far: a w - lam_j on T (lam_j sitting on R), with a the least positive
+    integer that keeps it positive, and den on j.  A final pass on x_0
+    under the weights of L itself then leaves the reduced basis the
+    direct rounds leave, which is unique.
+    """
+    n = len(weights)
+    span = _span_basis(columns)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in span]
+    den = lcm(*(row[p] for row, p in zip(span, pivots)))
+    rest = [j for j in reversed(range(n)) if j not in pivots]
+    for t in range(1, len(rest) + 1):
+        coords = sorted(pivots + rest[:t])
+        grading = _positive_orthogonal_weight([[v[j] for j in coords] for v in columns])
+        if grading is not None:
+            break
+    elements = _saturate_all_vars([_split([v[j] for j in coords]) for v in columns], grading)
+    for j in rest[t:]:
+        lam = [den // row[p] * row[j] for row, p in zip(span, pivots)]
+        places = [coords.index(p) for p in pivots]
+        at = bisect_left(coords, j)
+        lifted = []
+        for lead, trail in elements:
+            vj = sum(c * (lead[q] - trail[q]) for c, q in zip(lam, places)) // den
+            lifted.append((
+                lead[:at] + (max(vj, 0),) + lead[at:],
+                trail[:at] + (max(-vj, 0),) + trail[at:],
+            ))
+        a = 1 + max(0, *(c // grading[q] for c, q in zip(lam, places)))
+        g = [a * x for x in grading]
+        for c, q in zip(lam, places):
+            g[q] -= c
+        g.insert(at, den)
+        content = reduce(gcd, g)
+        grading = tuple(x // content for x in g)
+        coords.insert(at, j)
+        elements, _ = _saturation_round(lifted, grading, at, 0)
+    elements, _ = _saturation_round(elements, weights, 0, (1 << n) - 1)
+    return elements
+
+
 def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
     """Generators of the saturated ideal of the lattice the columns span.
 
     The lattice itself is taken as given (no enlargement); saturation is of
     the ideal, removing the spurious components a raw basis ideal carries.
     When a strictly positive grading orthogonal to the lattice exists the
-    per-variable saturation runs directly; otherwise (finite-index
-    lattices) the computation is lifted by one homogenizing variable,
-    saturated there, and mapped back.  Rounds run only for variables the
-    ideal is not yet proven saturated in: holding x^u - x^w with supp(u)
-    among the saturated variables proves saturation in supp(w) too.  The
-    generators are those of the reduced basis under the grading with the
-    first variable revlex-cheapest, whichever rounds ran.
+    saturation runs on the lattice itself; otherwise (finite-index
+    lattices, say) on the lattice lifted by one homogenizing variable,
+    mapped back after.  A lattice on at most _DIRECT_COORDINATES
+    coordinates is saturated in every variable by _saturate_all_vars;
+    a larger one by project-and-lift (_project_and_lift), which saturates
+    a projection that needs few rounds and then one new variable per
+    lifted coordinate.  The generators are those of the reduced basis
+    under the grading with the first variable revlex-cheapest, whichever
+    rounds ran.
     """
     columns = [c for c in basis.columns() if any(c)]
     if not columns:
@@ -884,7 +920,10 @@ def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
     if weights is None:
         columns = [v + (-sum(v),) for v in columns]
         weights = (1,) * (n + 1)
-    elements = _saturate_all_vars([_split(v) for v in columns], weights)
+    if len(weights) > _DIRECT_COORDINATES:
+        elements = _project_and_lift(columns, weights)
+    else:
+        elements = _saturate_all_vars([_split(v) for v in columns], weights)
     vectors = set()
     for lead, trail in elements:
         v = tuple(a - b for a, b in zip(lead[:n], trail[:n]))

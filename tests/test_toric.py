@@ -14,7 +14,7 @@ import _reference
 from _reference import comparator, is_primitive, lattice_contains, leading_ideal
 from ipgap import lp, models, toric
 from ipgap.errors import BadParameter, NonTerminatingOrder, UnboundedProgram
-from ipgap.exactmath import IntMatrix, _span_basis, kernel_lattice
+from ipgap.exactmath import IntMatrix, _span_basis, hermite_normal_form, kernel_lattice
 from ipgap.gapcore import GapInstance, gap_report
 from ipgap.models import (
     MarginalModel,
@@ -558,22 +558,25 @@ def test_core_matches_references_on_lifted_lattices(monkeypatch):
 def test_completion_widens_past_the_starting_width(monkeypatch, basis):
     # a lead that outgrows the starting width reruns the completion at
     # twice the width; with any fixed width in its place no core output
-    # could hold a lead past the width computed from its input
-    outputs = []
+    # could hold a lead past the width computed from its input.  Each call
+    # is checked as _assert_core_matches_references checks it, so a call
+    # that reduces no trail is held to the reduced basis's leads
+    calls = []
     core = toric._buchberger_core
 
     def recorded(elements, spec, *extra):
-        out = core(elements, spec, *extra)
-        outputs.append((elements, spec, out[0]))
-        return out
+        calls.append((elements, spec, extra))
+        return core(elements, spec, *extra)
 
     monkeypatch.setattr(toric, "_buchberger_core", recorded)
     gens = lattice_ideal_generators(basis)
     monkeypatch.undo()
     assert gens == _reference.lattice_ideal_generators(basis)
-    assert any(_outgrew_start_width(elements, out) for elements, _, out in outputs)
-    for elements, spec, out in outputs:
-        assert out == _reference.tuple_buchberger_core(elements, comparator(*spec))
+    widened = False
+    for elements, spec, extra in calls:
+        out = _assert_core_matches_references(elements, spec, *extra)
+        widened |= _outgrew_start_width(elements, out)
+    assert widened
 
 
 def test_completion_widens_for_a_trail(monkeypatch):
@@ -764,6 +767,59 @@ def test_saturation_matches_one_round_per_variable_reference():
     assert lifted >= 100 and finite_index >= 50
 
 
+def _lift_case(rng, trial):
+    """A lattice of rank 2 or 3 on seven or eight coordinates.
+
+    Odd trials give a kernel lattice on 7 or 8 variables with a positive
+    first row, so the graded branch; even trials give a basis on 6 or 7
+    rows with no positive grading, saturated on one homogenizing
+    coordinate more.  Either way project-and-lift runs.  Small entries,
+    and rank 2 on 8 variables, keep the one-round-per-variable reference
+    to seconds.
+    """
+    if trial % 2:
+        n = rng.randint(7, 8)
+        rows = [[rng.randint(1, 3) for _ in range(n)]]
+        rank = rng.randint(2, 10 - n)
+        rows += [[rng.randint(-1, 2) for _ in range(n)] for _ in range(n - 1 - rank)]
+        return kernel_lattice(IntMatrix(rows))
+    n = rng.randint(6, 7)
+    k = rng.randint(2, 3)
+    while True:
+        basis = IntMatrix([[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)], k)
+        columns = [c for c in basis.columns() if any(c)]
+        if basis.rank() == k and _positive_orthogonal_weight(columns) is None:
+            return basis
+
+
+def test_project_and_lift_matches_one_round_per_variable_reference(monkeypatch):
+    # the lifts, their new coordinates and the pointed projection they
+    # start from must leave the generators the reference makes.  The
+    # corpus lifts hundreds of coordinates, and many of its projections
+    # need more than one coordinate past the pivots to be pointed
+    rng = random.Random(20261101)
+    widths = []
+    saturate_all_vars = toric._saturate_all_vars
+
+    def recorded(elements, weights):
+        widths.append(len(weights))
+        return saturate_all_vars(elements, weights)
+
+    monkeypatch.setattr(toric, "_saturate_all_vars", recorded)
+    lifts = wide = 0
+    for trial in range(60):
+        basis = _lift_case(rng, trial)
+        widths.clear()
+        gens = lattice_ideal_generators(basis)
+        assert gens == _reference.lattice_ideal_generators(basis), basis.rows
+        (width,) = widths
+        coordinates = basis.nrows + (trial % 2 == 0)
+        assert coordinates > toric._DIRECT_COORDINATES
+        lifts += coordinates - width
+        wide += width > basis.rank() + 1
+    assert lifts >= 150 and wide >= 20
+
+
 def test_rounds_without_trail_reduction_match_reduced_rounds(monkeypatch):
     # a round on any variable but x_0 reduces no trail.  Replayed with
     # trail reduction forced, every such round of graded and lifted
@@ -835,29 +891,78 @@ def _non_unit_graded_lattice(rng):
 def test_saturated_variable_skip_on_non_unit_gradings(monkeypatch):
     # fault injection for the skip of S-pairs whose two sides share a
     # variable the ideal is saturated in, where the weights-degree and the
-    # plain degree differ.  A variable masked that the ideal is not
-    # saturated in changes the generators; the heap keyed by plain degree
-    # (S-elements 524, reductions 2,019), the skip left out (759, 2,279)
-    # or the coprime-lead criterion left out (766, 2,286) moves the
-    # pinned work
+    # plain degree differ; these lattices have at most six coordinates, so
+    # they take the direct rounds.  A variable masked that the ideal is
+    # not saturated in changes the generators; the heap keyed by plain
+    # degree (S-elements 941, reductions 2,230), the skip left out
+    # (1,169, 2,465) or the coprime-lead criterion left out (1,110, 2,406)
+    # moves the pinned work
     rng = random.Random(20261022)
     calls = _count_core_work(monkeypatch)
     for _ in range(100):
         basis = _non_unit_graded_lattice(rng)
         gens = lattice_ideal_generators(basis)
         assert gens == _reference.lattice_ideal_generators(basis), basis.rows
-    assert calls == {"s": 479, "reduce": 1999}
+    assert calls == {"s": 879, "reduce": 2175}
+
+
+def _hermite_rows(vectors, n):
+    h, _ = hermite_normal_form(IntMatrix(list(vectors), n))
+    return [r for r in h.rows if any(r)]
+
+
+def _assert_generate_the_lattice_ideal(basis, gens):
+    # an exact certificate, independent of how gens were computed.  Their
+    # vectors span the lattice L of the basis (one Hermite normal form),
+    # so the ideal J they generate, saturated in every variable, is I_L;
+    # and a round on each variable divides nothing, so J is saturated in
+    # each (Bayer and Stillman), and J = I_L
+    n = basis.nrows
+    assert _hermite_rows((g.vector() for g in gens), n) == _hermite_rows(basis.columns(), n)
+    weights = _positive_orthogonal_weight([g.vector() for g in gens])
+    sides = [(g.plus, g.minus) for g in gens]
+    for i in range(n):
+        _, divided = toric._saturation_round(sides, weights, i, 0)
+        assert not divided, i
+
+
+@pytest.mark.parametrize(
+    "model",
+    [k4_model(), MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3)))],
+    ids=["k4", "2x3x3"],
+)
+def test_model_generators_certify_as_the_lattice_ideal(model):
+    basis = kernel_lattice(margin_matrix(model))
+    _assert_generate_the_lattice_ideal(basis, lattice_ideal_generators(basis))
+
+
+@pytest.mark.slow
+def test_3x3x4_all_2_margins_generators_certified():
+    # 36 cells, lattice rank 12: project-and-lift saturates a projection on
+    # 13 coordinates and lifts the other 23, in about 7 s on a 2-vCPU box,
+    # bounded here at about eight times that.  The certificate's 36
+    # rounds take about 30 s more
+    model = MarginalModel((3, 3, 4), ((1, 2), (1, 3), (2, 3)))
+    basis = kernel_lattice(margin_matrix(model))
+    t0 = time.monotonic()
+    gens = lattice_ideal_generators(basis)
+    assert time.monotonic() - t0 < 60.0
+    assert len(gens) == 624
+    assert Counter(sum(g.plus) for g in gens) == {
+        4: 54, 6: 180, 7: 112, 8: 216, 9: 42, 10: 20
+    }
+    _assert_generate_the_lattice_ideal(basis, gens)
 
 
 @pytest.mark.slow
 def test_3x3x3_all_2_margins_generators_by_degree():
-    # 27 cells, lattice rank 8, 15 saturation rounds from the 8 basis
-    # binomials and the 12 short combinations of them that seed the first
-    # round: about 5 s on a 2-vCPU box, bounded here at about six times
-    # that.  Of the 110 generators 27 have degree 4, 54 degree 6, 28
-    # degree 7 and 1 degree 9; the 27 and 54 are the degree counts of the
-    # minimal Markov basis Aoki and Takemura give for this model (Aust.
-    # N. Z. J. Stat. 45, 2003)
+    # 27 cells, lattice rank 8: project-and-lift saturates a projection on
+    # 9 coordinates and lifts the other 18, in about 0.2 s on a 2-vCPU
+    # box, bounded here as when the direct rounds took about 5 s.  Of the
+    # 110 generators 27 have degree 4, 54 degree 6, 28 degree 7 and 1
+    # degree 9; the 27 and 54 are the degree counts of the minimal Markov
+    # basis Aoki and Takemura give for this model (Aust. N. Z. J. Stat.
+    # 45, 2003)
     model = MarginalModel((3, 3, 3), ((1, 2), (1, 3), (2, 3)))
     t0 = time.monotonic()
     gens = lattice_ideal_generators(kernel_lattice(margin_matrix(model)))
@@ -867,10 +972,10 @@ def test_3x3x3_all_2_margins_generators_by_degree():
 
 @pytest.mark.slow
 def test_lifted_six_variable_lattice_generators_by_norm():
-    # a 6-variable lattice holding a nonnegative vector, so the lifted
-    # branch, where the rounds still grow to thousands of elements.  About
-    # 11 s on a 2-vCPU box, bounded here at about five times that.  The 88
-    # generators and their 1-norms were computed without the seeds
+    # a 6-variable lattice holding a nonnegative vector, so saturated on
+    # seven coordinates with a homogenizing one, where the direct rounds
+    # grew to thousands of elements and took about 11 s.  Project-and-lift
+    # takes about 0.05 s on a 2-vCPU box; the bound is the direct rounds'
     basis = IntMatrix(
         [(1, 0, 0), (0, 1, 0), (1, 8, 54), (0, -2, -6), (-1, -9, -58), (1, 4, 21)]
     )
@@ -886,18 +991,21 @@ def test_lifted_six_variable_lattice_generators_by_norm():
 
 
 @pytest.mark.parametrize(
-    "model, most_rounds",
+    "model, core_calls",
     [
-        (k4_model(), 9),
-        (transportation_model(3, 4), 5),
-        (MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3))), 13),
+        (k4_model(), 13),
+        (transportation_model(3, 4), 7),
+        (MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3))), 16),
     ],
     ids=["k4", "transport 3x4", "2x3x3"],
 )
-def test_model_saturation_skips_proven_variables(monkeypatch, model, most_rounds):
-    # one round per variable runs 16, 12 and 18 Groebner bases here;
-    # rounds for variables the lemma proves saturated are skipped, and
-    # the generators stay those of the one-round-per-variable reference
+def test_model_saturation_skips_proven_variables(monkeypatch, model, core_calls):
+    # one round per variable runs 16, 12 and 18 Groebner bases here.
+    # Project-and-lift runs the base case's rounds on the projection,
+    # skipping those of variables the lemma proves saturated, and its
+    # final pass (2, 4 and 2 calls), then one round per lifted coordinate
+    # (10, 2 and 13) and the final pass on the whole lattice; the
+    # generators stay those of the one-round-per-variable reference
     runs = []
     core = toric._buchberger_core
 
@@ -909,16 +1017,16 @@ def test_model_saturation_skips_proven_variables(monkeypatch, model, most_rounds
     monkeypatch.setattr(toric, "_buchberger_core", counted)
     gens = lattice_ideal_generators(basis)
     monkeypatch.undo()
-    assert len(runs) <= most_rounds
+    assert len(runs) == core_calls
     assert gens == _reference.lattice_ideal_generators(basis)
 
 
 @pytest.mark.parametrize(
     "model, s_elements, reductions",
     [
-        (transportation_model(3, 4), 214, 318),
-        (MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3))), 453, 624),
-        (k4_model(), 3591, 3815),
+        (transportation_model(3, 4), 124, 202),
+        (MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3))), 268, 411),
+        (k4_model(), 1434, 1688),
     ],
     ids=["transport 3x4", "2x3x3", "k4"],
 )
@@ -926,9 +1034,10 @@ def test_pair_criteria_work_is_pinned(monkeypatch, model, s_elements, reductions
     # the outputs alone do not show a pair criterion gone.  S-elements
     # formed and head reductions begun (inputs, S-elements and the trails
     # of the rounds on x_0): without the coprime-lead criterion they read
-    # (266, 370), (567, 738) and (3,659, 3,883), and without the skip of
+    # (198, 276), (376, 519) and (1,578, 1,832), and without the skip of
     # S-pairs sharing a saturated variable, made when a pair is queued,
-    # (300, 404), (805, 934) and (5,061, 5,227)
+    # (160, 238), (316, 459) and (1,919, 2,173).  The lifts mask no
+    # variable, so the skip acts in the base case and the final pass
     basis = kernel_lattice(margin_matrix(model))
     calls = _count_core_work(monkeypatch)
     lattice_ideal_generators(basis)
