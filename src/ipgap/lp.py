@@ -12,8 +12,16 @@ Bland's smallest-index rule picks the entering and the leaving column,
 which ensures termination.  The pivot path is part of the output: most
 auxiliary programs have several optimal points (120 of the k4 report's
 140, 86 of perfbench ladder's 136), and the vertex reached is the
-aux_optimum reports print and the cone center the fan walk reads.  A
-faster solve must take the same pivots; tests/test_lp.py pins them.
+aux_optimum reports print, the cone center the fan walk reads and the
+grading saturation runs under.  A faster solve must take the same
+pivots; tests/test_lp.py pins them.
+
+Three set-ups pose every program of the package: the standard form
+min{c.x : a.x = b, x >= 0} of lp_value and feasible (the oracle's bounds
+and relaxations, Farkas's, Gordan's and the zero-cost-ray tests, the
+positive grading), the lattice-coefficient form of _coefficient_lp (the
+auxiliary programs and the witness relaxation) and fan._strict_point
+(the cone's center).
 
 The solver is written for the small dense problems this package produces;
 it is not a general-purpose LP code.
@@ -275,29 +283,23 @@ def feasible(rows, rhs) -> bool:
 
     The objective is zero, so phase 1 decides; only the status is read.
     """
-    problem = LPProblem((0,) * len(rows[0]), eq=tuple(zip(rows, rhs)))
-    return solve(problem).status == OPTIMAL
+    return lp_value(rows, rhs, (0,) * len(rows[0])).status == OPTIMAL
 
 
-def _coefficient_lp(vectors, cost, base, rows, extra=()) -> LPSolution:
+def _coefficient_lp(vectors, cost, base, rows) -> LPSolution:
     """max cost.(base - v) over v = base - B t, t free, B = vectors as columns.
 
-    The constraints are v_i >= 0 for i in rows and a.v <= r for each (a, r)
-    in extra.  Posed over the coefficients t this is
+    The constraints are v_i >= 0 for i in rows.  Posed over the
+    coefficients t this is
         max (B^T cost).t  s.t.  (row i of B).t <= base_i,
-                                -(B^T a).t <= r - a.base,
     in len(vectors) free variables; the solution's x is t.  vectors and
-    base are integer; B^T a and a.base are summed in ints (_dots).
+    base are integer; B^T cost is summed in ints (_dots).
     """
     brows = tuple(zip(*vectors))
     prob = LPProblem(
         objective=_dots(cost, vectors),
         sense="max",
-        ub=tuple((brows[i], base[i]) for i in rows)
-        + tuple(
-            (tuple(-x for x in _dots(a, vectors)), r - _dots(a, (base,))[0])
-            for a, r in extra
-        ),
+        ub=tuple((brows[i], base[i]) for i in rows),
         free=(True,) * len(vectors),
     )
     return solve(prob)

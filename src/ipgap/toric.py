@@ -637,9 +637,10 @@ def check_order_preconditions(vectors, order: TermOrder) -> None:
     basis B, rank-many rows however many vectors come in.  The first is a
     feasibility system of rank-many equality rows: by Farkas's lemma no
     such direction has negative cost exactly when B y = B c has a solution
-    y >= 0, a nonnegative cost agreeing with c on the span.  The second
-    is an exact LP in rank-many free coefficients; it runs only under lex,
-    the one tiebreak it can reject.  A passed check is remembered per
+    y >= 0, a nonnegative cost agreeing with c on the span.  The second,
+    run only under lex (the one tiebreak it can reject), is feasibility
+    too: a zero-cost ray is some s = B^T (p - q) with c.s = 0 and
+    sum(s) = 1 over p, q, s >= 0.  A passed check is remembered per
     span, primary cost and tiebreak, the only parts of the order it reads
     (the memo holds no TermOrder): a lattice basis checked before
     saturation spares the check of its saturated generators.
@@ -665,11 +666,14 @@ def _check_span(span: tuple[tuple[int, ...], ...], c, tiebreak: str) -> None:
         )
     if _tiebreak(tiebreak, n)[0] is not None:
         return  # a graded tiebreak well-orders the zero-cost directions
-    # zero-cost ray: maximize the coordinate sum at cost <= 0, capped at 1
-    sol = lp._coefficient_lp(
-        span, (-1,) * n, (0,) * n, range(n), extra=((c, 0), ((1,) * n, 1))
-    )
-    if sol.status == lp.OPTIMAL and sol.value > 0:
+    # zero-cost ray: B^T p - B^T q - s = 0, c.s = 0, sum(s) = 1 over (p, q, s)
+    r = len(span)
+    rows = [
+        [v[i] for v in span] + [-v[i] for v in span] + [-(j == i) for j in range(n)]
+        for i in range(n)
+    ]
+    rows += [[0] * 2 * r + list(c), [0] * 2 * r + [1] * n]
+    if lp.feasible(rows, (0,) * (n + 1) + (1,)):
         raise NonTerminatingOrder(
             "a nonzero nonnegative direction of zero cost exists; "
             "use a degree-compatible tiebreak (grevlex, grlex, or revgrevlex)"
@@ -704,23 +708,15 @@ def _graded_revlex_spec(weights: tuple[int, ...], cheap: int) -> tuple:
 
 
 def _positive_orthogonal_weight(columns) -> tuple[int, ...] | None:
-    """A strictly positive integer vector orthogonal to all columns, if any."""
-    if not columns:
-        return None
+    """A strictly positive integer vector orthogonal to all columns, if any.
+
+    w = 1 + y, y >= 0 the least-sum vertex of col.y = -col.1, scaled.
+    """
     n = len(columns[0])
-    prob = lp.LPProblem(
-        objective=(1,) * n,
-        sense="min",
-        eq=tuple((tuple(col), 0) for col in columns),
-        ub=tuple(
-            (tuple(-1 if j == i else 0 for j in range(n)), -1) for i in range(n)
-        ),
-        free=(True,) * n,
-    )
-    sol = lp.solve(prob)
+    sol = lp.lp_value(columns, [-sum(col) for col in columns], (1,) * n)
     if sol.status != lp.OPTIMAL:
         return None
-    return tuple(_scaled(sol.x)[0])
+    return tuple(_scaled([1 + y for y in sol.x])[0])
 
 
 def _split(v) -> tuple[Monomial, Monomial]:
@@ -826,10 +822,11 @@ def _saturate_all_vars(elements: list[_Elt], weights: tuple[int, ...]) -> list[_
 
 
 # lattices on at most this many coordinates saturate in _saturate_all_vars
-# alone.  On 150 kernels of random one- and two-row matrices per size
-# (entries in [-6, 6], 2-vCPU box), the linear programs that choose the
-# projection cost more than the lifts save on six coordinates (0.36 s
-# direct, 0.64 s lifted), and the lifts win on seven (5.4 s against 1.0 s)
+# alone, six because the linear programs that choose the projection once
+# cost more than the lifts saved there.  They now cost 4-6 times less, and
+# on 150 kernels of random one- and two-row matrices per size (entries in
+# [-6, 6], seeds 1 and 2, CPU on a 2-vCPU box) lifting wins on six columns
+# too (0.7-1.2 s against 0.9-2.3 s direct), as on seven (2.0-5.4 s, 11-40 s)
 _DIRECT_COORDINATES = 6
 
 

@@ -1,17 +1,17 @@
 """Test-side reference implementations and cross-check oracles.
 
-Nothing in the package uses these: they restate lattice membership,
-saturation by every variable in turn, rational solving, the comparison
-a term order's spec defines, the Buchberger core, interreduction and
-normal forms on exponent tuples, Buchberger without pair criteria, the
-non-optimal ideal by completing the cost-initial forms, the maximal
-corners of a monomial ideal on exponent tuples, standard pairs, colon,
-sum and intersection of monomial ideals, the containment tests on
-monomial ideals and components, the throwing form of the relaxation
-value, the Schrijver bound over every maximal minor and the
-degree-bound link of a table model directly, so tests can check the
-package's answers against them.  Each favours the plain textbook
-construction over speed.
+Nothing in the package uses these: they restate lattice membership, the
+positive grading as its own linear program, saturation by every variable
+in turn, rational solving, the comparison a term order's spec defines,
+the Buchberger core, interreduction and normal forms on exponent tuples,
+Buchberger without pair criteria, the non-optimal ideal by completing
+the cost-initial forms, the maximal corners of a monomial ideal on
+exponent tuples, standard pairs, colon, sum and intersection of monomial
+ideals, the containment tests on monomial ideals and components, the
+throwing form of the relaxation value, the Schrijver bound over every
+maximal minor and the degree-bound link of a table model directly, so
+tests can check the package's answers against them.  Each favours
+the plain textbook construction over speed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import le, lt, mul
 
 from ipgap import lp
 from ipgap.errors import BadParameter, EmptyFiber, UnboundedProgram
-from ipgap.exactmath import IntMatrix, LatticeBasis, hermite_normal_form
+from ipgap.exactmath import IntMatrix, LatticeBasis, _scaled, hermite_normal_form
 from ipgap.gapcore import gap_report
 from ipgap.models import MarginalModel, entry_instance
 from ipgap.monomial import IrreducibleComponent, MonomialIdeal, divides
@@ -34,7 +34,6 @@ from ipgap.toric import (
     GroebnerBasis,
     TermOrder,
     _graded_revlex_spec,
-    _positive_orthogonal_weight,
     _split,
     _support,
 )
@@ -72,6 +71,28 @@ def lattice_span_equal(b1: LatticeBasis, b2: LatticeBasis) -> bool:
     return canon(b1) == canon(b2)
 
 
+def positive_orthogonal_weight(columns) -> tuple[int, ...] | None:
+    """toric._positive_orthogonal_weight as a program of its own.
+
+    min sum(w) over n free w with col.w = 0 for every column and the rows
+    -w_i <= -1, its optimal point scaled to integers; None if infeasible.
+    """
+    n = len(columns[0])
+    prob = lp.LPProblem(
+        objective=(1,) * n,
+        sense="min",
+        eq=tuple((tuple(col), 0) for col in columns),
+        ub=tuple(
+            (tuple(-1 if j == i else 0 for j in range(n)), -1) for i in range(n)
+        ),
+        free=(True,) * n,
+    )
+    sol = lp.solve(prob)
+    if sol.status != lp.OPTIMAL:
+        return None
+    return tuple(_scaled(sol.x)[0])
+
+
 def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
     """toric.lattice_ideal_generators with one round per variable.
 
@@ -86,7 +107,7 @@ def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
     if not columns:
         return ()
     n = basis.nrows
-    weights = _positive_orthogonal_weight(columns)
+    weights = positive_orthogonal_weight(columns)
     if weights is None:
         columns = [v + (-sum(v),) for v in columns]
         weights = (1,) * (n + 1)

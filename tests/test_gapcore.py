@@ -385,8 +385,9 @@ def test_cost_is_checked_once_per_instance(monkeypatch):
     # the verdict on the lattice basis carries over to buchberger on the
     # saturated generators, which span the same space: under lex that is
     # one Farkas system (rank-many equality rows over the 4 coordinates)
-    # and one zero-cost-ray LP (rank-many free coefficients) in all, beside
-    # saturation's one positive-grading LP
+    # and one zero-cost-ray system (4 + 2 rows over 2 * 3 + 4 variables)
+    # in all, beside saturation's one positive-grading LP (rank-many rows
+    # over the 4 coordinates).  Each is in standard form: no ub rows
     calls = []
     solve = lp.solve
 
@@ -397,7 +398,8 @@ def test_cost_is_checked_once_per_instance(monkeypatch):
     monkeypatch.setattr(lp, "solve", counted)
     inst = GapInstance.from_matrix(IntMatrix([[4, 7, 10, 13]]), (2, 1, 3, 1), "lex")
     assert len(inst.lattice_ideal.generators) > 3
-    assert calls == [(3, 0, 4), (0, 6, 3), (3, 4, 4)]
+    assert calls == [(3, 0, 4), (6, 0, 10), (3, 0, 4)]
+    assert all(ub == 0 for _, ub, _ in calls)
 
 
 @pytest.mark.parametrize("name", ["coin", "tied"])

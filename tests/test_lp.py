@@ -1,5 +1,5 @@
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from operator import mul
@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import relaxation_value
-from ipgap import lp
-from ipgap.errors import EmptyFiber, UnboundedProgram
-from ipgap.exactmath import IntMatrix, _scaled
+from ipgap import lp, toric
+from ipgap.errors import EmptyFiber, NonTerminatingOrder, UnboundedProgram
+from ipgap.exactmath import IntMatrix, _dots, _scaled, _span_basis
 
 
 def test_simple_min():
@@ -515,8 +515,12 @@ def test_other_numbers_are_converted_exactly():
     assert sol.value == t + Fraction(7, 10) * (Fraction(5, 2) - t)
 
 
-def _fraction_coefficient_problem(vectors, cost, base, rows, extra):
-    """The all-Fraction LPProblem _coefficient_lp once built, written out."""
+def _fraction_coefficient_problem(vectors, cost, base, rows, extra=()):
+    """The all-Fraction LPProblem _coefficient_lp once built, written out.
+
+    Each (a, r) in extra adds the row a.v <= r, as the zero-cost-ray test
+    once did.
+    """
 
     def image(a):  # B^T a
         return tuple(
@@ -547,10 +551,7 @@ def _coefficient_case(rng):
         return Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**15))
 
     cost = tuple(rational() for _ in range(n))
-    extra = tuple(
-        (tuple(rational() for _ in range(n)), rational()) for _ in range(rng.randint(0, 2))
-    )
-    return vectors, cost, base, rows, extra
+    return vectors, cost, base, rows
 
 
 COEFFICIENT_CASES = [_coefficient_case(random.Random(seed)) for seed in range(300)]
@@ -572,10 +573,8 @@ def test_coefficient_lp_matches_the_fraction_problem():
 def test_coefficient_cases_cover_the_paths():
     seen = set()
     for case in COEFFICIENT_CASES:
-        vectors, cost, base, rows, extra = case
+        vectors, cost, base, rows = case
         seen.add(reference_solve(_fraction_coefficient_problem(*case)).status)
-        if extra:
-            seen.add("extra")
         if any(base[i] < 0 for i in rows):
             seen.add("negative base")
         if any(Fraction(x).denominator > 10**6 for x in cost):
@@ -584,7 +583,7 @@ def test_coefficient_cases_cover_the_paths():
             seen.add("integral cost")
     assert seen == {
         lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE,
-        "extra", "negative base", "large denominators", "integral cost",
+        "negative base", "large denominators", "integral cost",
     }
 
 
@@ -596,3 +595,44 @@ def test_coefficient_cross_check_catches_an_unscaled_image(monkeypatch):
 
     monkeypatch.setattr(lp, "_dots", unscaled)
     assert _coefficient_disagreements()
+
+
+def _ray_case(rng):
+    """A span's reduced echelon basis on 2-4 coordinates and a cost."""
+    n = rng.choice((2, 3, 3, 4))
+    vectors = [tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(rng.randint(1, n))]
+    weights = (0, 0, 1, 2, -1, Fraction(rng.randint(1, 7), rng.randint(1, 5)))
+    return _span_basis(vectors), tuple(rng.choice(weights) for _ in range(n))
+
+
+def test_zero_cost_ray_verdict_matches_the_old_program():
+    # toric._check_span's feasibility system (s = B^T (p - q) >= 0,
+    # c.s = 0, sum s = 1) against the program it replaced, solved on the
+    # Fraction tableau: max sum v over v = -B^T t >= 0 with the extra rows
+    # c.v <= 0 and sum v <= 1.  Only spans that pass Farkas's test reach
+    # the ray test; among them are spans whose nonnegative directions all
+    # cost more than zero, where only the c.s row says no
+    rng = random.Random(20261104)
+    done = set()
+    seen = Counter()
+    while len(done) < 4000:
+        span, c = _ray_case(rng)
+        n = len(c)
+        if not span or (span, c) in done or not lp.feasible(span, _dots(c, span)):
+            continue
+        done.add((span, c))
+        ones, zeros = (1,) * n, (0,) * n
+        old = _fraction_coefficient_problem(span, (-1,) * n, zeros, range(n), ((c, 0), (ones, 1)))
+        sol = reference_solve(old)
+        want = sol.status == lp.OPTIMAL and sol.value > 0
+        try:
+            toric._check_span(span, c, "lex")
+            got = False
+        except NonTerminatingOrder:
+            got = True
+        assert got == want, (span, c)
+        if want:
+            seen["ray"] += 1
+        elif lp._coefficient_lp(span, (-1,) * n, zeros, range(n)).status == lp.UNBOUNDED:
+            seen["positive-cost direction"] += 1
+    assert seen["ray"] >= 300 and seen["positive-cost direction"] >= 300, seen

@@ -767,6 +767,53 @@ def test_saturation_matches_one_round_per_variable_reference():
     assert lifted >= 100 and finite_index >= 50
 
 
+def _grading_case(rng, trial):
+    """A lattice that may or may not have a positive grading.
+
+    Odd trials give the kernel of a random 1-3-row matrix on 3-9 columns,
+    even trials a random basis of rank below its 2-7 rows.
+    """
+    if trial % 2:
+        n = rng.randint(3, 9)
+        m = rng.randint(1, min(3, n - 1))
+        rows = [[rng.randint(-1, 4) for _ in range(n)] for _ in range(m)]
+        return kernel_lattice(IntMatrix(rows))
+    n = rng.randint(2, 7)
+    k = rng.randint(1, n - 1)
+    return IntMatrix([[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)], k)
+
+
+def test_positive_grading_matches_the_free_variable_program():
+    # w = 1 + y over y >= 0 in standard form against the program over
+    # free w with rows -w_i <= -1: w for w and None for None, since the
+    # grading fixes the saturation order.  Both minimize sum(w); where
+    # that optimum is not unique the two may stop at different optimal
+    # vertices, as on one rank-6 kernel on 9 columns here.  An optimal w
+    # has some w_i = 1, so w / min(w) is the rational optimum
+    rng = random.Random(20261104)
+    table = MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3)))
+    models_ = (k4_model(), transportation_model(3, 4), table)
+    lattices = [kernel_lattice(margin_matrix(model)) for model in models_]
+    lattices += [_grading_case(rng, trial) for trial in range(3100)]
+    seen = Counter()
+    for basis in lattices:
+        columns = [c for c in basis.columns() if any(c)]
+        if not columns:
+            continue
+        seen["lattices"] += 1
+        got = _positive_orthogonal_weight(columns)
+        want = _reference.positive_orthogonal_weight(columns)
+        if got != want:
+            assert got and want, basis.rows
+            assert not any(sum(map(mul, got, col)) for col in columns), basis.rows
+            assert Fraction(sum(got), min(got)) == Fraction(sum(want), min(want)), basis.rows
+            seen["tied"] += 1
+        seen["none" if got is None else "unit" if set(got) == {1} else "graded"] += 1
+    assert seen["lattices"] >= 3000
+    assert seen["none"] >= 1000 and seen["graded"] >= 1000 and seen["unit"] >= 50
+    assert seen["tied"] == 1
+
+
 def _lift_case(rng, trial):
     """A lattice of rank 2 or 3 on seven or eight coordinates.
 
@@ -934,6 +981,80 @@ def _assert_generate_the_lattice_ideal(basis, gens):
 def test_model_generators_certify_as_the_lattice_ideal(model):
     basis = kernel_lattice(margin_matrix(model))
     _assert_generate_the_lattice_ideal(basis, lattice_ideal_generators(basis))
+
+
+# the kernel whose projection swells (see the slow test below)
+SWELLING_KERNEL = (
+    (2, 2, 1, 3, 2, 1, 2, 4, 3),
+    (1, -2, -2, -3, -1, 1, 3, 3, 0),
+    (1, -3, -2, 2, -2, -1, 2, -1, 0),
+    (-2, 2, -3, -2, 0, 3, 1, -1, 3),
+    (2, -2, 0, -2, -2, 3, -1, 0, -2),
+    (1, 1, 2, 3, 1, -2, 2, 3, 1),
+)
+
+
+def _nine_variable_kernels():
+    """Twelve seeded matrices whose kernels project-and-lift saturates.
+
+    Four each give kernels on 9 variables at ranks 2 and 3 and on 8 at
+    rank 3; a positive first row puts them on the graded branch.
+    """
+    rng = random.Random(24)
+    for n, rank in [(9, 2)] * 4 + [(9, 3)] * 4 + [(8, 3)] * 4:
+        rows = [tuple(rng.randint(1, 4) for _ in range(n))]
+        rows += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n - 1 - rank)]
+        yield tuple(rows)
+
+
+def test_nine_variable_kernels_certify_as_the_lattice_ideal():
+    # beyond what the one-round-per-variable reference can check in
+    # seconds: the certificate is exact, independent of the rounds.  One
+    # kernel of the twelve takes seconds and is certified in a slow test
+    kernels = list(_nine_variable_kernels())
+    assert SWELLING_KERNEL in kernels
+    for rows in kernels:
+        if rows == SWELLING_KERNEL:
+            continue
+        basis = kernel_lattice(IntMatrix(rows))
+        assert basis.rank() == len(rows[0]) - len(rows)
+        _assert_generate_the_lattice_ideal(basis, lattice_ideal_generators(basis))
+
+
+@pytest.mark.slow
+def test_swelling_nine_variable_kernel_generators_certified():
+    # rank 3 on 9 variables: the projection on 6 coordinates grows from
+    # 256 to 2,269 elements in its round on x_4 before the x_0 round cuts
+    # it to 21, about 3-4.5 s of CPU on a 2-vCPU box, bounded here at
+    # about eight times that; the three lifts and the final pass take
+    # milliseconds
+    basis = kernel_lattice(IntMatrix(SWELLING_KERNEL))
+    t0 = time.monotonic()
+    gens = lattice_ideal_generators(basis)
+    assert time.monotonic() - t0 < 40.0
+    assert [g.vector() for g in gens] == [
+        (2, -4, 5, -4, -3, -3, -3, -1, 10), (7, 7, -6, -2, -8, -7, -7, 3, 3),
+        (5, 11, -11, 2, -5, -4, -4, 4, -7), (9, 3, -1, -6, -11, -10, -10, 2, 13),
+        (3, 15, -16, 6, -2, -1, -1, 5, -17), (17, 10, 0, -7, 4, -5, 9, -12, -2),
+        (10, 3, 6, -5, 12, 2, 16, -15, -5), (12, -1, 11, -9, 9, -1, 13, -16, 5),
+        (19, 6, 5, -11, 1, -8, 6, -13, 8), (15, 14, -5, -3, 7, -2, 12, -11, -12),
+        (24, 17, -6, -9, -4, -12, 2, -9, 1), (8, 7, 1, -1, 15, 5, 19, -14, -15),
+        (1, 19, -21, 10, 1, 2, 2, 6, -27), (11, -1, 4, -10, -14, -13, -13, 1, 23),
+        (22, 21, -11, -5, -1, -9, 5, -8, -9), (12, 18, -17, 0, -13, -11, -11, 7, -4),
+        (26, 13, -1, -13, -7, -15, -1, -10, 11), (3, -4, 12, -3, 20, 9, 23, -18, -8),
+        (13, 18, -10, 1, 10, 1, 15, -10, -22), (5, -8, 17, -7, 17, 6, 20, -19, 2),
+        (20, 25, -16, -1, 2, -6, 8, -7, -19), (1, 0, 7, 1, 23, 12, 26, -17, -18),
+        (6, 11, -4, 3, 18, 8, 22, -13, -25), (29, 28, -17, -7, -9, -16, -2, -5, -6),
+        (28, 9, 4, -17, -10, -18, -4, -11, 21), (27, 32, -22, -3, -6, -13, 1, -4, -16),
+        (31, 24, -12, -11, -12, -19, -5, -6, 4), (1, -4, -2, -5, -26, -15, -29, 16, 28),
+        (11, 22, -15, 5, 13, 4, 18, -9, -32), (2, 15, -23, 5, -25, -13, -27, 22, 1),
+        (25, 36, -27, 1, -3, -10, 4, -3, -26), (22, 2, 17, -14, 21, 1, 29, -31, 0),
+        (29, 9, 11, -16, 13, -6, 22, -28, 3), (4, 15, -9, 7, 21, 11, 25, -12, -35),
+        (4, 11, -18, 1, -28, -16, -30, 21, 11), (20, 2, 3, -16, -25, -23, -23, 3, 36),
+        (3, -8, 3, -9, -29, -18, -32, 15, 38), (9, 26, -20, 9, 16, 7, 21, -8, -42),
+        (15, -5, 23, -12, 29, 8, 36, -34, -3), (37, 12, 3, -23, -21, -28, -14, -9, 34),
+    ]
+    _assert_generate_the_lattice_ideal(basis, gens)
 
 
 @pytest.mark.slow
