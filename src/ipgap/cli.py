@@ -14,7 +14,9 @@ cost (rationals like 3/4 or -2; matrices and lattices only), names (one
 label per variable), tiebreak, sense (models only), box (oracle bounds,
 one integer or one per column), budget (fan exploration cap, a
 nonnegative integer).  A cost in a model, or a sense outside one, is
-an error.  '#' starts a comment.  Command-line flags override file fields.
+an error.  Every field and source block is given at most once, except
+cost (one weight row per line) and face; a repeat is an error at its
+line.  '#' starts a comment.  Command-line flags override file fields.
 
 Reports are deterministic: equal inputs and flags give byte-identical
 output, except lines starting with '#', which carry advisory timing (on
@@ -62,40 +64,34 @@ class InstanceSpec:
     budget: int | None = None
 
 
-def _tokens(text: str, lineno: int, col0: int):
+# the keys a file may give more than once; any other repeat is an error
+_REPEATABLE = ("cost", "face")
+
+
+def _numbers(text: str, lineno: int, col0: int, kind: type) -> tuple:
+    """The blank- or comma-separated numbers of text, each read by kind.
+
+    kind is int or Fraction; col0 is the column of text's first character.
+    """
+    out = []
     pos = 0
     for tok in text.replace(",", " ").split():
         pos = text.index(tok, pos)
-        yield tok, col0 + pos
-        pos += len(tok)
-
-
-def _ints(text: str, lineno: int, col0: int = 1) -> tuple[int, ...]:
-    out = []
-    for tok, col in _tokens(text, lineno, col0):
         try:
-            out.append(int(tok))
-        except ValueError:
-            raise ParseError(f"expected an integer, got {tok!r}", lineno, col)
-    return tuple(out)
-
-
-def _rats(text: str, lineno: int, col0: int = 1) -> tuple[Fraction, ...]:
-    out = []
-    for tok, col in _tokens(text, lineno, col0):
-        try:
-            out.append(Fraction(tok))
+            out.append(kind(tok))
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"expected a rational, got {tok!r}", lineno, col)
+            noun = "an integer" if kind is int else "a rational"
+            raise ParseError(f"expected {noun}, got {tok!r}", lineno, col0 + pos)
+        pos += len(tok)
     return tuple(out)
 
 
 def parse_instance_text(text: str) -> InstanceSpec:
-    matrix_rows = lattice_rows = None
-    dims = None
+    # the source blocks given: a matrix's or lattice's rows, a model's dims
+    blocks: dict[str, list | tuple] = {}
     faces: list[tuple[int, ...]] = []
     fields: dict = {}
-    # where each field was first given, for the source block's checks
+    # where each key was first given, for repeats and the source's checks
     where: dict = {}
     block = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -106,12 +102,12 @@ def parse_instance_text(text: str) -> InstanceSpec:
         indent = len(content) - len(content.lstrip())
         key, sep, _ = line.partition(":")
         if not sep:
-            row = _ints(line, lineno, indent + 1)
-            rows = {"matrix": matrix_rows, "lattice": lattice_rows}.get(block)
-            if rows is None:
+            row = _numbers(line, lineno, indent + 1, int)
+            if block not in ("matrix", "lattice"):
                 raise ParseError(
                     "numeric row outside a matrix/lattice block", lineno, indent + 1
                 )
+            rows = blocks[block]
             if rows and len(row) != len(rows[0]):
                 raise ParseError(
                     f"row has {len(row)} entries, the block's first row {len(rows[0])}",
@@ -124,23 +120,28 @@ def parse_instance_text(text: str) -> InstanceSpec:
         vraw = content[colon + 1 :]
         vcol = colon + 2 + (len(vraw) - len(vraw.lstrip()))
         value = vraw.strip()
+        if key in where and key not in _REPEATABLE:
+            raise ParseError(
+                f"{key} given twice, first on line {where[key][0]}", lineno, indent + 1
+            )
         where.setdefault(key, (lineno, indent + 1))
-        if key == "matrix":
-            block, matrix_rows = "matrix", []
-        elif key == "lattice":
-            block, lattice_rows = "lattice", []
-        elif key == "model":
-            block = "model"
-        elif key == "dims":
+        if key in ("matrix", "lattice", "model"):
+            block = key
+            if key != "model":
+                blocks[key] = []
+        elif key in ("dims", "face"):
             if block != "model":
-                raise ParseError("dims belongs inside a model block", lineno, indent + 1)
-            dims = _ints(value, lineno, vcol)
-        elif key == "face":
-            if block != "model":
-                raise ParseError("face belongs inside a model block", lineno, indent + 1)
-            faces.append(_ints(value, lineno, vcol))
+                raise ParseError(f"{key} belongs inside a model block", lineno, indent + 1)
+            row = _numbers(value, lineno, vcol, int)
+            if not row:
+                raise ParseError(f"{key} needs an integer", lineno, vcol)
+            if key == "dims":
+                blocks["model"] = row
+            else:
+                faces.append(row)
         elif key == "cost":
-            fields["cost"] = fields.get("cost", ()) + (_rats(value, lineno, vcol),)
+            row = _numbers(value, lineno, vcol, Fraction)
+            fields["cost"] = fields.get("cost", ()) + (row,)
         elif key == "names":
             fields["names"] = tuple(value.split())
         elif key == "tiebreak":
@@ -154,40 +155,35 @@ def parse_instance_text(text: str) -> InstanceSpec:
                 )
             fields["sense"] = value
         elif key == "box":
-            fields["box"] = _ints(value, lineno, vcol)
+            fields["box"] = _numbers(value, lineno, vcol, int)
         elif key == "budget":
-            budget = _ints(value, lineno, vcol)
+            budget = _numbers(value, lineno, vcol, int)
             if not budget:
                 raise ParseError("budget needs an integer", lineno, vcol)
+            if len(budget) > 1:
+                raise ParseError("budget takes one integer", lineno, vcol)
             if budget[0] < 0:
                 raise ParseError("budget must be nonnegative", lineno, vcol)
             fields["budget"] = budget[0]
         else:
             raise ParseError(f"unknown field {key!r}", lineno, indent + 1)
-    sources = sum(x is not None for x in (matrix_rows, lattice_rows, dims))
-    if sources != 1:
+    if len(blocks) != 1:
         raise ParseError(
             "an instance needs exactly one of a matrix, a lattice, or a model"
         )
-    if dims is not None and "cost" in fields:
-        raise ParseError(
-            "cost belongs to a matrix or lattice; a model's cost is set by sense",
-            *where["cost"],
-        )
-    if dims is None and "sense" in fields:
+    ((source, rows),) = blocks.items()
+    if not rows:
+        raise ParseError(f"{source} block has no rows")
+    if source == "model":
+        if "cost" in fields:
+            raise ParseError(
+                "cost belongs to a matrix or lattice; a model's cost is set by sense",
+                *where["cost"],
+            )
+        return InstanceSpec(model=MarginalModel(rows, faces), **fields)
+    if "sense" in fields:
         raise ParseError("sense belongs inside a model block", *where["sense"])
-    spec = {}
-    if matrix_rows is not None:
-        if not matrix_rows:
-            raise ParseError("matrix block has no rows")
-        spec["matrix"] = IntMatrix(matrix_rows)
-    if lattice_rows is not None:
-        if not lattice_rows:
-            raise ParseError("lattice block has no rows")
-        spec["lattice"] = IntMatrix(lattice_rows)
-    if dims is not None:
-        spec["model"] = MarginalModel(dims, faces)
-    return InstanceSpec(**spec, **fields)
+    return InstanceSpec(**{source: IntMatrix(rows)}, **fields)
 
 
 def _read_text(path: str) -> str:
@@ -285,7 +281,10 @@ def _build_instance(spec: InstanceSpec, args) -> GapInstance:
     return GapInstance.from_lattice(spec.lattice, spec.cost, tiebreak or "grevlex")
 
 
-def _instance_header(spec: InstanceSpec, inst: GapInstance, names) -> list[str]:
+def _preamble(spec: InstanceSpec, args) -> tuple[GapInstance, tuple[str, ...], list[str]]:
+    """The instance, its variable names and the report's header lines."""
+    inst = _build_instance(spec, args)
+    names = _default_names(spec, inst.nvars)
     if spec.model is not None:
         dims = "x".join(str(d) for d in spec.model.dims)
         faces = " ".join(
@@ -300,25 +299,26 @@ def _instance_header(spec: InstanceSpec, inst: GapInstance, names) -> list[str]:
     for row in spec.cost if spec.cost is not None else (inst.cost,):
         lines.append(f"cost: {_vec(row)}")
     lines.append(f"variables: {' '.join(names)}")
-    return lines
+    return inst, names, lines
 
 
 # ------------------------------------------------------------------ reports
 
 
-def _report_data(spec: InstanceSpec, inst: GapInstance, rep: GapReport, names):
-    comps = []
-    for i, entry in enumerate(rep.per_component):
-        comps.append(
-            {
-                "index": i + 1,
-                "ideal": _component_ideal(entry.component, names),
-                "support": list(entry.component.support),
-                "bound": list(entry.component.bound),
-                "value": str(entry.value),
-                "aux_optimum": [str(x) for x in entry.aux_optimum],
-            }
-        )
+def _component_data(index: int, comp: IrreducibleComponent, names) -> dict:
+    return {"index": index, "ideal": _component_ideal(comp, names),
+            "support": list(comp.support), "bound": list(comp.bound)}
+
+
+def _report_data(inst: GapInstance, rep: GapReport, names):
+    comps = [
+        {
+            **_component_data(i, entry.component, names),
+            "value": str(entry.value),
+            "aux_optimum": [str(x) for x in entry.aux_optimum],
+        }
+        for i, entry in enumerate(rep.per_component, 1)
+    ]
     data = {
         "gap": str(rep.gap),
         "gap_decimal": _dec10(rep.gap),
@@ -330,8 +330,8 @@ def _report_data(spec: InstanceSpec, inst: GapInstance, rep: GapReport, names):
     }
     if rep.winner is not None:
         data["winner"] = next(
-            c["index"] for c, e in zip(comps, rep.per_component)
-            if e.component == rep.winner
+            i for i, entry in enumerate(rep.per_component, 1)
+            if entry.component == rep.winner
         )
     if inst.matrix is not None:
         data["witness_b"] = list(inst.matrix.mul_vector(rep.witness_z))
@@ -340,11 +340,9 @@ def _report_data(spec: InstanceSpec, inst: GapInstance, rep: GapReport, names):
 
 
 def cmd_gap(spec: InstanceSpec, args) -> tuple[list[str], dict]:
-    inst = _build_instance(spec, args)
+    inst, names, lines = _preamble(spec, args)
     rep = gap_report(inst)
-    names = _default_names(spec, inst.nvars)
-    data = _report_data(spec, inst, rep, names)
-    lines = _instance_header(spec, inst, names)
+    data = _report_data(inst, rep, names)
     lines += [
         f"groebner elements: {data['groebner_size']}",
         f"minimal generators: {data['minimal_generators']}",
@@ -369,34 +367,23 @@ def cmd_gap(spec: InstanceSpec, args) -> tuple[list[str], dict]:
 
 
 def cmd_decompose(spec: InstanceSpec, args) -> tuple[list[str], dict]:
-    inst = _build_instance(spec, args)
-    names = _default_names(spec, inst.nvars)
-    lines = _instance_header(spec, inst, names)
+    inst, names, lines = _preamble(spec, args)
     lines.append(f"minimal generators: {len(inst.ideal.gens)}")
     for i, g in enumerate(inst.ideal.gens, 1):
         lines.append(f"  g{i}: {_mono(g, names)}")
     lines.append(f"components: {len(inst.components)}")
-    for i, comp in enumerate(inst.components, 1):
-        lines.append(f"  component {i}: {_component_ideal(comp, names)}")
+    comps = [_component_data(i, c, names) for i, c in enumerate(inst.components, 1)]
+    for c in comps:
+        lines.append(f"  component {c['index']}: {c['ideal']}")
     data = {
         "minimal_generators": [list(g) for g in inst.ideal.gens],
-        "components": [
-            {
-                "index": i + 1,
-                "ideal": _component_ideal(c, names),
-                "support": list(c.support),
-                "bound": list(c.bound),
-            }
-            for i, c in enumerate(inst.components)
-        ],
+        "components": comps,
     }
     return lines, data
 
 
 def cmd_gb(spec: InstanceSpec, args) -> tuple[list[str], dict]:
-    inst = _build_instance(spec, args)
-    names = _default_names(spec, inst.nvars)
-    lines = _instance_header(spec, inst, names)
+    inst, names, lines = _preamble(spec, args)
     lines.append(f"groebner elements: {len(inst.groebner.elements)}")
     for i, g in enumerate(inst.groebner.elements, 1):
         lines.append(f"  {i}: {_binomial(g, names)}")
@@ -410,10 +397,8 @@ def cmd_gb(spec: InstanceSpec, args) -> tuple[list[str], dict]:
 
 
 def cmd_witness(spec: InstanceSpec, args) -> tuple[list[str], dict]:
-    inst = _build_instance(spec, args)
+    inst, _, lines = _preamble(spec, args)
     rep = gap_report(inst)
-    names = _default_names(spec, inst.nvars)
-    lines = _instance_header(spec, inst, names)
     data = {"gap": str(rep.gap), "witness_z": list(rep.witness_z)}
     lines.append(f"gap: {_rat_with_dec(rep.gap)}")
     lines.append(f"witness z: {_vec(rep.witness_z)}")
@@ -435,10 +420,11 @@ def cmd_margins(spec: InstanceSpec, args) -> tuple[list[str], dict]:
     if spec.model is None:
         raise BadParameter("margins needs a model instance")
     a = margin_matrix(spec.model)
-    lines = [f"margin matrix: {a.nrows} x {a.ncols}, rank {a.rank()}"]
+    rank = a.rank()
+    lines = [f"margin matrix: {a.nrows} x {a.ncols}, rank {rank}"]
     for row in a.rows:
         lines.append(" ".join(str(x) for x in row))
-    data = {"nrows": a.nrows, "ncols": a.ncols, "rank": a.rank(),
+    data = {"nrows": a.nrows, "ncols": a.ncols, "rank": rank,
             "rows": [list(r) for r in a.rows]}
     return lines, data
 
@@ -505,7 +491,7 @@ def _load_seeds(path: str) -> list[tuple[Fraction, ...]]:
     for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            seeds.append(_rats(line, lineno))
+            seeds.append(_numbers(line, lineno, 1, Fraction))
     if not seeds:
         raise ParseError(f"no seed costs in {path}")
     return seeds
@@ -528,9 +514,7 @@ def cmd_fan(spec: InstanceSpec, args) -> tuple[list[str], dict]:
         seeds = [spec.cost[0]]
     else:
         raise ParseError("fan needs a cost field or a --seeds file")
-    budget = spec.budget if args.budget is None else args.budget
-    if budget is None:
-        budget = DEFAULT_BUDGET
+    budget = next(b for b in (args.budget, spec.budget, DEFAULT_BUDGET) if b is not None)
     names = _default_names(spec, a.ncols)
     cones = explore_cones(a, seeds, budget)
     lines = [

@@ -822,11 +822,12 @@ def _saturate_all_vars(elements: list[_Elt], weights: tuple[int, ...]) -> list[_
 
 
 # lattices on at most this many coordinates saturate in _saturate_all_vars
-# alone, six because the linear programs that choose the projection once
-# cost more than the lifts saved there.  They now cost 4-6 times less, and
-# on 150 kernels of random one- and two-row matrices per size (entries in
-# [-6, 6], seeds 1 and 2, CPU on a 2-vCPU box) lifting wins on six columns
-# too (0.7-1.2 s against 0.9-2.3 s direct), as on seven (2.0-5.4 s, 11-40 s)
+# alone, six because lifting does not pay below seven.  On kernels of random
+# one- and two-row matrices (entries in [-6, 6], 150 per column count 3-7
+# and seed, seeds 1-4, CPU on a 2-vCPU box), grouped by coordinates after
+# homogenization, forced lifting took 1.3-2.6 times the direct CPU on three
+# to five coordinates and tied on six (1.03-1.21 times on three seeds, 0.63-
+# 0.69 on one).  Most six-column kernels homogenize to seven and are lifted.
 _DIRECT_COORDINATES = 6
 
 

@@ -75,6 +75,18 @@ def test_parse_model_block():
         ("matrix:\n1 2 3\n1 2\n", 3, 1),
         ("lattice:\n1 0\n 0 1 1\n", 3, 2),
         ("matrix:\n1 2\nbudget:\n", 3, 8),
+        # a key other than cost and face is given once, so a repeat is
+        # reported where it stands instead of replacing the first
+        ("matrix:\n1 5 7\nmatrix:\n1 2 3\ncost: 1 1 1\n", 3, 1),
+        ("model:\ndims: 2 2\nface: 1\nmodel:\n", 4, 1),
+        ("model:\ndims: 2 2\nface: 1\ndims: 3 3\n", 4, 1),
+        ("matrix:\n1 2\ntiebreak: lex\ntiebreak: grlex\n", 4, 1),
+        ("matrix:\n1 2\nnames: a b\nnames: c d\n", 4, 1),
+        ("model:\ndims: 2 2\nface: 1\nsense: min\nsense: max\n", 5, 1),
+        ("matrix:\n1 2\nbox: 1\nbox: 2\n", 4, 1),
+        ("matrix:\n1 2\nbudget: 3 99\n", 3, 9),
+        ("model:\ndims:\n", 2, 6),
+        ("model:\ndims: 2 2\nface:\n", 3, 6),
     ],
 )
 def test_parse_errors_carry_position(text, line, column):
@@ -83,6 +95,24 @@ def test_parse_errors_carry_position(text, line, column):
     assert exc.value.line == line
     assert exc.value.column == column
     assert f"line {line}, column {column}" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("matrix:\n1 2 x\n", "expected an integer, got 'x'"),
+        ("matrix:\n1 2\ncost: 1 oops\n", "expected a rational, got 'oops'"),
+        ("matrix:\n1 2\ncost: 1/0 1\n", "expected a rational, got '1/0'"),
+        ("matrix:\n1 5 7\nmatrix:\n1 2 3\n", "matrix given twice, first on line 1"),
+        ("matrix:\n1 2\nbudget: 3 99\n", "budget takes one integer"),
+        ("model:\ndims:\n", "dims needs an integer"),
+        ("model:\ndims: 2 2\nface:\n", "face needs an integer"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        cli.parse_instance_text(text)
+    assert str(exc.value).startswith(message + " (line ")
 
 
 @pytest.mark.parametrize(

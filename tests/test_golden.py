@@ -26,7 +26,7 @@ CASES = [
     (cmd, demo)
     for demo in ("coin", "lattice_r5", "k4", "tied", "knapsack")
     for cmd in ("gap", "decompose", "gb", "witness")
-] + [("fan", "coin"), ("fan", "knapsack")] + [
+] + [("fan", "coin"), ("fan", "knapsack"), ("margins", "k4")] + [
     ("oracle", demo) for demo in ("coin", "knapsack", "tied")
 ]
 FLAGS = {("oracle", "knapsack"): ["--box", "4"], ("oracle", "tied"): ["--box", "4"]}
@@ -40,3 +40,7 @@ def test_report_matches_golden(cmd, demo):
     text = "\n".join(lines) + "\n"
     assert text == (GOLDEN / f"{cmd}_{demo}.txt").read_text()
     assert json.dumps(data, indent=2) + "\n" == (GOLDEN / f"{cmd}_{demo}.json").read_text()
+
+
+def test_every_command_has_a_golden():
+    assert {cmd for cmd, _ in CASES} == set(cli.COMMANDS)
