@@ -88,6 +88,7 @@ def _numbers(text: str, lineno: int, col0: int, kind: type) -> tuple:
 
 def parse_instance_text(text: str) -> InstanceSpec:
     # the source blocks given: a matrix's or lattice's rows, a model's dims
+    # (empty until its dims: line)
     blocks: dict[str, list | tuple] = {}
     faces: list[tuple[int, ...]] = []
     fields: dict = {}
@@ -127,8 +128,7 @@ def parse_instance_text(text: str) -> InstanceSpec:
         where.setdefault(key, (lineno, indent + 1))
         if key in ("matrix", "lattice", "model"):
             block = key
-            if key != "model":
-                blocks[key] = []
+            blocks[key] = [] if key != "model" else ()
         elif key in ("dims", "face"):
             if block != "model":
                 raise ParseError(f"{key} belongs inside a model block", lineno, indent + 1)
@@ -167,13 +167,16 @@ def parse_instance_text(text: str) -> InstanceSpec:
             fields["budget"] = budget[0]
         else:
             raise ParseError(f"unknown field {key!r}", lineno, indent + 1)
-    if len(blocks) != 1:
-        raise ParseError(
-            "an instance needs exactly one of a matrix, a lattice, or a model"
-        )
+    one_source = "an instance needs exactly one of a matrix, a lattice, or a model"
+    if not blocks:
+        raise ParseError(one_source)
+    if len(blocks) > 1:
+        # reported at the second source block's header
+        raise ParseError(one_source, *sorted(where[k] for k in blocks)[1])
     ((source, rows),) = blocks.items()
     if not rows:
-        raise ParseError(f"{source} block has no rows")
+        noun = "dims" if source == "model" else "rows"
+        raise ParseError(f"{source} block has no {noun}", *where[source])
     if source == "model":
         if "cost" in fields:
             raise ParseError(
@@ -491,7 +494,8 @@ def _load_seeds(path: str) -> list[tuple[Fraction, ...]]:
     for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            seeds.append(_numbers(line, lineno, 1, Fraction))
+            indent = len(raw) - len(raw.lstrip())
+            seeds.append(_numbers(line, lineno, indent + 1, Fraction))
     if not seeds:
         raise ParseError(f"no seed costs in {path}")
     return seeds

@@ -161,8 +161,7 @@ class GapInstance:
         if known is None:
             gb = buchberger(lattice_ideal.generators, order)
         else:
-            # the packed form reduces monomials, which reads no order
-            gb = GroebnerBasis(known.elements, order, known._packed)
+            gb = GroebnerBasis(known.elements, order)
             if not is_generic(gb):
                 raise BadParameter("the cost does not mark every element of the basis given")
         ideal = non_optimal_ideal(gb) if gb.elements else MonomialIdeal(n)
@@ -316,15 +315,13 @@ def gap_report(inst: GapInstance) -> GapReport:
     non-optimal ideal; zero (with an empty component list) when that
     ideal is zero.
     """
-    if not inst.components:
-        zero = (0,) * inst.nvars
-        return GapReport((), Fraction(0), None, (), zero, inst, zero)
     per = tuple(
         ComponentGap(comp, *gap_value(comp, inst)) for comp in inst.components
     )
-    best = max(e.value for e in per)
+    best = max((e.value for e in per), default=Fraction(0))
     attaining = tuple(e.component for e in per if e.value == best)
-    return gap_witness(GapReport(per, best, attaining[0], attaining, (), inst), inst)
+    winner = attaining[0] if attaining else None
+    return gap_witness(GapReport(per, best, winner, attaining, (), inst), inst)
 
 
 def gap(a, c, tiebreak: str = "grevlex") -> GapReport:

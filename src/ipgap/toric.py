@@ -84,7 +84,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
@@ -242,17 +242,10 @@ class TermOrder:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced basis; each element's plus side is its leading term.
-
-    _packed is the packed form of the elements that ip_optimum reduces
-    with: the core's own when buchberger builds the basis, else packed on
-    first use (see _reducer); a basis of one element is never packed.  It
-    takes no part in equality.
-    """
+    """Reduced basis; each element's plus side is its leading term."""
 
     elements: tuple[Binomial, ...]
     order: TermOrder
-    _packed: _Packed | None = field(default=None, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.elements)
@@ -264,27 +257,16 @@ class GroebnerBasis:
     def nvars(self) -> int | None:
         return self.elements[0].nvars if self.elements else self.order.nvars
 
-    @property
-    def _reducer(self) -> _Packed:
-        """The packing, the elements as packed (lead, trail, drop) and their leads."""
-        if self._packed is None:
-            # held like a cached_property, without its first-read lock
-            sides = [(g.plus, g.minus) for g in self.elements]
-            packed = _pack_basis(sides, _width(chain.from_iterable(sides)))
-            object.__setattr__(self, "_packed", packed)
-        return self._packed
-
 
 # inside the Groebner core a binomial is (lead, trail, drop): both sides
 # packed, drop = W*.(lead - trail) (see the module docstring); a monomial
 # being reduced is (m, None, 0).  A basis packed for monomial reduction
-# alone keeps every drop 0, since that reads none
+# alone (ip_optimum) keeps every drop 0, since that reads none
 _Elt = tuple[int, int, int]
-_Packed = tuple[_Packing, list[_Elt], list[int]]
 
 
 class _Overflow(Exception):
-    """A monomial of the completion outgrew the packing's field width."""
+    """A monomial of a completion or a normal form outgrew the field width."""
 
 
 def _support(m: Monomial) -> int:
@@ -318,14 +300,6 @@ def _drop_weights(rows, degree, w: int):
     for r in rows[1:]:
         star = tuple((s << m) + x for s, x in zip(star, r))
     return star
-
-
-def _pack_basis(sides: list[tuple[Monomial, Monomial]], w: int) -> _Packed:
-    """Oriented (lead, trail) pairs packed at width w for monomial reduction."""
-    packing = _Packing(len(sides[0][0]), w)
-    pack = packing.pack
-    basis = [(pack(lead), pack(trail), 0) for lead, trail in sides]
-    return packing, basis, [e[0] for e in basis]
 
 
 def _orient(a: int, b: int, drop: int, rev: bool) -> _Elt | None:
@@ -443,15 +417,14 @@ def _s_element(f: _Elt, g: _Elt, lcm: int, guards: int, rev: bool) -> _Elt | Non
 def _buchberger_core(
     elements: list[tuple[Monomial, Monomial]], spec, saturated: int = 0,
     reduce: bool = True,
-) -> tuple[list[tuple[Monomial, Monomial]], _Packed | None]:
+) -> list[tuple[Monomial, Monomial]]:
     """Completion plus interreduction; deterministic output order.
 
     elements are binomials as (a, b) exponent pairs in either orientation;
     zero ones (a == b) are skipped.  spec is the order as TermOrder.spec
     gives it, (rows, degree, sequence), the sequence's pairs all of one
-    direction.  Returns the reduced basis as (lead, trail) pairs and its
-    packed form, which GroebnerBasis keeps for ip_optimum; fewer than two
-    inputs are oriented without a packing, and their packed form is None.
+    direction.  Returns the reduced basis as (lead, trail) pairs; fewer
+    than two inputs are oriented without a packing (_orient_one).
     reduce=False leaves trails unreduced: the minimal basis.
 
     Inputs and pairs wait in one heap, smallest degree first (the
@@ -489,7 +462,7 @@ def _buchberger_core(
     inputs = list(dict.fromkeys(e for e in elements if e[0] != e[1]))
     if len(inputs) < 2:
         # a single binomial is its own reduced basis
-        return [_orient_one(a, b, spec) for a, b in inputs], None
+        return [_orient_one(a, b, spec) for a, b in inputs]
     layout = [i for i, _ in spec[2]]
     n = len(layout)
     w = _width(chain.from_iterable(inputs))
@@ -525,11 +498,9 @@ def _reduced(inputs, spec, packing: _Packing, saturated: int, reduce: bool):
     for i, (lead, trail, _) in enumerate(keep):
         if reduce:
             trail = _head_reduce((trail, None, 0), keep, kept, guards, rev, skip=i)[0]
-        # only monomial reduction reads the packed form, and it reads no drop
-        out.append((packing.unpack(lead), packing.unpack(trail), (lead, trail, 0)))
+        out.append((packing.unpack(lead), packing.unpack(trail)))
     out.sort(key=lambda e: (sum(e[0]), e[0]))
-    reduced = [e[2] for e in out]
-    return [e[:2] for e in out], (packing, reduced, [e[0] for e in reduced])
+    return out
 
 
 def _complete(
@@ -690,10 +661,8 @@ def buchberger(gens, order: TermOrder) -> GroebnerBasis:
     if not gens:
         return GroebnerBasis((), order)
     sides = [(g.plus, g.minus) for g in gens]
-    core, packed = _buchberger_core(sides, order.spec(gens[0].nvars))
-    return GroebnerBasis(
-        tuple(Binomial(lead, trail) for lead, trail in core), order, packed
-    )
+    core = _buchberger_core(sides, order.spec(gens[0].nvars))
+    return GroebnerBasis(tuple(Binomial(lead, trail) for lead, trail in core), order)
 
 
 def _graded_revlex_spec(weights: tuple[int, ...], cheap: int) -> tuple:
@@ -745,7 +714,7 @@ def _saturation_round(
     """
     out = []
     divided = False
-    basis, _ = _buchberger_core(elements, _graded_revlex_spec(weights, i), saturated, i == 0)
+    basis = _buchberger_core(elements, _graded_revlex_spec(weights, i), saturated, i == 0)
     for lead, trail in basis:
         k = min(lead[i], trail[i])
         if k:
@@ -988,7 +957,12 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
 
 
 def ip_optimum(gb: GroebnerBasis, z) -> tuple[int, ...]:
-    """Normal form of the exponent z: the optimal point of z's fiber."""
+    """Normal form of the exponent z: the optimal point of z's fiber.
+
+    The basis and z are packed together at the width _width gives for
+    both, and z is head-reduced as a monomial; a step past that width
+    reduces again from z at twice the width, as _buchberger_core does.
+    """
     cur = tuple(map(int, z))
     n = gb.nvars
     if n is not None and len(cur) != n:
@@ -997,26 +971,17 @@ def ip_optimum(gb: GroebnerBasis, z) -> tuple[int, ...]:
         raise BadParameter("negative exponent in starting point")
     if not gb.elements:
         return cur
-    if len(gb.elements) == 1:
-        # x^u - x^v steps z to z - (u - v) while u divides it: k times for
-        # the largest k with z - (k - 1)(u - v) >= u, read off the
-        # coordinates u - v lowers; no packing
-        (g,) = gb.elements
-        if not divides(g.plus, cur):
-            return cur
-        k = 1 + min((x - u) // (u - v) for x, u, v in zip(cur, g.plus, g.minus) if u > v)
-        return tuple(x - k * (u - v) for x, u, v in zip(cur, g.plus, g.minus))
-    # a z, or a step on the way, past the basis's field width reduces
-    # again at a width that fits
-    packing, basis, packed = gb._reducer
+    sides = [(g.plus, g.minus) for g in gb.elements]
+    w = _width(chain([cur], *sides))
     while True:
-        if max(cur) <= packing.top:
-            q = packing.pack(cur)
-            try:
-                m = _head_reduce((q, None, 0), basis, packed, packing.guards, False)[0]
-            except _Overflow:
-                pass
-            else:
-                return cur if m == q else packing.unpack(m)
-        sides = [(g.plus, g.minus) for g in gb.elements]
-        packing, basis, packed = _pack_basis(sides, max(2 * packing.w, _width([cur])))
+        packing = _Packing(n, w)
+        pack = packing.pack
+        basis = [(pack(lead), pack(trail), 0) for lead, trail in sides]
+        leads = [e[0] for e in basis]
+        q = pack(cur)
+        try:
+            m = _head_reduce((q, None, 0), basis, leads, packing.guards, False)[0]
+        except _Overflow:
+            w *= 2
+        else:
+            return cur if m == q else packing.unpack(m)

@@ -87,6 +87,9 @@ def test_parse_model_block():
         ("matrix:\n1 2\nbudget: 3 99\n", 3, 9),
         ("model:\ndims:\n", 2, 6),
         ("model:\ndims: 2 2\nface:\n", 3, 6),
+        # a model header that cannot be placed is reported where it stands
+        ("matrix:\n1 1\ncost: 0 1\nmodel:\nface: 1\n", 4, 1),
+        ("model:\nface: 1\n", 1, 1),
     ],
 )
 def test_parse_errors_carry_position(text, line, column):
@@ -107,6 +110,11 @@ def test_parse_errors_carry_position(text, line, column):
         ("matrix:\n1 2\nbudget: 3 99\n", "budget takes one integer"),
         ("model:\ndims:\n", "dims needs an integer"),
         ("model:\ndims: 2 2\nface:\n", "face needs an integer"),
+        (
+            "matrix:\n1 1\ncost: 0 1\nmodel:\nface: 1\n",
+            "an instance needs exactly one of a matrix, a lattice, or a model",
+        ),
+        ("model:\nface: 1\n", "model block has no dims"),
     ],
 )
 def test_parse_error_messages(text, message):
@@ -525,6 +533,12 @@ FILE = "<written file>"
         (("fan", LATTICE_R5), None, "the fan exploration needs a matrix instance"),
         (("fan", FILE), NO_COST, "fan needs a cost field or a --seeds file"),
         (("fan", COIN, "--seeds", FILE), "# only a comment\n", "no seed costs in"),
+        # a seed file's columns count the line's leading blanks
+        (
+            ("fan", COIN, "--seeds", FILE),
+            "0 1 0 1\n   1 x 0 1\n",
+            "expected a rational, got 'x' (line 2, column 6)",
+        ),
     ],
 )
 def test_input_errors_exit_2(capsys, tmp_path, argv, text, message):

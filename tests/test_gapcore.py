@@ -113,7 +113,11 @@ def test_trivial_instance():
     assert r.gap == 0
     assert r.winner is None
     assert r.per_component == ()
+    assert r.attaining == ()
     assert r.witness_z == (0, 0, 0)
+    assert r.witness_optimum == (0, 0, 0)
+    assert r.witness_ip == 0
+    assert r.witness_lp == 0
 
 
 def test_finite_index_ordered_cost_gap():

@@ -349,12 +349,13 @@ def test_ip_optimum_coin():
 
 
 def test_ip_optimum_past_the_basis_width():
-    # the coin basis packs at 5-bit fields; z with exponents near 2^80,
-    # z that fit but step past the width on the way (3 dimes become 40),
-    # and a fresh basis without the core's packing all reach the tuple
-    # normal form
+    # z with exponents near 2^80, and z whose steps take a coordinate
+    # from 0 to 40, reach the tuple normal form, by the basis and by an
+    # equal basis built from its elements.  A coin step keeps the coin
+    # count, so it never outgrows the width packed for z; on the row
+    # (10, 3, 1), where the optimum trades each x1 for x3^10, the normal
+    # form passes that width and the reduction reruns at a wider one
     gb = coin_basis()
-    assert gb._reducer[0].w == 5
     big = 2**80
     assert ip_optimum(gb, (big, 3, 0, 1)) == (big, 0, 4, 0)
     assert ip_optimum(gb, (3, 31, 0, 31)) == (3, 1, 40, 21)
@@ -364,11 +365,18 @@ def test_ip_optimum_past_the_basis_width():
         want = _reference.normal_form(gb, z)
         assert ip_optimum(gb, z) == want == ip_optimum(fresh, z), z
         assert COIN_A.mul_vector(want) == COIN_A.mul_vector(z)
+    a = IntMatrix([[10, 3, 1]])
+    wide = buchberger(lattice_ideal_generators(kernel_lattice(a)), TermOrder((1, 1, 0)))
+    sides = [m for g in wide for m in (g.plus, g.minus)]
+    for z in [(7, 0, 0), (50, 50, 0)]:
+        want = _reference.normal_form(wide, z)
+        assert ip_optimum(wide, z) == want, z
+        assert max(want) >= 2 ** toric._width([z, *sides]), z
 
 
 def test_ip_optimum_on_one_binomial_matches_the_tuple_normal_form():
-    # a one-element basis is reduced on tuples in one step count, never
-    # packed; exponents reach 2^70 on coordinates the step does not lower
+    # a one-element basis reduces to the tuple normal form, over many
+    # steps; exponents reach 2^70 on coordinates the step does not lower
     rng = random.Random(20261019)
     steps = 0
     for _ in range(200):
@@ -387,7 +395,6 @@ def test_ip_optimum_on_one_binomial_matches_the_tuple_normal_form():
             want = _reference.normal_form(gb, z)
             assert ip_optimum(gb, z) == want, (gb, z)
             steps += want != z
-        assert gb._packed is None
     assert steps > 800
 
 
@@ -459,7 +466,7 @@ def _assert_core_matches_references(elements, spec, *extra):
     # round's saturated mask and whether it reduces trails, which only
     # the packed core takes.  A call that reduces no trail must give the
     # reduced basis's leads in its order and interreduce to that basis
-    got, _ = _buchberger_core(elements, spec, *extra)
+    got = _buchberger_core(elements, spec, *extra)
     cmp = comparator(*spec)
     want = _reference.tuple_buchberger_core(elements, cmp)
     assert want == _reference.buchberger_core(elements, cmp), elements
@@ -641,7 +648,7 @@ def test_core_matches_the_tuple_core_under_cost_orders():
                     seen["rejected"] += 1
                     continue
                 want = _reference.tuple_buchberger_core(sides, comparator(*order.spec(n)))
-                assert _buchberger_core(sides, order.spec(n))[0] == want, (sides, order)
+                assert _buchberger_core(sides, order.spec(n)) == want, (sides, order)
                 assert [(g.plus, g.minus) for g in gb] == want
                 seen[kind] += 1
                 seen[tb] += 1
