@@ -143,6 +143,10 @@ class IntMatrix:
 LatticeBasis = IntMatrix
 
 
+def _as_matrix(a) -> IntMatrix:
+    return a if isinstance(a, IntMatrix) else IntMatrix(a)
+
+
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 

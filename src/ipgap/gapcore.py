@@ -31,6 +31,7 @@ from .errors import BadParameter, UnboundedAux, UnboundedProgram, WitnessMismatc
 from .exactmath import (
     IntMatrix,
     LatticeBasis,
+    _as_matrix,
     _dots,
     _echelon,
     _max_maximal_minor,
@@ -55,12 +56,6 @@ from .toric import (
 )
 
 
-def _as_order(cost, tiebreak: str) -> TermOrder:
-    if isinstance(cost, TermOrder):
-        return cost
-    return TermOrder(cost, tiebreak)
-
-
 LATTICE_MEMO_SIZE = 64
 
 
@@ -68,56 +63,49 @@ LATTICE_MEMO_SIZE = 64
 class LatticeIdeal:
     """The cost-independent layer: a lattice and its saturated ideal.
 
-    matrix is None for a lattice given directly, else lattice is its
-    canonical kernel basis; lattice columns generate the fibers'
-    difference set.  generators are saturated on first read, a matrix's
-    by the ideal of its kernel basis, and max_minor, the D(A) of the
-    Schrijver bound, is computed on first read too, so every cost's bound
-    shares one minor walk.  from_matrix and from_lattice share one object
-    per matrix or basis via a bounded memo.
+    lattice's columns generate the fibers' difference set, and generators
+    are its lattice ideal, saturated on first read.  from_lattice shares
+    one object per basis and from_matrix one per matrix, the object of
+    its canonical kernel basis, via two bounded memos.
     """
 
-    matrix: IntMatrix | None
     lattice: LatticeBasis
 
     @classmethod
     def from_matrix(cls, a: IntMatrix) -> "LatticeIdeal":
-        return _lattice_ideal(a if isinstance(a, IntMatrix) else IntMatrix(a), None)
+        return _of_matrix(_as_matrix(a))
 
     @classmethod
     def from_lattice(cls, l: LatticeBasis) -> "LatticeIdeal":
-        return _lattice_ideal(None, l if isinstance(l, IntMatrix) else IntMatrix(l))
+        return _of_lattice(_as_matrix(l))
 
     @cached_property
     def generators(self) -> tuple[Binomial, ...]:
-        if self.matrix is not None:
-            return LatticeIdeal.from_lattice(self.lattice).generators
         return lattice_ideal_generators(self.lattice)
-
-    @cached_property
-    def max_minor(self) -> int:
-        """D(A), the largest |det| over the matrix's maximal minors.
-
-        See schrijver_bound; a lattice given directly has no matrix.
-        """
-        return _max_minor(self.matrix, self.lattice)
 
 
 @lru_cache(maxsize=LATTICE_MEMO_SIZE)
-def _lattice_ideal(a, lattice) -> LatticeIdeal:
-    return LatticeIdeal(a, kernel_lattice(a) if lattice is None else lattice)
+def _of_lattice(l: LatticeBasis) -> LatticeIdeal:
+    return LatticeIdeal(l)
+
+
+@lru_cache(maxsize=LATTICE_MEMO_SIZE)
+def _of_matrix(a: IntMatrix) -> LatticeIdeal:
+    return _of_lattice(kernel_lattice(a))
 
 
 @dataclass(frozen=True)
 class GapInstance:
     """Everything the gap computation derives from one (A, c) or (L, c).
 
-    lattice_ideal is the part no cost changes; groebner is the reduced
-    basis under the cost-refined order, ideal the non-optimal monomial
-    ideal, components its irredundant irreducible decomposition (empty
-    exactly when the ideal is zero).
+    matrix is A, None for a lattice given directly; lattice_ideal is the
+    part no cost changes; groebner is the reduced basis under the
+    cost-refined order, ideal the non-optimal monomial ideal, components
+    its irredundant irreducible decomposition (empty exactly when the
+    ideal is zero).
     """
 
+    matrix: IntMatrix | None
     lattice_ideal: LatticeIdeal
     cost: tuple[Fraction, ...]
     groebner: GroebnerBasis
@@ -126,11 +114,12 @@ class GapInstance:
 
     @classmethod
     def from_matrix(cls, a: IntMatrix, cost, tiebreak: str = "grevlex") -> "GapInstance":
-        return cls._build(LatticeIdeal.from_matrix(a), cost, tiebreak)
+        a = _as_matrix(a)
+        return cls._build(a, LatticeIdeal.from_matrix(a), cost, tiebreak)
 
     @classmethod
     def from_lattice(cls, l: LatticeBasis, cost, tiebreak: str = "grevlex") -> "GapInstance":
-        return cls._build(LatticeIdeal.from_lattice(l), cost, tiebreak)
+        return cls._build(None, LatticeIdeal.from_lattice(l), cost, tiebreak)
 
     @classmethod
     def from_basis(cls, a: IntMatrix, gb: GroebnerBasis, cost) -> "GapInstance":
@@ -145,15 +134,16 @@ class GapInstance:
         that does not mark every element so raises BadParameter; the
         precondition check runs as in from_matrix.
         """
-        return cls._build(LatticeIdeal.from_matrix(a), cost, gb.order.tiebreak, gb)
+        a = _as_matrix(a)
+        return cls._build(a, LatticeIdeal.from_matrix(a), cost, gb.order.tiebreak, gb)
 
     @classmethod
     def _build(
-        cls, lattice_ideal: LatticeIdeal, cost, tiebreak, known: GroebnerBasis | None = None
+        cls, matrix, lattice_ideal: LatticeIdeal, cost, tiebreak, known: GroebnerBasis | None = None
     ) -> "GapInstance":
-        order = _as_order(cost, tiebreak)
-        n = lattice_ideal.lattice.nrows
-        if order.nvars is not None and order.nvars != n:
+        order = cost if isinstance(cost, TermOrder) else TermOrder(cost, tiebreak)
+        c = order.cost  # an order without cost rows stops here, before any completion
+        if len(c) != lattice_ideal.lattice.nrows:
             raise BadParameter("cost length does not match the variable count")
         # a rejected cost saturates nothing; a passed check is remembered,
         # so buchberger does not repeat it on the saturated generators
@@ -164,13 +154,9 @@ class GapInstance:
             gb = GroebnerBasis(known.elements, order)
             if not is_generic(gb):
                 raise BadParameter("the cost does not mark every element of the basis given")
-        ideal = non_optimal_ideal(gb) if gb.elements else MonomialIdeal(n)
+        ideal = non_optimal_ideal(gb)
         comps = () if ideal.is_zero else irreducible_decomposition(ideal)
-        return cls(lattice_ideal, order.cost, gb, ideal, comps)
-
-    @property
-    def matrix(self) -> IntMatrix | None:
-        return self.lattice_ideal.matrix
+        return cls(matrix, lattice_ideal, c, gb, ideal, comps)
 
     @property
     def lattice(self) -> LatticeBasis:
@@ -216,12 +202,13 @@ class GapReport:
         """The a-priori bound n D(A) sum|c_i|, None for a lattice instance.
 
         Computed on first read, so a report that does not print it does
-        not pay for the minors.
+        not pay for the minors.  The instance's kernel basis goes along,
+        so no second kernel is computed for it.
         """
         inst = self.instance
         if inst.matrix is None:
             return None
-        return schrijver_bound(inst.lattice_ideal, inst.cost)
+        return schrijver_bound(inst.matrix, inst.cost, lattice=inst.lattice)
 
 
 def gap_value(
@@ -245,6 +232,8 @@ def gap_value(
     cols = inst.lattice.columns()
     u = comp.bound
     c = inst.cost if cost is None else tuple(Fraction(x) for x in cost)
+    if len(c) != inst.nvars or len(u) != len(c):
+        raise BadParameter("cost or bound length does not match the variable count")
     if not cols:
         return Fraction(0), tuple(Fraction(x) for x in u)
     sol = lp._coefficient_lp(cols, c, u, comp.support)
@@ -279,15 +268,17 @@ def _integer_optimum(inst: GapInstance, z) -> tuple[tuple[int, ...], int | Fract
     return point, _dots(inst.cost, (point,))[0]
 
 
-def gap_witness(report: GapReport, inst: GapInstance) -> GapReport:
+def gap_witness(report: GapReport) -> GapReport:
     """The report with a witness: a point whose program attains the gap.
 
     Rounds the winning component's optimum v* up coordinatewise to kill
     negative entries (z = u + v' with v'_i = max(0, -floor(v*_i))) and
-    verifies IP(z) - LP(z) = gap by an independent exact solve of both
-    sides; any disagreement is an internal error, never silent.  The
-    report returned holds z, z's optimal point and both values.
+    verifies IP(z) - LP(z) = gap on the report's instance by an
+    independent exact solve of both sides; any disagreement is an
+    internal error, never silent.  The report returned holds z, z's
+    optimal point and both values.
     """
+    inst = report.instance
     if report.winner is None:
         zero = (0,) * inst.nvars
         return dataclasses.replace(
@@ -321,7 +312,7 @@ def gap_report(inst: GapInstance) -> GapReport:
     best = max((e.value for e in per), default=Fraction(0))
     attaining = tuple(e.component for e in per if e.value == best)
     winner = attaining[0] if attaining else None
-    return gap_witness(GapReport(per, best, winner, attaining, (), inst), inst)
+    return gap_witness(GapReport(per, best, winner, attaining, (), inst))
 
 
 def gap(a, c, tiebreak: str = "grevlex") -> GapReport:
@@ -340,25 +331,21 @@ def gap_lattice(l, c, tiebreak: str = "grevlex") -> GapReport:
     return gap_report(GapInstance.from_lattice(l, c, tiebreak))
 
 
-def schrijver_bound(a: "IntMatrix | LatticeIdeal", c) -> Fraction:
+def schrijver_bound(a: IntMatrix, c, *, lattice: LatticeBasis | None = None) -> Fraction:
     """A-priori bound n D(A) sum|c_i|, D(A) the largest maximal minor.
 
-    a is the matrix, or a matrix's LatticeIdeal, which holds D(A) (its
-    max_minor) once computed, so bounds for other costs on it reuse it.
+    lattice, if given, is a's kernel basis, which the walk may read (see
+    _max_minor); a report hands over its instance's, and without it the
+    bound computes kernel_lattice(a) when it needs one.
     """
-    if isinstance(a, LatticeIdeal):
-        n = a.lattice.nrows
-    else:
-        a = a if isinstance(a, IntMatrix) else IntMatrix(a)
-        n = a.ncols
+    a = _as_matrix(a)
     c = tuple(Fraction(x) for x in c)
-    if len(c) != n:
+    if len(c) != a.ncols:
         raise BadParameter("cost length does not match the column count")
-    d = a.max_minor if isinstance(a, LatticeIdeal) else _max_minor(a, None)
-    return n * d * sum((abs(x) for x in c), Fraction(0))
+    return a.ncols * _max_minor(a, lattice) * sum((abs(x) for x in c), Fraction(0))
 
 
-def _max_minor(a: IntMatrix | None, lattice: LatticeBasis | None) -> int:
+def _max_minor(a: IntMatrix, lattice: LatticeBasis | None) -> int:
     """D(A) for schrijver_bound; lattice, if given, is a's kernel basis.
 
     Maximal minors are taken at the matrix's rank r, on the rows a greedy
@@ -374,10 +361,9 @@ def _max_minor(a: IntMatrix | None, lattice: LatticeBasis | None) -> int:
     g |det B_(S^c)| for every S, with g = |det A_P| / |det B_(P^c)|.
     Either way one depth-first walk shares the elimination of common
     prefixes and skips every subset extending a prefix whose minors all
-    vanish (see exactmath._max_maximal_minor).
+    vanish (see exactmath._max_maximal_minor).  Nothing is kept between
+    calls: each walks the minors anew.
     """
-    if a is None:
-        raise BadParameter("the Schrijver bound needs a matrix")
     n = a.ncols
     echelon = _echelon(a.rows)
     kept = [a.rows[i] for i, _, _ in echelon]

@@ -82,6 +82,8 @@ class IrreducibleComponent:
     def __init__(self, support, bound):
         support = tuple(sorted(int(i) for i in set(support)))
         bound = tuple(int(x) for x in bound)
+        if support and not 0 <= support[0] <= support[-1] < len(bound):
+            raise BadParameter("support indices must index the bound")
         for i, x in enumerate(bound):
             if x < 0 or (x > 0 and i not in support):
                 raise BadParameter("bound must be nonnegative and live on the support")

@@ -18,13 +18,9 @@ from math import floor, prod
 
 from . import lp
 from .errors import BadParameter, EmptyFiber, FiberCapExceeded, InfiniteFiber
-from .exactmath import IntMatrix, _echelon, _Packing, _scaled
+from .exactmath import IntMatrix, _as_matrix, _echelon, _Packing, _scaled
 
 DEFAULT_POINT_CAP = 10_000_000
-
-
-def _as_matrix(a) -> IntMatrix:
-    return a if isinstance(a, IntMatrix) else IntMatrix(a)
 
 
 def _coordinate_bounds(a: IntMatrix, b) -> list[int] | None:

@@ -657,6 +657,8 @@ def buchberger(gens, order: TermOrder) -> GroebnerBasis:
     Checks the order preconditions first; see check_order_preconditions.
     """
     gens = tuple(gens)
+    if len({g.nvars for g in gens}) > 1:
+        raise BadParameter("binomials of unequal length")
     check_order_preconditions((g.vector() for g in gens), order)
     if not gens:
         return GroebnerBasis((), order)

@@ -78,7 +78,7 @@ def test_02_coin_basis_and_decomposition():
 def test_03_coin_witness_and_named_rhs():
     inst = coin()
     rep = gap_report(inst)
-    z = gap_witness(rep, inst).witness_z
+    z = gap_witness(rep).witness_z
     b = COIN_A.mul_vector(z)
     # the brute-force route must see the same difference at that b
     ip = oracle.brute_ip(COIN_A, b, COIN_COST)
@@ -208,11 +208,12 @@ def test_07_coin_cost_fan():
 
 
 def _own_lattice_memo(monkeypatch):
-    # random lattices fill a memo of their own, the size of the package's,
+    # random lattices fill memos of their own, the size of the package's,
     # so they do not evict the k4 lattice ideal that test_05 saturates and
     # test_09 and the golden k4 reports read again
-    memo = lru_cache(maxsize=gapcore.LATTICE_MEMO_SIZE)(gapcore._lattice_ideal.__wrapped__)
-    monkeypatch.setattr(gapcore, "_lattice_ideal", memo)
+    for name in ("_of_matrix", "_of_lattice"):
+        memo = lru_cache(maxsize=gapcore.LATTICE_MEMO_SIZE)(getattr(gapcore, name).__wrapped__)
+        monkeypatch.setattr(gapcore, name, memo)
 
 
 def test_08_random_instances_match_the_oracle(monkeypatch):

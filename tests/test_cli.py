@@ -294,16 +294,16 @@ def test_oracle_small_box_reports_shortfall(capsys):
 
 
 def test_only_reports_that_print_it_compute_the_schrijver_bound(capsys, monkeypatch):
-    # witness and oracle --verify print no bound, so they compute none;
-    # gap prints it and computes it once
+    # witness and oracle --verify print no bound, so they walk no minors;
+    # gap prints it and walks them once
     calls = []
-    bound = gapcore.schrijver_bound
+    walk = gapcore._max_minor
 
     def counted(*args):
         calls.append(args)
-        return bound(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(gapcore, "schrijver_bound", counted)
+    monkeypatch.setattr(gapcore, "_max_minor", counted)
     assert run(capsys, "witness", COIN)[0] == 0
     assert run(capsys, "oracle", COIN, "--box", "1", "--verify")[0] == 0
     assert calls == []

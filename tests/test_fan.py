@@ -58,6 +58,11 @@ def test_cone_normalization_and_contains():
         Cone(2, [(1, 2, 3)])
 
 
+def test_empty_basis_without_costs_has_no_cone():
+    with pytest.raises(BadParameter):
+        groebner_cone(GroebnerBasis((), TermOrder()))
+
+
 def test_cone_interior_point():
     c = Cone(2, [(1, -1), (0, 1)])
     p = c.interior_point()
@@ -362,7 +367,8 @@ def test_degenerate_cone_detected():
         (Binomial((1, 0), (0, 1)), Binomial((0, 1), (1, 0))), order
     )
     broken = GapInstance(
-        lattice_ideal=LatticeIdeal(matrix=None, lattice=IntMatrix([[1], [-1]])),
+        matrix=None,
+        lattice_ideal=LatticeIdeal(IntMatrix([[1], [-1]])),
         cost=(Fraction(1), Fraction(1)),
         groebner=flat,
         ideal=base.ideal,

@@ -207,45 +207,64 @@ def test_schrijver_bound_cross_check_coverage():
     }
 
 
+def _bound_of_a_report(a, c):
+    """The Schrijver bound as a report on (a, c) reads it."""
+    inst = GapInstance(
+        matrix=a,
+        lattice_ideal=LatticeIdeal(kernel_lattice(a)),
+        cost=tuple(Fraction(x) for x in c),
+        groebner=None,
+        ideal=None,
+        components=(),
+    )
+    return GapReport((), Fraction(0), None, (), (), inst).schrijver_bound
+
+
 def test_schrijver_bound_leaves_the_lattice_memo_alone():
     # direct calls take the kernel basis from kernel_lattice, so the
-    # cross-check's matrices cannot evict a held lattice ideal; gap_report
-    # hands over the LatticeIdeal it holds instead
-    before = gapcore._lattice_ideal.cache_info()
+    # cross-check's matrices cannot evict a held lattice ideal from either
+    # memo; a report hands over its instance's kernel basis instead
+    memos = (gapcore._of_matrix, gapcore._of_lattice)
+    before = [(m.cache_info().hits, m.cache_info().misses) for m in memos]
     kernel_side = [
         (a, c) for a, c in BOUND_CASES[:80] if 0 < a.ncols - a.rank() < a.rank()
     ]
     bounds = [schrijver_bound(a, c) for a, c in kernel_side]
-    after = gapcore._lattice_ideal.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    after = [(m.cache_info().hits, m.cache_info().misses) for m in memos]
+    assert after == before
     assert len(kernel_side) >= 5
     for (a, c), bound in zip(kernel_side, bounds):
-        held = LatticeIdeal(matrix=a, lattice=kernel_lattice(a))
-        assert schrijver_bound(held, c) == bound
+        assert _bound_of_a_report(a, c) == bound
 
 
 @pytest.mark.parametrize("a", [COIN_A, margin_matrix(k4_model())], ids=["row side", "kernel side"])
-def test_lattice_ideal_walks_the_minors_once(monkeypatch, a):
-    # D(A) depends on the matrix alone: bounds for two costs on one
-    # LatticeIdeal share one minor walk, on either side of the duality,
-    # and give what a direct call gives
-    walks = []
-    walk = gapcore._max_maximal_minor
+def test_a_report_walks_the_minors_once(monkeypatch, a):
+    # a report walks the minors when its bound is first read, once, on
+    # either side of the duality, from its instance's kernel basis, and
+    # its bound is what a direct call gives
+    n = a.ncols
+    c = tuple(Fraction(i, 2) for i in range(n))
+    rep = gap_report(GapInstance.from_matrix(a, c))
+    walks, kernels = [], []
+    walk, kernel = gapcore._max_maximal_minor, gapcore.kernel_lattice
 
     def counted(rows):
         walks.append(len(rows))
         return walk(rows)
 
+    def counted_kernel(m):
+        kernels.append(m)
+        return kernel(m)
+
     monkeypatch.setattr(gapcore, "_max_maximal_minor", counted)
-    held = LatticeIdeal(matrix=a, lattice=kernel_lattice(a))
-    n = a.ncols
-    costs = [(1,) + (0,) * (n - 1), tuple(Fraction(i, 2) for i in range(n))]
-    bounds = [schrijver_bound(held, c) for c in costs]
+    monkeypatch.setattr(gapcore, "kernel_lattice", counted_kernel)
+    assert walks == []
+    bound = rep.schrijver_bound
+    assert rep.schrijver_bound == bound
     assert len(walks) == 1
-    assert bounds == [schrijver_bound(a, c) for c in costs]
-    assert len(walks) == 3
-    with pytest.raises(BadParameter):
-        schrijver_bound(LatticeIdeal(matrix=None, lattice=kernel_lattice(a)), costs[0])
+    assert kernels == []
+    assert bound == schrijver_bound(a, c)
+    assert len(walks) == 2
 
 
 @pytest.mark.slow
@@ -287,7 +306,8 @@ def test_unbounded_aux_detected():
     # cost points down a direction the component's support cannot see
     lattice = IntMatrix([[1], [1]])
     inst = GapInstance(
-        lattice_ideal=LatticeIdeal(matrix=None, lattice=lattice),
+        matrix=None,
+        lattice_ideal=LatticeIdeal(lattice),
         cost=(Fraction(-1), Fraction(0)),
         groebner=None,
         ideal=None,
@@ -310,7 +330,7 @@ def test_witness_mismatch_raises():
         instance=inst,
     )
     with pytest.raises(WitnessMismatch):
-        gap_witness(broken, inst)
+        gap_witness(broken)
 
 
 def random_bounded_instance(rng):
@@ -333,7 +353,7 @@ def test_random_instances_respect_bound_and_squarefree_rule():
         assert (r.gap == 0) == is_squarefree_generated(inst.ideal)
         # the witness was verified on construction; re-verify through the
         # public entry point for good measure
-        assert gap_witness(r, inst).witness_z == r.witness_z
+        assert gap_witness(r).witness_z == r.witness_z
 
 
 def test_one_saturation_per_lattice(monkeypatch):
@@ -380,6 +400,10 @@ def test_rejected_costs_saturate_nothing(monkeypatch):
         GapInstance.from_matrix(a, (0, -2, 1, 1))
     with pytest.raises(NonTerminatingOrder):
         GapInstance.from_matrix(a, (1, -1, 2, 4), "lex")
+    # an order without cost rows is rejected before any saturation
+    for cost in ((), TermOrder((), "grevlex")):
+        with pytest.raises(BadParameter, match="order has no cost rows"):
+            GapInstance.from_matrix(a, cost)
     assert not calls
     GapInstance.from_matrix(a, (1, -1, 2, 4))
     assert calls == {kernel_lattice(a): 1}

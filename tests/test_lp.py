@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from _reference import relaxation_value
 from ipgap import lp, toric
-from ipgap.errors import EmptyFiber, NonTerminatingOrder, UnboundedProgram
+from ipgap.errors import BadParameter, EmptyFiber, NonTerminatingOrder, UnboundedProgram
 from ipgap.exactmath import IntMatrix, _dots, _scaled, _span_basis
 
 
@@ -57,6 +57,11 @@ def test_unbounded():
     assert sol.status == lp.UNBOUNDED
     sol = lp.solve(lp.LPProblem(objective=(1,), sense="max", ub=(((-1,), 0),)))
     assert sol.status == lp.UNBOUNDED
+
+
+def test_unknown_sense_is_rejected():
+    with pytest.raises(BadParameter):
+        lp.LPProblem(objective=(1,), sense="up")
 
 
 def test_degenerate_cycling_guard():

@@ -19,7 +19,7 @@ from _reference import (
     tuple_maximal_corners,
 )
 from ipgap import monomial
-from ipgap.errors import UnitIdeal, ZeroIdeal
+from ipgap.errors import BadParameter, UnitIdeal, ZeroIdeal
 from ipgap.gapcore import LatticeIdeal
 from ipgap.models import MarginalModel, entry_instance, k4_model, margin_matrix
 from ipgap.monomial import (
@@ -92,6 +92,11 @@ def test_decompose_rejects_trivial():
         irreducible_decomposition(MonomialIdeal(2))
     with pytest.raises(UnitIdeal):
         irreducible_decomposition(MonomialIdeal(2, [(0, 0)]))
+
+
+def test_component_bound_lives_on_its_support():
+    with pytest.raises(BadParameter):
+        IrreducibleComponent((0,), (0, 1))
 
 
 def test_decompose_coin_nonoptimal_ideal():

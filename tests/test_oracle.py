@@ -65,6 +65,11 @@ def test_enumerate_fiber_guards():
         enumerate_fiber(COIN_A, (1, 2, 3))
 
 
+def test_brute_gap_box_rejects_a_negative_box():
+    with pytest.raises(BadParameter):
+        brute_gap_box(COIN_A, COIN_COST, (1, -1, 0, 0))
+
+
 def test_brute_ip():
     assert brute_ip(COIN_A, (10, 114), COIN_COST) == 6
     assert brute_ip(COIN_A, (0, 0), COIN_COST) == 0
