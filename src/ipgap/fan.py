@@ -30,7 +30,7 @@ from .errors import (
     VerificationError,
 )
 from .exactmath import _primitive_vector, _scaled
-from .gapcore import GapInstance, LatticeIdeal, gap_report, gap_value
+from .gapcore import GapInstance, LatticeIdeal, _aux_setup, gap_report, gap_value
 from .monomial import IrreducibleComponent
 from .toric import GroebnerBasis, TermOrder, buchberger, is_generic
 
@@ -126,8 +126,8 @@ def groebner_cone(gb: GroebnerBasis) -> Cone:
     return Cone(n, (g.vector() for g in gb.elements))
 
 
-def _component_form(inst: GapInstance, comp, cost) -> tuple[Fraction, ...]:
-    _, v = gap_value(comp, inst, cost=cost)
+def _component_form(inst: GapInstance, comp, setup) -> tuple[Fraction, ...]:
+    _, v = gap_value(comp, inst, setup=setup)
     return tuple(Fraction(u) - vi for u, vi in zip(comp.bound, v))
 
 
@@ -159,11 +159,13 @@ def gap_fan_subdivide(inst: GapInstance, cone: Cone | None = None) -> list[GapFa
         raise DegenerateCone("the Groebner cone has empty interior")
     # at the center itself the check is an identity: value = form . center
     check_linear = tuple(inst.cost) != center
+    centered = _aux_setup(inst, center)
+    here = _aux_setup(inst) if check_linear else None
     forms = []
     for comp in inst.components:
-        form = _component_form(inst, comp, center)
+        form = _component_form(inst, comp, centered)
         if check_linear:
-            value_here, _ = gap_value(comp, inst)
+            value_here, _ = gap_value(comp, inst, setup=here)
             linear_here = sum(
                 (fi * ci for fi, ci in zip(form, inst.cost)), Fraction(0)
             )

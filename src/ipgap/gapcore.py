@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import floor
+from math import floor, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -211,8 +211,73 @@ class GapReport:
         return schrijver_bound(inst.matrix, inst.cost, lattice=inst.lattice)
 
 
+class _AuxSetup(NamedTuple):
+    """What every auxiliary program of one instance at one cost shares.
+
+    rows and columns are the lattice basis B's, cost is c and objective
+    is B^T c as ints over scale.  gap_report builds one per report and
+    the fan's subdivision one per cost it reads.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    cost: tuple[Fraction, ...]
+    objective: list[int]
+    scale: int
+
+
+def _aux_setup(inst: GapInstance, cost=None) -> _AuxSetup:
+    """The instance's _AuxSetup at cost (default: its own)."""
+    c = inst.cost if cost is None else tuple(Fraction(x) for x in cost)
+    if len(c) != inst.nvars:
+        raise BadParameter("cost length does not match the variable count")
+    cols = inst.lattice.columns()
+    return _AuxSetup(inst.lattice.rows, cols, c, *_scaled(_dots(c, cols)))
+
+
+def _aux_optimum(setup: _AuxSetup, base, support) -> tuple[Fraction, list[int], int] | None:
+    """max (B^T c).t subject to (row i of B).t <= base_i for i in support.
+
+    Returns (value, t, d), the optimal t as ints over d, or None when the
+    program is unbounded.  A square program, one row per lattice
+    dimension with B_tau nonsingular, has the one vertex
+    t* = B_tau^-1 base_tau, and is bounded exactly when the y with
+    B_tau^T y = B^T c is >= 0; t* is then optimal.  One Gauss-Jordan pass
+    of lp._pivot over the rows [B_tau | I | base_tau] yields t* and, in
+    the objective row's slack entries, y.  Every other program, a
+    singular B_tau included, goes to lp's simplex.
+    """
+    r = len(setup.columns)
+    if len(support) == r:
+        rows = [
+            [*setup.rows[i], *(int(k == m) for m in range(r)), base[i], 1]
+            for k, i in enumerate(support)
+        ]
+        obj = [-g for g in setup.objective] + [0] * (r + 1) + [setup.scale]
+        live = list(range(r))
+        pivoted = []  # the row each column j was pivoted into
+        for j in range(r):
+            k = next((k for k in live if rows[k][j]), None)
+            if k is None:
+                break
+            live.remove(k)
+            pivoted.append(k)
+            lp._pivot(rows, obj, k, j, 1)
+        else:
+            if min(obj[r:-2]) < 0:
+                return None
+            basic = [rows[k] for k in pivoted]
+            d = lcm(*(row[-1] for row in basic))
+            return Fraction(obj[-2], obj[-1]), [row[-2] * (d // row[-1]) for row in basic], d
+    sol = lp._coefficient_lp(setup.columns, setup.cost, base, support)
+    if sol.status != lp.OPTIMAL:
+        return None
+    t, d = _scaled(sol.x)
+    return sol.value, t, d
+
+
 def gap_value(
-    comp: IrreducibleComponent, inst: GapInstance, *, cost=None
+    comp: IrreducibleComponent, inst: GapInstance, *, cost=None, setup: _AuxSetup | None = None
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Gap contribution of one irreducible component, with its optimum.
 
@@ -223,43 +288,45 @@ def gap_value(
         max  (B^T c).t  subject to (row i of B).t <= u_i for i in tau,
     a program in only rank-many free variables.  Returns the exact value
     and the attaining v.  cost overrides the instance's cost row, for
-    callers probing other points of the same cone.
+    callers probing other points of the same cone; setup, when given, is
+    _aux_setup(inst, cost) built once for many components, and cost is
+    then not read.
 
-    v is the vertex lp.solve's pivot path reaches, and reports print it
-    as aux_optimum.  Most of these programs have more than one optimal
-    point (120 of the k4 report's 140), so that path is part of the output.
+    v is reported as aux_optimum.  A square component, |tau| = rank (a
+    minimal prime's, 126 of the k4 report's 139), poses a program with one
+    vertex, which _aux_optimum solves for directly; 120 of those 126 have
+    a ray of optimal points, and v is its vertex.  Only the other programs
+    run lp.solve, and where one has several optimal vertices the pivot
+    path picks v, so that path is part of the output.
     """
-    cols = inst.lattice.columns()
     u = comp.bound
-    c = inst.cost if cost is None else tuple(Fraction(x) for x in cost)
-    if len(c) != inst.nvars or len(u) != len(c):
-        raise BadParameter("cost or bound length does not match the variable count")
-    if not cols:
+    if setup is None:
+        setup = _aux_setup(inst, cost)
+    if len(u) != inst.nvars:
+        raise BadParameter("bound length does not match the variable count")
+    if not setup.columns:
         return Fraction(0), tuple(Fraction(x) for x in u)
-    sol = lp._coefficient_lp(cols, c, u, comp.support)
-    if sol.status == lp.UNBOUNDED:
+    opt = _aux_optimum(setup, u, comp.support)
+    if opt is None:
         raise UnboundedAux(
             f"auxiliary program unbounded for the component on support "
             f"{comp.support}; the instance violates the boundedness precondition"
         )
-    t, d = _scaled(sol.x)
-    v = tuple(
-        Fraction(ui * d - sum(map(mul, row, t)), d)
-        for ui, row in zip(u, inst.lattice.rows)
-    )
-    return sol.value, v
+    value, t, d = opt
+    v = tuple(Fraction(ui * d - sum(map(mul, row, t)), d) for ui, row in zip(u, setup.rows))
+    return value, v
 
 
 def _relaxation_value(inst: GapInstance, z) -> int | Fraction:
     """min c.v over v >= 0 congruent to z modulo the lattice's real span."""
-    cols = inst.lattice.columns()
+    setup = _aux_setup(inst)
     base = _dots(inst.cost, (z,))[0]
-    if not cols:
+    if not setup.columns:
         return base
-    sol = lp._coefficient_lp(cols, inst.cost, z, range(inst.nvars))
-    if sol.status != lp.OPTIMAL:
+    opt = _aux_optimum(setup, z, range(inst.nvars))
+    if opt is None:
         raise UnboundedProgram("relaxation unbounded below; preconditions violated")
-    return base - sol.value
+    return base - opt[0]
 
 
 def _integer_optimum(inst: GapInstance, z) -> tuple[tuple[int, ...], int | Fraction]:
@@ -306,8 +373,9 @@ def gap_report(inst: GapInstance) -> GapReport:
     non-optimal ideal; zero (with an empty component list) when that
     ideal is zero.
     """
+    setup = _aux_setup(inst)
     per = tuple(
-        ComponentGap(comp, *gap_value(comp, inst)) for comp in inst.components
+        ComponentGap(comp, *gap_value(comp, inst, setup=setup)) for comp in inst.components
     )
     best = max((e.value for e in per), default=Fraction(0))
     attaining = tuple(e.component for e in per if e.value == best)

@@ -9,19 +9,23 @@ integer cross-products.  Inputs stay exact as given; Fractions are built
 for the returned value and point only.
 
 Bland's smallest-index rule picks the entering and the leaving column,
-which ensures termination.  The pivot path is part of the output: most
-auxiliary programs have several optimal points (120 of the k4 report's
-140, 86 of perfbench ladder's 136), and the vertex reached is the
-aux_optimum reports print, the cone center the fan walk reads and the
-grading saturation runs under.  A faster solve must take the same
-pivots; tests/test_lp.py pins them.
+which ensures termination.  Where a program has several optimal
+vertices the pivot path picks the one returned, so the path is part of
+the output: the cone center the fan walk reads, the grading saturation
+runs under, and the aux_optimum reports print for a component whose
+support is not rank-many.  The square auxiliary programs do not come
+here: each has one vertex, which gapcore solves for directly, so only 14
+of the k4 report's 140 programs and 4 of perfbench ladder's 135 reach
+the simplex.  (120 of k4's have more than one optimal point, but all of
+those are square, and their optimal sets are rays from that vertex.)
+A faster solve must take the same pivots; tests/test_lp.py pins them.
 
 Three set-ups pose every program of the package: the standard form
 min{c.x : a.x = b, x >= 0} of lp_value and feasible (the oracle's bounds
 and relaxations, Farkas's, Gordan's and the zero-cost-ray tests, the
 positive grading), the lattice-coefficient form of _coefficient_lp (the
-auxiliary programs and the witness relaxation) and fan._strict_point
-(the cone's center).
+auxiliary programs and the witness relaxation that are not square) and
+fan._strict_point (the cone's center).
 
 The solver is written for the small dense problems this package produces;
 it is not a general-purpose LP code.

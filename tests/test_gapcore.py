@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -14,12 +18,13 @@ from ipgap import gapcore, lp
 from ipgap.cli import load_instance
 from ipgap.errors import (
     BadParameter,
+    IpgapError,
     NonTerminatingOrder,
     UnboundedAux,
     UnboundedProgram,
     WitnessMismatch,
 )
-from ipgap.exactmath import IntMatrix, kernel_lattice
+from ipgap.exactmath import IntMatrix, _dots, _scaled, _span_basis, kernel_lattice
 from ipgap.fan import explore_cones
 from ipgap.gapcore import (
     GapInstance,
@@ -37,6 +42,7 @@ from ipgap.models import (
     entry_instance,
     k4_model,
     margin_matrix,
+    simplicial_model_representatives,
     transportation_model,
 )
 from ipgap.monomial import IrreducibleComponent
@@ -318,6 +324,24 @@ def test_unbounded_aux_detected():
         gap_value(comp, inst)
 
 
+def test_unbounded_aux_detected_off_square(monkeypatch):
+    # the same instance with both coordinates in the support: t <= 1 and
+    # t <= 0 over one lattice dimension, so the simplex decides
+    inst = GapInstance(
+        matrix=None,
+        lattice_ideal=LatticeIdeal(IntMatrix([[1], [1]])),
+        cost=(Fraction(-1), Fraction(0)),
+        groebner=None,
+        ideal=None,
+        components=(),
+    )
+    comp = IrreducibleComponent((0, 1), (1, 0))
+    calls = _counted_solves(monkeypatch)
+    with pytest.raises(UnboundedAux):
+        gap_value(comp, inst)
+    assert len(calls) == 1
+
+
 def test_witness_mismatch_raises():
     inst = GapInstance.from_matrix(COIN_A, COIN_COST)
     r = gap_report(inst)
@@ -430,13 +454,8 @@ def test_cost_is_checked_once_per_instance(monkeypatch):
     assert all(ub == 0 for _, ub, _ in calls)
 
 
-@pytest.mark.parametrize("name", ["coin", "tied"])
-def test_every_report_lp_goes_through_solve(monkeypatch, name):
-    # one auxiliary program per component plus the witness's relaxation,
-    # each through lp.solve, the one simplex entry the tracer times
-    spec = load_instance(str(DEMOS / f"{name}.txt"))
-    inst = GapInstance.from_matrix(spec.matrix, spec.cost)
-    inst.components
+def _counted_solves(monkeypatch) -> list:
+    """The problems lp.solve is handed from here on."""
     calls = []
     solve = lp.solve
 
@@ -445,6 +464,132 @@ def test_every_report_lp_goes_through_solve(monkeypatch, name):
         return solve(problem)
 
     monkeypatch.setattr(lp, "solve", counted)
+    return calls
+
+
+def _square_split(inst) -> tuple[int, int]:
+    """(square, other) component counts: square when |support| = rank."""
+    rank = inst.lattice.ncols
+    square = sum(len(comp.support) == rank for comp in inst.components)
+    return square, len(inst.components) - square
+
+
+@pytest.mark.parametrize("name", ["coin", "tied"])
+def test_every_report_lp_goes_through_solve(monkeypatch, name):
+    # a square component's program is solved directly; every other
+    # component's and the witness's relaxation (n > rank rows here) go
+    # through lp.solve, the one simplex entry the tracer times.  Before
+    # the direct solve, coin made 4 calls and tied 4
+    spec = load_instance(str(DEMOS / f"{name}.txt"))
+    inst = GapInstance.from_matrix(spec.matrix, spec.cost)
+    square, other = _square_split(inst)
+    assert (square, other) == {"coin": (2, 1), "tied": (0, 3)}[name]
+    calls = _counted_solves(monkeypatch)
     gap_report(inst)
-    assert len(inst.components) > 1
-    assert len(calls) == len(inst.components) + 1
+    assert len(calls) == other + 1
+    assert all(len(problem.ub) != problem.nvars for problem in calls)
+
+
+def test_k4_report_solves_only_its_non_square_programs(monkeypatch, k4):
+    # 126 of the 139 components are square; the 13 others and the
+    # witness's relaxation make 14 solves, down from 140
+    inst, report = k4
+    assert _square_split(inst) == (126, 13)
+    calls = _counted_solves(monkeypatch)
+    assert gap_report(inst) == report
+    assert len(calls) == 14
+
+
+def test_k4_gap_run_counts_its_simplex_solves():
+    # a fresh process, so no memo spares the saturation's three
+    # feasibility programs: 17 solves in all, down from 143
+    script = (
+        "import sys\n"
+        "from ipgap import cli, lp\n"
+        "calls, solve = [], lp.solve\n"
+        "lp.solve = lambda problem: calls.append(problem) or solve(problem)\n"
+        "cli.main(['gap', sys.argv[1]])\n"
+        "print('solves', len(calls))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(DEMOS.parent / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(DEMOS / "k4.txt")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "solves 17"
+
+
+def _square_programs_against_the_simplex(instances) -> tuple[int, int]:
+    """Check each square component's gap_value against lp._coefficient_lp.
+
+    Returns the number of square programs checked and how many of them
+    are dual-degenerate, some y_i = 0 in B_tau^T y = B^T c: those have a
+    ray of optimal points, of which the direct solve must return the one
+    vertex, as the simplex does.  y_i is read off the last column of the
+    reduced echelon form of [B_tau^T | B^T c].
+    """
+    checked = degenerate = 0
+    for inst in instances:
+        cols = inst.lattice.columns()
+        rows = inst.lattice.rows
+        objective, _ = _scaled(_dots(inst.cost, cols))
+        for comp in inst.components:
+            if len(comp.support) != len(cols):
+                continue
+            sol = lp._coefficient_lp(cols, inst.cost, comp.bound, comp.support)
+            t, d = _scaled(sol.x)
+            v = tuple(Fraction(u * d - sum(map(mul, r, t)), d) for u, r in zip(comp.bound, rows))
+            assert gap_value(comp, inst) == (sol.value, v)
+            augmented = [[rows[i][j] for i in comp.support] + [g] for j, g in enumerate(objective)]
+            checked += 1
+            degenerate += any(row[-1] == 0 for row in _span_basis(augmented))
+    return checked, degenerate
+
+
+def test_square_programs_match_the_simplex_on_the_simplicial_models():
+    instances = (
+        entry_instance(model, sense)
+        for model in simplicial_model_representatives()
+        for sense in ("max", "min")
+    )
+    assert _square_programs_against_the_simplex(instances) == (1426, 1354)
+
+
+def test_square_programs_match_the_simplex_on_random_instances():
+    # the family of perfbench's random batch: d in {1, 2}, n in {2..4},
+    # entries in [-6, 6], costs p/q with q in {1, 2}
+    rng = random.Random(20261020)
+    instances = []
+    for _ in range(300):
+        d, n = rng.choice((1, 2)), rng.choice((2, 3, 4))
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(d)]
+        c = [Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(n)]
+        try:
+            instances.append(GapInstance.from_matrix(a, c))
+        except IpgapError:
+            continue
+    assert _square_programs_against_the_simplex(instances) == (257, 0)
+
+
+def test_singular_square_support_falls_back_to_the_simplex(monkeypatch):
+    # |support| = rank 2, but rows 0 and 1 of B are equal: the program is
+    # max t_1 s.t. t_1 <= 2, t_1 <= 3 with t_2 free and of zero cost
+    lattice = IntMatrix([[1, 0], [1, 0], [0, 1]])
+    inst = GapInstance(
+        matrix=None,
+        lattice_ideal=LatticeIdeal(lattice),
+        cost=(Fraction(1), Fraction(0), Fraction(0)),
+        groebner=None,
+        ideal=None,
+        components=(),
+    )
+    comp = IrreducibleComponent((0, 1), (2, 3, 0))
+    sol = lp._coefficient_lp(lattice.columns(), inst.cost, comp.bound, comp.support)
+    assert (sol.value, sol.x) == (2, (2, 0))
+    calls = _counted_solves(monkeypatch)
+    assert gap_value(comp, inst) == (2, (0, 1, 0))
+    assert len(calls) == 1
