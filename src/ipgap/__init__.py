@@ -21,6 +21,7 @@ from .errors import (
     InputError,
     IpgapError,
     MathDomainError,
+    MinorCapExceeded,
     NonTerminatingOrder,
     ParseError,
     TrivialInstance,
@@ -102,6 +103,7 @@ __all__ = [
     "IrreducibleComponent",
     "MarginalModel",
     "MathDomainError",
+    "MinorCapExceeded",
     "MonomialIdeal",
     "NonTerminatingOrder",
     "ParseError",

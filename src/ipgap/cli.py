@@ -19,8 +19,9 @@ cost (one weight row per line) and face; a repeat is an error at its
 line.  '#' starts a comment.  Command-line flags override file fields.
 
 Reports are deterministic: equal inputs and flags give byte-identical
-output, except lines starting with '#', which carry advisory timing (on
-stderr with --format json, so stdout is one JSON document).
+output, except lines starting with '#', which carry advisory notes: the
+elapsed time (on stderr with --format json, so stdout is one JSON
+document) and a Schrijver bound left out at its minor cap.
 Exact rationals are printed in lowest terms as p/q; decimal renderings
 are 10-digit truncations and advisory only.  Exit codes: 0 success,
 1 mathematical domain error, 2 bad input, 3 internal verification
@@ -338,7 +339,11 @@ def _report_data(inst: GapInstance, rep: GapReport, names):
         )
     if inst.matrix is not None:
         data["witness_b"] = list(inst.matrix.mul_vector(rep.witness_z))
-        data["schrijver_bound"] = str(rep.schrijver_bound)
+        if rep.schrijver_bound is None:
+            data["schrijver_bound"] = None
+            data["schrijver_bound_reason"] = rep.schrijver_bound_reason
+        else:
+            data["schrijver_bound"] = str(rep.schrijver_bound)
     return data
 
 
@@ -365,7 +370,10 @@ def cmd_gap(spec: InstanceSpec, args) -> tuple[list[str], dict]:
     lines.append(f"witness z: {_vec(rep.witness_z)}")
     if inst.matrix is not None:
         lines.append(f"witness b: {_vec(data['witness_b'])}")
-        lines.append(f"schrijver bound: {rep.schrijver_bound}")
+        if data["schrijver_bound"] is None:
+            lines.append(f"# {rep.schrijver_bound_reason}")
+        else:
+            lines.append(f"schrijver bound: {data['schrijver_bound']}")
     return lines, data
 
 

@@ -88,6 +88,10 @@ class FiberCapExceeded(MathDomainError):
     """Enumeration would exceed the configured point cap."""
 
 
+class MinorCapExceeded(MathDomainError):
+    """The Schrijver bound's sweep over maximal minors outgrew its cap."""
+
+
 class VerificationError(IpgapError):
     """An internal cross-check failed; indicates a bug, never bad input."""
 

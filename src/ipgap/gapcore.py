@@ -27,7 +27,13 @@ from operator import mul
 from typing import NamedTuple
 
 from . import lp
-from .errors import BadParameter, UnboundedAux, UnboundedProgram, WitnessMismatch
+from .errors import (
+    BadParameter,
+    MinorCapExceeded,
+    UnboundedAux,
+    UnboundedProgram,
+    WitnessMismatch,
+)
 from .exactmath import (
     IntMatrix,
     LatticeBasis,
@@ -198,17 +204,31 @@ class GapReport:
     witness_lp: int | Fraction = field(default=0, compare=False)
 
     @cached_property
+    def _schrijver(self) -> tuple[Fraction | None, str | None]:
+        inst = self.instance
+        if inst.matrix is None:
+            return None, None
+        try:
+            return schrijver_bound(inst.matrix, inst.cost, lattice=inst.lattice), None
+        except MinorCapExceeded as e:
+            return None, str(e)
+
+    @property
     def schrijver_bound(self) -> Fraction | None:
         """The a-priori bound n D(A) sum|c_i|, None for a lattice instance.
 
         Computed on first read, so a report that does not print it does
         not pay for the minors.  The instance's kernel basis goes along,
-        so no second kernel is computed for it.
+        so no second kernel is computed for it.  It is None too when the
+        minors outgrow exactmath.MINOR_SWEEP_CAP; schrijver_bound_reason
+        then says where they stopped.
         """
-        inst = self.instance
-        if inst.matrix is None:
-            return None
-        return schrijver_bound(inst.matrix, inst.cost, lattice=inst.lattice)
+        return self._schrijver[0]
+
+    @property
+    def schrijver_bound_reason(self) -> str | None:
+        """Why a matrix instance's report has no Schrijver bound, else None."""
+        return self._schrijver[1]
 
 
 class _AuxSetup(NamedTuple):
@@ -402,9 +422,11 @@ def gap_lattice(l, c, tiebreak: str = "grevlex") -> GapReport:
 def schrijver_bound(a: IntMatrix, c, *, lattice: LatticeBasis | None = None) -> Fraction:
     """A-priori bound n D(A) sum|c_i|, D(A) the largest maximal minor.
 
-    lattice, if given, is a's kernel basis, which the walk may read (see
-    _max_minor); a report hands over its instance's, and without it the
-    bound computes kernel_lattice(a) when it needs one.
+    lattice, if given, is a's kernel basis, which the sweep may read
+    (see _max_minor); a report hands over its instance's, and without it
+    the bound computes kernel_lattice(a) when it needs one.  Raises
+    MinorCapExceeded, naming the level and the count reached, when the
+    minors outgrow exactmath.MINOR_SWEEP_CAP: the bound is exact or absent.
     """
     a = _as_matrix(a)
     c = tuple(Fraction(x) for x in c)
@@ -427,10 +449,10 @@ def _max_minor(a: IntMatrix, lattice: LatticeBasis | None) -> int:
     when k = n - r is smaller than r, over k-subsets of the rows of the
     saturated kernel basis B: Pluecker duality gives |det A_S| =
     g |det B_(S^c)| for every S, with g = |det A_P| / |det B_(P^c)|.
-    Either way one depth-first walk shares the elimination of common
-    prefixes and skips every subset extending a prefix whose minors all
-    vanish (see exactmath._max_maximal_minor).  Nothing is kept between
-    calls: each walks the minors anew.
+    Either way one Laplace sweep builds the minors row by row over
+    column subsets, the nonzero ones only, after merging columns equal up
+    to sign (see exactmath._max_maximal_minor).  Nothing is kept between
+    calls: each sweeps the minors anew.
     """
     n = a.ncols
     echelon = _echelon(a.rows)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ipgap import cli, gapcore
+from ipgap import cli, exactmath, gapcore
 from ipgap.errors import ParseError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -310,6 +310,26 @@ def test_only_reports_that_print_it_compute_the_schrijver_bound(capsys, monkeypa
     code, out, _ = run(capsys, "gap", COIN)
     assert code == 0 and "schrijver bound: 192" in out
     assert len(calls) == 1
+
+
+def test_gap_notes_a_bound_past_the_minor_cap(capsys, monkeypatch):
+    # coin's sweep holds 4 minors at its first level; under a cap of 3 the
+    # text report has a '#' note where the bound was, and JSON a null
+    # bound with the reason
+    reason = (
+        "schrijver bound: the maximal-minor sweep holds 4 minors at level 1 of 2,"
+        " over the cap of 3"
+    )
+    golden = (ROOT / "tests" / "golden" / "gap_coin.txt").read_text().splitlines()
+    monkeypatch.setattr(exactmath, "MINOR_SWEEP_CAP", 3)
+    code, out, _ = run(capsys, "gap", COIN)
+    assert code == 0
+    assert f"# {reason}" in out.splitlines()
+    assert canonical(out).splitlines() == [l for l in golden if l != "schrijver bound: 192"]
+    code, out, _ = run(capsys, "gap", COIN, "--format", "json")
+    data = json.loads(out)
+    assert code == 0
+    assert (data["schrijver_bound"], data["schrijver_bound_reason"]) == (None, reason)
 
 
 def test_oracle_verify_mismatch_exits_3(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -14,17 +15,18 @@ import pytest
 
 from _reference import is_squarefree_generated, maximal_minors
 from _reference import schrijver_bound as reference_schrijver_bound
-from ipgap import gapcore, lp
+from ipgap import exactmath, gapcore, lp
 from ipgap.cli import load_instance
 from ipgap.errors import (
     BadParameter,
     IpgapError,
+    MinorCapExceeded,
     NonTerminatingOrder,
     UnboundedAux,
     UnboundedProgram,
     WitnessMismatch,
 )
-from ipgap.exactmath import IntMatrix, _dots, _scaled, _span_basis, kernel_lattice
+from ipgap.exactmath import IntMatrix, _dots, _echelon, _scaled, _span_basis, kernel_lattice
 from ipgap.fan import explore_cones
 from ipgap.gapcore import (
     GapInstance,
@@ -213,8 +215,73 @@ def test_schrijver_bound_cross_check_coverage():
     }
 
 
+PARALLEL_KINDS = ("repeated", "negated", "scaled", "zero")
+
+
+def _parallel_column(rng, col, kind):
+    """A column parallel to col: equal, negated, k col with |k| in {2, 3}, or zero."""
+    k = {"repeated": 1, "negated": -1, "zero": 0}.get(kind) or rng.choice((-3, -2, 2, 3))
+    return [k * x for x in col]
+
+
+def _parallel_case(rng, side, kind):
+    """One seeded (A, c) whose minors' walk meets parallel columns of kind.
+
+    On the row side the vectors drawn are A's columns.  On the kernel
+    side they are the rows of an n x d matrix B, and A's rows span the
+    vectors orthogonal to B's columns, so a's kernel basis has its rows
+    parallel where B's are.  A draw on the wrong side is drawn again.
+    """
+    while True:
+        d = rng.randint(1, 3)
+        base = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rng.randint(d, d + 2))]
+        extra = [_parallel_column(rng, rng.choice(base), kind) for _ in range(rng.randint(1, 3))]
+        vectors = base + extra
+        rng.shuffle(vectors)
+        m = IntMatrix(vectors).transpose()
+        if m.rank() < d:
+            continue
+        a = kernel_lattice(m).transpose() if side == "kernel" else m
+        r = a.rank()
+        if (side == "row") == (a.ncols - r >= r):
+            cost = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(a.ncols)]
+            return a, cost
+
+
+PARALLEL_CASES = [
+    _parallel_case(random.Random(2900 + seed), side, PARALLEL_KINDS[seed % 4])
+    for seed, side in enumerate(["row", "kernel"] * 60)
+]
+
+
+def test_schrijver_bound_matches_the_reference_on_parallel_columns():
+    for a, c in PARALLEL_CASES:
+        assert schrijver_bound(a, c) == reference_schrijver_bound(a, c), (a.rows, c)
+
+
+def test_parallel_column_corpus_coverage():
+    # the walked matrix is a itself on the row side and the rows of a's
+    # kernel basis on the kernel side; each side must meet each kind
+    seen = set()
+    for a, _ in PARALLEL_CASES:
+        r = a.rank()
+        side = "row" if a.ncols - r >= r else "kernel"
+        cols = a.columns() if side == "row" else kernel_lattice(a).rows
+        for i, u in enumerate(cols):
+            if not any(u):
+                seen.add((side, "zero"))
+            for v in cols[i + 1:]:
+                j = next((j for j, x in enumerate(u) if x), None)
+                if j is None or not v[j] or v[j] % u[j]:
+                    continue
+                k = v[j] // u[j]
+                if [k * x for x in u] == list(v):
+                    seen.add((side, {1: "repeated", -1: "negated"}.get(k, "scaled")))
+    assert seen == {(side, kind) for side in ("row", "kernel") for kind in PARALLEL_KINDS}
+
+
 def _bound_of_a_report(a, c):
-    """The Schrijver bound as a report on (a, c) reads it."""
+    """The Schrijver bound as a report on (a, c) reads it, and why it is absent."""
     inst = GapInstance(
         matrix=a,
         lattice_ideal=LatticeIdeal(kernel_lattice(a)),
@@ -223,7 +290,8 @@ def _bound_of_a_report(a, c):
         ideal=None,
         components=(),
     )
-    return GapReport((), Fraction(0), None, (), (), inst).schrijver_bound
+    report = GapReport((), Fraction(0), None, (), (), inst)
+    return report.schrijver_bound, report.schrijver_bound_reason
 
 
 def test_schrijver_bound_leaves_the_lattice_memo_alone():
@@ -240,7 +308,7 @@ def test_schrijver_bound_leaves_the_lattice_memo_alone():
     assert after == before
     assert len(kernel_side) >= 5
     for (a, c), bound in zip(kernel_side, bounds):
-        assert _bound_of_a_report(a, c) == bound
+        assert _bound_of_a_report(a, c) == (bound, None)
 
 
 @pytest.mark.parametrize("a", [COIN_A, margin_matrix(k4_model())], ids=["row side", "kernel side"])
@@ -273,12 +341,118 @@ def test_a_report_walks_the_minors_once(monkeypatch, a):
     assert len(walks) == 2
 
 
+def _sweep_levels(monkeypatch, a):
+    """D(A) and the minors each level of its sweep held, as the cap check read them."""
+    held = {}
+    check = exactmath._check_held
+
+    def record(level, levels, count):
+        held[level] = count  # a level only grows while it is built
+        check(level, levels, count)
+
+    monkeypatch.setattr(exactmath, "_check_held", record)
+    d = gapcore._max_minor(a, None)
+    return d, [held[k] for k in sorted(held)]
+
+
+def _held_by_det(rows):
+    """The sweep's level sizes and last nonzero count, one det per subset.
+
+    Level k holds every k-subset of columns reached from a nonzero minor
+    of the k - 1 rows above by a nonzero entry of row k.
+    """
+    held, nonzero = [], {()}
+    for k, row in enumerate(rows, 1):
+        reached = {tuple(sorted(s + (j,))) for s in nonzero for j, x in enumerate(row) if x and j not in s}
+        held.append(len(reached))
+        nonzero = {s for s in reached if IntMatrix([[r[j] for j in s] for r in rows[:k]]).det()}
+    return held, len(nonzero)
+
+
+def _up_to_sign(vectors):
+    """One of each class of nonzero vectors equal up to sign, first kept."""
+    out = {}
+    for v in vectors:
+        if any(v):
+            out.setdefault(max(v, tuple(-x for x in v)), v)
+    return list(out.values())
+
+
+SWEEP_PINS = [
+    # model, the side walked (the kernel basis's columns or the kept rows
+    # of a), D, the minors held per level, the columns kept of those
+    # walked and the nonzero minors of the last level: 3,008 of k4's
+    # C(16, 5) = 4,368; 2x3x3's 18 columns fall into 9 classes up to
+    # sign; the transportation matrix's nonzero maximal minors are
+    # K_{3,4}'s 3^3 4^2 spanning trees
+    pytest.param(k4_model(), "kernel", 3, [12, 68, 306, 1132, 3608], (16, 16, 3008), id="k4"),
+    pytest.param(
+        MarginalModel((2, 3, 3), ((1, 2), (1, 3), (2, 3))), "kernel", 1, [4, 13, 38, 92], (18, 9, 81),
+        id="2x3x3",
+    ),
+    pytest.param(
+        transportation_model(3, 4), "row", 1, [4, 16, 64, 144, 300, 504], (12, 12, 3 ** 3 * 4 ** 2),
+        id="transport 3x4",
+    ),
+]
+
+
+@pytest.mark.parametrize("model, side, d, levels, counts", SWEEP_PINS)
+def test_sweep_holds_its_pinned_minors(monkeypatch, model, side, d, levels, counts):
+    # a lost pruning (a merged column, a zero entry or a zero minor
+    # carried) grows a level here before it shows as time; the counts
+    # are checked again with one det per subset
+    a = margin_matrix(model)
+    assert _sweep_levels(monkeypatch, a) == (d, levels)
+    rows = kernel_lattice(a).columns() if side == "kernel" else [a.rows[i] for i, _, _ in _echelon(a.rows)]
+    columns = _up_to_sign(zip(*rows))
+    held, nonzero = _held_by_det(list(zip(*columns)))
+    assert held == levels
+    assert (len(rows[0]), len(columns), nonzero) == counts
+
+
+@pytest.mark.parametrize("cap, held, level", [(100, 104, 3), (306, 313, 4)])
+def test_bound_past_the_minor_cap_is_absent(monkeypatch, cap, held, level):
+    # k4's sweep holds 68, 306 and 1,132 minors at levels 2 to 4, so a cap
+    # of 100 stops it in level 3 and one of 306, which level 3 just meets,
+    # in level 4: a direct call raises, naming the level and the count,
+    # and a report's bound is None with that reason
+    a = margin_matrix(k4_model())
+    c = (1,) + (0,) * 15
+    monkeypatch.setattr(exactmath, "MINOR_SWEEP_CAP", cap)
+    message = (
+        f"schrijver bound: the maximal-minor sweep holds {held} minors at level {level} of 5,"
+        f" over the cap of {cap}"
+    )
+    with pytest.raises(MinorCapExceeded) as caught:
+        schrijver_bound(a, c)
+    assert str(caught.value) == message
+    assert _bound_of_a_report(a, c) == (None, message)
+
+
 @pytest.mark.slow
 def test_schrijver_bound_3x3x3_no_three_way():
     # 27 cells, rank 19: 2,220,075 maximal minors of size 19, or C(27, 8)
-    # of size 8 on the kernel side
+    # of size 8 on the kernel side; the sweep's last level holds 722,829
+    # of those, under the cap, in about 0.6 s of CPU
     a = margin_matrix(MarginalModel((3, 3, 3), ((1, 2), (1, 3), (2, 3))))
+    t0 = time.process_time()
     assert schrijver_bound(a, (1,) + (0,) * 26) == 54
+    assert time.process_time() - t0 < 1.5
+
+
+@pytest.mark.slow
+def test_schrijver_bound_3x3x4_stops_at_the_minor_cap():
+    # 36 cells, kernel rank 12: C(36, 12) = 1,251,677,700 subsets.  The
+    # sweep passes MINOR_SWEEP_CAP in level 9, after about 1.4 s of CPU
+    a = margin_matrix(MarginalModel((3, 3, 4), ((1, 2), (1, 3), (2, 3))))
+    c = (1,) + (0,) * 35
+    t0 = time.process_time()
+    with pytest.raises(MinorCapExceeded, match=r"at level 9 of 12, over the cap of 1,000,000$"):
+        schrijver_bound(a, c)
+    assert time.process_time() - t0 < 5.0
+    bound, reason = _bound_of_a_report(a, c)
+    assert bound is None and "at level 9 of 12" in reason
 
 
 def test_gap_value_monotone_in_corner():
