@@ -356,11 +356,12 @@ def cmd_gap(spec: InstanceSpec, args) -> tuple[list[str], dict]:
         f"minimal generators: {data['minimal_generators']}",
         f"components: {len(data['components'])}",
     ]
-    for c, entry in zip(data["components"], rep.per_component):
-        lines.append(f"component {c['index']}: {c['ideal']}")
-        lines.append(f"  bound monomial: {_mono(entry.component.bound, names)}")
-        lines.append(f"  value: {_rat_with_dec(entry.value)}")
-        lines.append(f"  aux optimum: {_vec(entry.aux_optimum)}")
+    if args.format == "text":  # main prints lines for a text report only
+        for c, entry in zip(data["components"], rep.per_component):
+            lines.append(f"component {c['index']}: {c['ideal']}")
+            lines.append(f"  bound monomial: {_mono(entry.component.bound, names)}")
+            lines.append(f"  value: {_rat_with_dec(entry.value)}")
+            lines.append(f"  aux optimum: {_vec(entry.aux_optimum)}")
     lines.append(f"gap: {_rat_with_dec(rep.gap)}")
     if data["winner"] is None:
         lines.append("winner: none (non-optimal ideal is zero)")

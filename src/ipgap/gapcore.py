@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import floor, lcm
+from math import floor, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -263,32 +263,39 @@ def _aux_optimum(setup: _AuxSetup, base, support) -> tuple[Fraction, list[int], 
     dimension with B_tau nonsingular, has the one vertex
     t* = B_tau^-1 base_tau, and is bounded exactly when the y with
     B_tau^T y = B^T c is >= 0; t* is then optimal.  One Gauss-Jordan pass
-    of lp._pivot over the rows [B_tau | I | base_tau] yields t* and, in
-    the objective row's slack entries, y.  Every other program, a
-    singular B_tau included, goes to lp's simplex.
+    of the simplex's own fraction-free pivots (lp._Tableau) over the
+    packed rows [B_tau | I | base_tau] yields t* over the tableau's
+    denominator d and, in the objective row's slack entries, y.  The
+    objective row counts in the Hadamard bound that sizes the fields.
+    Every other program, a singular B_tau included, goes to lp's simplex.
     """
     r = len(setup.columns)
     if len(support) == r:
         rows = [
-            [*setup.rows[i], *(int(k == m) for m in range(r)), base[i], 1]
+            [*setup.rows[i], *(int(k == m) for m in range(r)), base[i]]
             for k, i in enumerate(support)
         ]
-        obj = [-g for g in setup.objective] + [0] * (r + 1) + [setup.scale]
+        tab = lp._Tableau(rows, 2 * r + 1, prod(lp._norms2(rows + [setup.objective])))
+        tab.obj = -tab.pack(setup.objective)
         live = list(range(r))
         pivoted = []  # the row each column j was pivoted into
         for j in range(r):
-            k = next((k for k in live if rows[k][j]), None)
+            col = tab.column(j)
+            k = next((k for k in live if col[k]), None)
             if k is None:
                 break
             live.remove(k)
             pivoted.append(k)
-            lp._pivot(rows, obj, k, j, 1)
+            tab.pivot(k, j, 1, col)
         else:
-            if min(obj[r:-2]) < 0:
+            if any(tab.entry(tab.obj, j) < 0 for j in range(r, 2 * r)):
                 return None
-            basic = [rows[k] for k in pivoted]
-            d = lcm(*(row[-1] for row in basic))
-            return Fraction(obj[-2], obj[-1]), [row[-2] * (d // row[-1]) for row in basic], d
+            d = tab.d
+            return (
+                Fraction(tab.rhs(tab.obj), setup.scale * d),
+                [tab.rhs(tab.rows[k]) for k in pivoted],
+                d,
+            )
     sol = lp._coefficient_lp(setup.columns, setup.cost, base, support)
     if sol.status != lp.OPTIMAL:
         return None

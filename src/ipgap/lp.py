@@ -2,21 +2,23 @@
 
 No floating point anywhere: optima and infeasibility / unboundedness
 verdicts are exact.  The tableau is fraction-free (Edmonds 1967; Bareiss
-1968): each row is a list of ints ending in a positive common denominator,
-divided by the gcd of its entries after every update, so one row has one
-canonical form.  Signs are read from numerators and ratios are compared by
-integer cross-products.  Inputs stay exact as given; Fractions are built
-for the returned value and point only.
+1968): all rows share one positive denominator, the last pivot, and each
+row is one Python int holding its entries as signed fields of a fixed
+width, which Hadamard's bound sizes before the first pivot (_Tableau).  A
+pivot updates a row by two products and one exact division of packed
+ints; no gcd is taken.  Signs are read from the fields and ratios are
+compared by integer cross-products.  Inputs stay exact as given;
+Fractions are built for the returned value and point only.
 
 Bland's smallest-index rule picks the entering and the leaving column,
 which ensures termination.  Where a program has several optimal
 vertices the pivot path picks the one returned, so the path is part of
 the output: the cone center the fan walk reads, the grading saturation
 runs under, and the aux_optimum reports print for a component whose
-support is not rank-many.  The square auxiliary programs do not come
-here: each has one vertex, which gapcore solves for directly, so only 14
-of the k4 report's 140 programs and 4 of perfbench ladder's 135 reach
-the simplex.  (120 of k4's have more than one optimal point, but all of
+support is not rank-many.  The square auxiliary programs skip the
+simplex: each has one vertex, which gapcore solves for directly by
+_Tableau's pivots, so only 14 of the k4 report's 140 programs and 4 of
+perfbench ladder's 135 reach the simplex.  (120 of k4's have more than one optimal point, but all of
 those are square, and their optimal sets are rays from that vertex.)
 A faster solve must take the same pivots; tests/test_lp.py pins them.
 
@@ -35,8 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
-from math import gcd, lcm
+from functools import lru_cache, partial
+from math import isqrt, lcm, prod
+from operator import mul
 
 from .errors import BadParameter
 from .exactmath import _dots, _scaled
@@ -106,87 +109,207 @@ class LPSolution:
     pivots: int = field(default=0, compare=False)
 
 
-# Tableau rows (and the reduced-cost row) are int lists laid out as
-# [columns..., rhs, d]: the entries stand for the rationals v / d, d > 0.
-# Columns are (j, sign), stored column j read with sign: a free variable's
-# minus column is its column negated, not stored.  An artificial is only a
-# basis index ncol + i, row i's unit column, which no pivot reads.
+# Tableau rows (and the reduced-cost row) are packed: the entries v_0 ..
+# v_width of a row, its columns and then its rhs, are the one int
+# sum v_k 2^(k w), in signed fields of w bits.  They stand for the
+# rationals v_k / d, where d > 0, the last pivot, is shared by every row;
+# the objective row stands for its rationals over d times a fixed positive
+# scale of its own.  Columns are (j, sign), stored column j read with sign:
+# a free variable's minus column is its column negated, not stored.  An
+# artificial is only a basis index ncol + i, row i's unit column, which no
+# pivot reads.
 
 
-def _reduced(row):
-    """row divided by the gcd of its entries, the denominator included."""
-    if row[-1] == 1:
-        return row
-    # not gcd(*row): on CPython 3.11, star-calls with exactly 20 arguments
-    # fill the tuple free list without reusing it, up to 0.37 MB
-    g = reduce(gcd, row)
-    return row if g == 1 else [v // g for v in row]
+def _norms2(rows) -> list[int]:
+    """Each int row's squared norm, at least 1: the factors of Hadamard's bound."""
+    return [max(sum(map(mul, row, row)), 1) for row in rows]
 
 
-def _eliminate(row, p0, j):
-    """row minus row[j] times the pivot row, whose entry j is +1 or -1.
+def _phase1_factor2(weights, least) -> int:
+    """F^2 for an F such that phase 1's row stays within F times the rows' bound.
 
-    p0 is the pivot row with its denominator slot 0, so the result's
-    denominator is row's times |p0[j]|.
+    The row is minus the weighted sum of the rows whose artificial is
+    basic, so each of its entries is a minor of the other rows and that
+    sum (the bordered determinant, expanded along the artificials): at
+    most H sum_T w_k / least^((|T| - 1) / 2) for the set T of those rows,
+    H the product of the row norms and least the smallest squared norm.
+    Returns the largest square of that factor over |T|, rounded up.
     """
-    pj, f = p0[j], row[j]
-    if pj < 0:
-        pj, f = -pj, -f
-    return _reduced([a * pj - f * b for a, b in zip(row, p0)])
+    best = acc = 0
+    scale = 1
+    for wt in sorted(weights, reverse=True):
+        acc += wt
+        bound = -(-acc * acc // scale)
+        if bound > best:
+            best = bound
+        scale *= least
+    return best
 
 
-def _pivot(rows, obj, r, j, sign):
-    """Pivot column (j, sign) into row r: its entry there becomes 1."""
-    p = rows[r]
-    pj = sign * p[j]
-    if pj < 0:
-        # a negative pivot (phase-1 cleanup) flips the row: d stays > 0
-        p = [-v for v in p]
-        pj = -pj
-    p = _reduced(p[:-1] + [pj])
-    rows[r] = p
-    p0 = p[:-1] + [0]
-    for i, row in enumerate(rows):
-        if i != r and row[j]:
-            rows[i] = _eliminate(row, p0, j)
-    if obj[j]:
-        obj[:] = _eliminate(obj, p0, j)
+class _Tableau:
+    """Packed integer rows under one positive denominator d (Edmonds 1967).
+
+    A pivot on (r, j) with entry p sets every other row R_i, entry f_i
+    there, to (p R_i - f_i R_r) // d and then d to p: two products and one
+    exact division per row, no gcd.  The division is exact field by field,
+    so it is exact on the packed int.  Every entry the tableau ever holds
+    is a minor of the initial rows with at most one objective row added,
+    so Hadamard's bound (the product of the row norms, _norms2) fixes the
+    width w of a field before the first pivot; no field can overflow.
+    """
+
+    __slots__ = ("rows", "obj", "d", "w", "mask", "half", "off", "top")
+
+    def __init__(self, rows, count, bound2):
+        """rows are int lists [columns..., rhs], count entries each.
+
+        bound2 is at least the square of every entry the tableau will hold,
+        the objective row's included; obj starts at 0.
+        """
+        self.w = w = isqrt(bound2).bit_length() + 1
+        self.mask = mask = (1 << w) - 1
+        self.half = 1 << (w - 1)
+        self.top = (count - 1) * w
+        # half in every field: adding it makes each field's bits its
+        # entry plus half, a number in [1, 2^w), with no borrow between
+        self.off = self.half * (((1 << (count * w)) - 1) // mask)
+        self.rows = [self.pack(row) for row in rows]
+        self.obj = 0
+        self.d = 1
+
+    def pack(self, values) -> int:
+        """The packed row of an int list (fields past its end are zero)."""
+        x = shift = 0
+        for v in values:
+            if v:
+                x += v << shift
+            shift += self.w
+        return x
+
+    def entry(self, x, k) -> int:
+        """Field k of the packed row x."""
+        return ((x + self.off) >> (k * self.w) & self.mask) - self.half
+
+    def rhs(self, x) -> int:
+        """The last field of the packed row x."""
+        return ((x + self.off) >> self.top) - self.half
+
+    def column(self, j, sign=1) -> list[int]:
+        """Field j of every row, read with sign."""
+        off, s, mask, half = self.off, j * self.w, self.mask, self.half
+        if sign > 0:
+            return [((x + off) >> s & mask) - half for x in self.rows]
+        return [half - ((x + off) >> s & mask) for x in self.rows]
+
+    def pivot(self, r, j, sign, col) -> None:
+        """Pivot column (j, sign) into row r; col is self.column(j, sign).
+
+        A negative pivot (the phase-1 cleanup, gapcore's square solve)
+        negates row r, so d stays > 0.  Rows whose entry j is 0 are
+        rescaled to the new denominator too.
+        """
+        rows, d = self.rows, self.d
+        p, pr = col[r], rows[r]
+        if p < 0:
+            p, pr = -p, -pr
+            rows[r] = pr
+        for i, f in enumerate(col):
+            if f:
+                if i != r:
+                    rows[i] = (p * rows[i] - f * pr) // d
+            elif p != d:
+                rows[i] = rows[i] * p // d
+        obj = self.obj
+        f = sign * self.entry(obj, j)
+        self.obj = (p * obj - f * pr) // d if f else obj * p // d
+        self.d = p
 
 
-def _leaving_row(rows, basis, j, sign):
-    """Minimum-ratio row for column (j, sign), ties to the lowest basic index.
+def _entering(tab, scans):
+    """Index of the first column in Bland's order with a negative reduced cost.
 
-    Ratios rhs_i / a_i (a_i > 0) compare by cross-multiplied numerators.
+    scans splits Bland's order into runs of one sign: (sign, tops, index)
+    each, tops the top bit of each of the run's fields and index the map
+    from a field to its column's index.  A field plus half keeps its top
+    bit exactly when the entry is >= 0, so one complement and one mask
+    mark the run's negative entries, and the lowest mark is the column.
+    """
+    obj, off = tab.obj, tab.off
+    for sign, tops, index in scans:
+        neg = ~(obj + off if sign > 0 else off - obj) & tops
+        if neg:
+            return index[((neg & -neg).bit_length() - 1) // tab.w]
+    return None
+
+
+@lru_cache(maxsize=256)
+def _bland_order(n, free, width):
+    """Bland's order over n variables, free[i] marking a free one, and slacks.
+
+    Returns (cols, minus): cols lists the columns (j, sign) in that order,
+    the variables, then a minus column per free variable, then the slacks
+    (fields n to width - 1); minus maps each free variable to the index of
+    its minus column.  Both are shared by every program of the same shape
+    and never mutated.
+    """
+    fr = [i for i in range(n) if free[i]]
+    cols = [(i, 1) for i in range(n)] + [(i, -1) for i in fr] + [(j, 1) for j in range(n, width)]
+    return tuple(cols), dict(zip(fr, range(n, n + len(fr))))
+
+
+def _scans(tab, n, minus):
+    """_bland_order's columns as _entering reads them, at tab's field width."""
+    w, every = tab.w, tab.off & ((1 << tab.top) - 1)
+    if not minus:
+        return ((1, every, range(tab.top // w)),)
+    low = every & ((1 << n * w) - 1)
+    return (
+        (1, low, range(n)),
+        (-1, sum([tab.half << i * w for i in minus]), minus),
+        (1, every ^ low, range(len(minus), len(minus) + tab.top // w)),
+    )
+
+
+def _leaving_row(tab, basis, col):
+    """Minimum-ratio row for a column, ties to the lowest basic index.
+
+    col is the column's signed field in every row.  Ratios rhs_i / a_i
+    (a_i > 0) compare by cross-multiplied numerators; the rows' common
+    denominator cancels.
     """
     leave = None
-    for i, row in enumerate(rows):
-        a = sign * row[j]
+    rows, off, top, half = tab.rows, tab.off, tab.top, tab.half
+    for i, a in enumerate(col):
         if a > 0:
+            b = ((rows[i] + off) >> top) - half
             if leave is None:
-                leave, num, den = i, row[-2], a
+                leave, num, den = i, b, a
                 continue
-            lhs, rhs = row[-2] * den, num * a
+            lhs, rhs = b * den, num * a
             if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                leave, num, den = i, row[-2], a
+                leave, num, den = i, b, a
     return leave
 
 
-def _run_simplex(rows, obj, basis, cols):
+def _run_simplex(tab, basis, cols, scans):
     """Minimize by Bland's rule until every reduced cost is nonnegative.
 
-    Returns (optimal, pivots): optimal is False on unboundedness.  obj is
-    the reduced cost row (rhs entry: minus the current value); cols lists
-    the columns (j, sign) in Bland's order.
+    Returns (optimal, pivots): optimal is False on unboundedness.  tab.obj
+    is the reduced cost row (rhs entry: minus the current value); cols
+    lists the columns (j, sign) in Bland's order, scans the same order as
+    _entering reads it.
     """
     pivots = 0
     while True:
-        enter = next((k for k, (j, sign) in enumerate(cols) if sign * obj[j] < 0), None)
+        enter = _entering(tab, scans)
         if enter is None:
             return True, pivots
-        leave = _leaving_row(rows, basis, *cols[enter])
+        j, sign = cols[enter]
+        col = tab.column(j, sign)
+        leave = _leaving_row(tab, basis, col)
         if leave is None:
             return False, pivots
-        _pivot(rows, obj, leave, *cols[enter])
+        tab.pivot(leave, j, sign, col)
         basis[leave] = enter
         pivots += 1
 
@@ -200,34 +323,39 @@ def solve(problem: LPProblem) -> LPSolution:
     cons = problem.eq + problem.ub
     m = len(cons)
     width = n + m - neq
-    # Bland's order: variables, a minus column per free one, slacks
-    cols = [(i, 1) for i in range(n)] + [(i, -1) for i in range(n) if problem.free[i]]
-    cols += [(j, 1) for j in range(n, width)]
+    cols, minus = _bland_order(n, problem.free, width)
     ncol = len(cols)
 
-    rows = []
+    rows, scales, norms = [], [], []
     for k, (r, b) in enumerate(cons):
+        # each row is scaled to integers by its own denominator, and
         # negative right-hand sides are flipped so the artificial basis is
-        # feasible; integer rows enter as they are
+        # feasible; neither changes a ratio or a pivot
         sign = -1 if b < 0 else 1
         nums, scale = _scaled(r + (b,))
-        row = [sign * v for v in nums[:n]] + [0] * (width - n) + [sign * nums[n], scale]
+        if sign < 0:
+            nums = [-v for v in nums]
+        row = nums[:n] + [0] * (width - n) + nums[n:]
+        norm = sum(map(mul, nums, nums))
         if k >= neq:
             row[n + k - neq] = sign * scale
-        rows.append(_reduced(row))
-
-    # phase 1: minimize the sum of artificials, whose reduced costs are
-    # minus the column sums over the rows' common denominator
-    d = lcm(*(row[-1] for row in rows))
-    obj = [
-        -sum(col)
-        for col in zip(*(r if r[-1] == d else [v * (d // r[-1]) for v in r] for r in rows))
-    ] or [0] * (width + 2)
-    obj[-1] = d
-    obj = _reduced(obj)
+            norm += scale * scale
+        rows.append(row)
+        scales.append(scale)
+        norms.append(norm or 1)  # Hadamard's factors, as _norms2 has them
+    # phase 1 minimizes the sum of artificials: its reduced costs are minus
+    # the unscaled rows' sum, here over their common denominator; phase 2's
+    # row is the cost row, over its own
+    d = lcm(*scales)
+    weights = [d // s for s in scales]
+    nums, scale = _scaled(c0)
+    factor2 = max(_phase1_factor2(weights, min(norms, default=1)), sum(map(mul, nums, nums)))
+    tab = _Tableau(rows, width + 1, prod(norms) * factor2)
+    tab.obj = -sum(map(mul, weights, tab.rows))
+    scans = _scans(tab, n, minus)
     basis = [ncol + i for i in range(m)]
-    _, pivots = _run_simplex(rows, obj, basis, cols)
-    if obj[-2]:
+    _, pivots = _run_simplex(tab, basis, cols, scans)
+    if tab.rhs(tab.obj):
         return LPSolution(status=INFEASIBLE, pivots=pivots)
 
     # drive leftover artificials out of the basis (never into a minus
@@ -236,35 +364,37 @@ def solve(problem: LPProblem) -> LPSolution:
     drop = []
     for i in range(m):
         if basis[i] >= ncol:
-            j = next((j for j in range(width) if rows[i][j]), None)
+            row = tab.rows[i]
+            j = next((j for j in range(width) if tab.entry(row, j)), None)
             if j is None:
                 drop.append(i)
             else:
-                _pivot(rows, obj, i, j, 1)
+                tab.pivot(i, j, 1, tab.column(j))
                 basis[i] = j if j < n else j + ncol - width
                 pivots += 1
     if drop:
-        rows = [row for i, row in enumerate(rows) if i not in drop]
+        tab.rows = [row for i, row in enumerate(tab.rows) if i not in drop]
         basis = [bv for i, bv in enumerate(basis) if i not in drop]
 
-    # phase 2: the real objective
-    nums, scale = _scaled(c0)
-    obj = _reduced(nums + [0] * (width - n + 1) + [scale])
-    for row, bv in zip(rows, basis):
-        j = cols[bv][0]
-        if obj[j]:
-            obj = _eliminate(obj, row[:-1] + [0], j)
-    ok, more = _run_simplex(rows, obj, basis, cols)
+    # phase 2: the real objective, over scale; a basic column (j, sign)
+    # holds sign * d in its row, so sign * c_j of that row clears it
+    obj = tab.d * tab.pack(nums)
+    for row, bv in zip(tab.rows, basis):
+        j, sign = cols[bv]
+        if j < n and nums[j]:
+            obj -= sign * nums[j] * row
+    tab.obj = obj
+    ok, more = _run_simplex(tab, basis, cols, scans)
     pivots += more
     if not ok:
         return LPSolution(status=UNBOUNDED, pivots=pivots)
 
     x = [Fraction(0)] * n
-    for row, bv in zip(rows, basis):
+    for row, bv in zip(tab.rows, basis):
         j, sign = cols[bv]
         if j < n:
-            x[j] = Fraction(sign * row[-2], row[-1])
-    value = Fraction(-obj[-2], obj[-1])
+            x[j] = Fraction(sign * tab.rhs(row), tab.d)
+    value = Fraction(-tab.rhs(tab.obj), tab.d * scale)
     return LPSolution(
         status=OPTIMAL, value=value if minimize else -value, x=tuple(x), pivots=pivots
     )

@@ -2,14 +2,17 @@ import random
 from collections import Counter, namedtuple
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import relaxation_value
-from ipgap import lp, toric
+from ipgap import cli, gapcore, lp, toric
 from ipgap.errors import BadParameter, EmptyFiber, NonTerminatingOrder, UnboundedProgram
 from ipgap.exactmath import IntMatrix, _dots, _scaled, _span_basis
 
@@ -428,21 +431,37 @@ def test_cross_check_catches_inverted_tie_break(monkeypatch):
     leaving = lp._leaving_row
     # ties then go to the largest basic index instead of the smallest
     monkeypatch.setattr(
-        lp, "_leaving_row", lambda rows, basis, *col: leaving(rows, [-b for b in basis], *col)
+        lp, "_leaving_row", lambda tab, basis, col: leaving(tab, [-b for b in basis], col)
     )
-    monkeypatch.setattr(lp, "_pivot", _capped(lp._pivot))
+    monkeypatch.setattr(lp._Tableau, "pivot", _capped(lp._Tableau.pivot))
     assert _disagreements(CROSS_CHECK)
 
 
 def test_cross_check_catches_negative_denominator(monkeypatch):
-    pivot = lp._pivot
+    pivot = lp._Tableau.pivot
 
-    def negated(rows, obj, r, *col):
-        # same rationals, but the pivot row's denominator ends up negative
-        pivot(rows, obj, r, *col)
-        rows[r] = [-v for v in rows[r]]
+    def negated(tab, r, *col):
+        # the packed pivot row negated: it then stands for its rationals
+        # over -d, a row the kernel, reading signs off the fields against
+        # the one positive d, takes for minus itself
+        pivot(tab, r, *col)
+        tab.rows[r] = -tab.rows[r]
 
-    monkeypatch.setattr(lp, "_pivot", _capped(negated))
+    monkeypatch.setattr(lp._Tableau, "pivot", _capped(negated))
+    assert _disagreements(CROSS_CHECK)
+
+
+def test_cross_check_catches_unrescaled_zero_rows(monkeypatch):
+    pivot = lp._Tableau.pivot
+
+    def unrescaled(tab, r, j, sign, col):
+        # rows with a zero in the pivot column left over the old d
+        kept = {i: x for i, (x, f) in enumerate(zip(tab.rows, col)) if not f}
+        pivot(tab, r, j, sign, col)
+        for i, x in kept.items():
+            tab.rows[i] = x
+
+    monkeypatch.setattr(lp._Tableau, "pivot", _capped(unrescaled))
     assert _disagreements(CROSS_CHECK)
 
 
@@ -461,6 +480,77 @@ def test_exact_near_2_to_the_70():
     assert sol.value == 2 * t
     assert sol.x == (t, t)
     assert _fields(sol) == _fields(reference_solve(prob))
+
+
+def _sylvester(k):
+    """The 2^k x 2^k Sylvester-Hadamard matrix, as row tuples."""
+    rows = [(1,)]
+    for _ in range(k):
+        rows = [r + r for r in rows] + [r + tuple(-x for x in r) for r in rows]
+    return rows
+
+
+def test_tableau_reaching_hadamards_bound(monkeypatch):
+    # the rows of the 8 x 8 Sylvester-Hadamard matrix as equality rows with
+    # zero right-hand sides: |det| = 4096 is the product of the row norms,
+    # and with a unit or zero cost row it is the whole bound the field
+    # width is sized by.  The last basis is all eight columns, so the
+    # common denominator and every basic entry reach it: a width one bit
+    # narrower cannot hold those fields
+    h = _sylvester(3)
+    assert prod(sum(x * x for x in r) for r in h) == 4096**2
+    largest = []
+    pivot = lp._Tableau.pivot
+
+    def watched(tab, *args):
+        pivot(tab, *args)
+        largest.append(max(abs(tab.entry(x, k)) for x in tab.rows for k in range(9)))
+
+    monkeypatch.setattr(lp._Tableau, "pivot", watched)
+    unit = (1, 0, 0, 0, 0, 0, 0, 0)
+    for sense, c in [("min", unit), ("max", tuple(-x for x in unit[::-1])), ("min", (0,) * 8)]:
+        largest.clear()
+        prob = lp.LPProblem(objective=c, sense=sense, eq=tuple((r, 0) for r in h))
+        sol = lp.solve(prob)
+        assert _fields(sol) == _fields(reference_solve(prob))
+        assert sol.x == (0,) * 8 and sol.pivots == 8
+        assert max(largest) == largest[-1] == 4096
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def _posed(monkeypatch, capsys, argv):
+    """Every program lp.solve is given while `ipgap argv` runs from cold memos."""
+    for name in ("_of_matrix", "_of_lattice"):
+        memo = lru_cache(maxsize=gapcore.LATTICE_MEMO_SIZE)(getattr(gapcore, name).__wrapped__)
+        monkeypatch.setattr(gapcore, name, memo)
+    monkeypatch.setattr(toric, "_check_span", lru_cache(maxsize=64)(toric._check_span.__wrapped__))
+    problems = []
+    solve = lp.solve
+
+    def recorded(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", recorded)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(lp, "solve", solve)
+    return problems
+
+
+def test_cross_check_on_the_programs_the_package_poses(monkeypatch, capsys):
+    # CROSS_CHECK's programs have at most 5 variables; the programs of the
+    # fan's cone centers have 8, 4 of them free, and k + 8 rows, and k4's
+    # auxiliary programs up to 16 rows over 5 free variables
+    fan = _posed(monkeypatch, capsys, ["fan", str(DEMOS / "knapsack.txt")])
+    k4 = _posed(monkeypatch, capsys, ["gap", str(DEMOS / "k4.txt")])
+    centers = [p for p in fan if p.nvars == 8 and sum(p.free) == 4]
+    assert len(centers) == 11 and len(k4) == 17
+    assert max(len(p.ub) for p in k4) == 16
+    for prob in fan + k4:
+        assert _fields(lp.solve(prob)) == _fields(reference_solve(prob))
 
 
 # ------------------------------------------------------- exact inputs as given
