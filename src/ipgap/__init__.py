@@ -38,7 +38,6 @@ from .fan import (
     GapFanPiece,
     explore_cones,
     gap_fan_subdivide,
-    gap_function_eval,
     groebner_cone,
 )
 from .gapcore import (
@@ -46,7 +45,6 @@ from .gapcore import (
     GapInstance,
     GapReport,
     gap,
-    gap_lattice,
     gap_report,
     gap_value,
     gap_witness,
@@ -56,7 +54,6 @@ from .models import (
     MarginalModel,
     cells,
     coin_instance,
-    entry_gap,
     entry_instance,
     k4_model,
     lattice_family,
@@ -120,14 +117,11 @@ __all__ = [
     "buchberger",
     "cells",
     "coin_instance",
-    "entry_gap",
     "entry_instance",
     "enumerate_fiber",
     "explore_cones",
     "gap",
     "gap_fan_subdivide",
-    "gap_function_eval",
-    "gap_lattice",
     "gap_report",
     "gap_value",
     "gap_witness",

@@ -461,7 +461,6 @@ def cmd_oracle(spec: InstanceSpec, args) -> tuple[list[str], dict]:
         raise BadParameter("the oracle needs --box bounds")
     if len(box) == 1:
         box = box * a.ncols
-    box = oracle._check_box(a, box)
     value, z = oracle.brute_gap_box(a, cost, box)
     lines = [
         f"instance: matrix {a.nrows} x {a.ncols}",

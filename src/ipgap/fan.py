@@ -10,8 +10,8 @@ nonempty exactly when no convex combination of the rows h is zero.  The
 one form strictly largest at the cone's center, when there is one, skips
 the test: the center is interior to the cone, so that form's region holds
 it with every inequality strict.  This module computes the cone of a
-basis, that subdivision, point evaluations, and walks cone to cone by
-reflecting interior points across facets.
+basis and that subdivision, and walks cone to cone by reflecting
+interior points across facets.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     VerificationError,
 )
 from .exactmath import _primitive_vector, _scaled
-from .gapcore import GapInstance, LatticeIdeal, _aux_setup, gap_report, gap_value
+from .gapcore import GapInstance, LatticeIdeal, gap_value
 from .monomial import IrreducibleComponent
 from .toric import GroebnerBasis, TermOrder, buchberger, is_generic
 
@@ -126,8 +126,8 @@ def groebner_cone(gb: GroebnerBasis) -> Cone:
     return Cone(n, (g.vector() for g in gb.elements))
 
 
-def _component_form(inst: GapInstance, comp, setup) -> tuple[Fraction, ...]:
-    _, v = gap_value(comp, inst, setup=setup)
+def _component_form(inst: GapInstance, comp, cost) -> tuple[Fraction, ...]:
+    _, v = gap_value(comp, inst, cost=cost)
     return tuple(Fraction(u) - vi for u, vi in zip(comp.bound, v))
 
 
@@ -157,15 +157,15 @@ def gap_fan_subdivide(inst: GapInstance, cone: Cone | None = None) -> list[GapFa
     center = cone.center
     if center is None:
         raise DegenerateCone("the Groebner cone has empty interior")
-    # at the center itself the check is an identity: value = form . center
+    # at the center itself the check is an identity, value = form . center,
+    # and the instance's own set-up serves the forms
     check_linear = tuple(inst.cost) != center
-    centered = _aux_setup(inst, center)
-    here = _aux_setup(inst) if check_linear else None
+    at = center if check_linear else None
     forms = []
     for comp in inst.components:
-        form = _component_form(inst, comp, centered)
+        form = _component_form(inst, comp, at)
         if check_linear:
-            value_here, _ = gap_value(comp, inst, setup=here)
+            value_here, _ = gap_value(comp, inst)
             linear_here = sum(
                 (fi * ci for fi, ci in zip(form, inst.cost)), Fraction(0)
             )
@@ -194,22 +194,6 @@ def gap_fan_subdivide(inst: GapInstance, cone: Cone | None = None) -> list[GapFa
             continue
         pieces.append(GapFanPiece(Cone(inst.nvars, region), comp, form))
     return pieces
-
-
-def gap_function_eval(a, c, tiebreak: str = "grevlex"):
-    """Gap at one cost, with the fan piece that explains it.
-
-    Returns (value, piece) where value is the exact gap and piece is the
-    first subdivision piece whose closed cone contains c; on a piece's
-    interior value = piece.linear_form . c.
-    """
-    inst = GapInstance.from_matrix(a, c, tiebreak)
-    report = gap_report(inst)
-    pieces = gap_fan_subdivide(inst)
-    for piece in pieces:
-        if piece.cone.contains(inst.cost):
-            return report.gap, piece
-    raise DegenerateCone("no piece contains the instance's own cost")
 
 
 # exploration runs after the seeds when neither caller nor instance caps them

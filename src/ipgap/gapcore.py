@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import floor, prod
+from math import floor
 from operator import mul
 from typing import NamedTuple
 
@@ -41,7 +41,6 @@ from .exactmath import (
     _dots,
     _echelon,
     _max_maximal_minor,
-    _scaled,
     kernel_lattice,
 )
 from .monomial import (
@@ -172,6 +171,11 @@ class GapInstance:
     def nvars(self) -> int:
         return self.lattice.nrows
 
+    @cached_property
+    def _aux_setup(self) -> lp.CoefficientSetup:
+        """What every auxiliary program at the instance's own cost shares."""
+        return lp.coefficient_setup(self.lattice, self.cost)
+
 
 class ComponentGap(NamedTuple):
     component: IrreducibleComponent
@@ -231,80 +235,8 @@ class GapReport:
         return self._schrijver[1]
 
 
-class _AuxSetup(NamedTuple):
-    """What every auxiliary program of one instance at one cost shares.
-
-    rows and columns are the lattice basis B's, cost is c and objective
-    is B^T c as ints over scale.  gap_report builds one per report and
-    the fan's subdivision one per cost it reads.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...]
-    cost: tuple[Fraction, ...]
-    objective: list[int]
-    scale: int
-
-
-def _aux_setup(inst: GapInstance, cost=None) -> _AuxSetup:
-    """The instance's _AuxSetup at cost (default: its own)."""
-    c = inst.cost if cost is None else tuple(Fraction(x) for x in cost)
-    if len(c) != inst.nvars:
-        raise BadParameter("cost length does not match the variable count")
-    cols = inst.lattice.columns()
-    return _AuxSetup(inst.lattice.rows, cols, c, *_scaled(_dots(c, cols)))
-
-
-def _aux_optimum(setup: _AuxSetup, base, support) -> tuple[Fraction, list[int], int] | None:
-    """max (B^T c).t subject to (row i of B).t <= base_i for i in support.
-
-    Returns (value, t, d), the optimal t as ints over d, or None when the
-    program is unbounded.  A square program, one row per lattice
-    dimension with B_tau nonsingular, has the one vertex
-    t* = B_tau^-1 base_tau, and is bounded exactly when the y with
-    B_tau^T y = B^T c is >= 0; t* is then optimal.  One Gauss-Jordan pass
-    of the simplex's own fraction-free pivots (lp._Tableau) over the
-    packed rows [B_tau | I | base_tau] yields t* over the tableau's
-    denominator d and, in the objective row's slack entries, y.  The
-    objective row counts in the Hadamard bound that sizes the fields.
-    Every other program, a singular B_tau included, goes to lp's simplex.
-    """
-    r = len(setup.columns)
-    if len(support) == r:
-        rows = [
-            [*setup.rows[i], *(int(k == m) for m in range(r)), base[i]]
-            for k, i in enumerate(support)
-        ]
-        tab = lp._Tableau(rows, 2 * r + 1, prod(lp._norms2(rows + [setup.objective])))
-        tab.obj = -tab.pack(setup.objective)
-        live = list(range(r))
-        pivoted = []  # the row each column j was pivoted into
-        for j in range(r):
-            col = tab.column(j)
-            k = next((k for k in live if col[k]), None)
-            if k is None:
-                break
-            live.remove(k)
-            pivoted.append(k)
-            tab.pivot(k, j, 1, col)
-        else:
-            if any(tab.entry(tab.obj, j) < 0 for j in range(r, 2 * r)):
-                return None
-            d = tab.d
-            return (
-                Fraction(tab.rhs(tab.obj), setup.scale * d),
-                [tab.rhs(tab.rows[k]) for k in pivoted],
-                d,
-            )
-    sol = lp._coefficient_lp(setup.columns, setup.cost, base, support)
-    if sol.status != lp.OPTIMAL:
-        return None
-    t, d = _scaled(sol.x)
-    return sol.value, t, d
-
-
 def gap_value(
-    comp: IrreducibleComponent, inst: GapInstance, *, cost=None, setup: _AuxSetup | None = None
+    comp: IrreducibleComponent, inst: GapInstance, *, cost=None
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Gap contribution of one irreducible component, with its optimum.
 
@@ -315,25 +247,26 @@ def gap_value(
         max  (B^T c).t  subject to (row i of B).t <= u_i for i in tau,
     a program in only rank-many free variables.  Returns the exact value
     and the attaining v.  cost overrides the instance's cost row, for
-    callers probing other points of the same cone; setup, when given, is
-    _aux_setup(inst, cost) built once for many components, and cost is
-    then not read.
+    callers probing other points of the same cone.
 
     v is reported as aux_optimum.  A square component, |tau| = rank (a
     minimal prime's, 126 of the k4 report's 139), poses a program with one
-    vertex, which _aux_optimum solves for directly; 120 of those 126 have
-    a ray of optimal points, and v is its vertex.  Only the other programs
-    run lp.solve, and where one has several optimal vertices the pivot
-    path picks v, so that path is part of the output.
+    vertex, which lp.coefficient_optimum solves for directly; 120 of those
+    126 have a ray of optimal points, and v is its vertex.  Only the other
+    programs run lp.solve, and where one has several optimal vertices the
+    pivot path picks v, so that path is part of the output.
     """
     u = comp.bound
-    if setup is None:
-        setup = _aux_setup(inst, cost)
+    if cost is None:
+        setup = inst._aux_setup
+    else:
+        c = tuple(Fraction(x) for x in cost)
+        if len(c) != inst.nvars:
+            raise BadParameter("cost length does not match the variable count")
+        setup = lp.coefficient_setup(inst.lattice, c)
     if len(u) != inst.nvars:
         raise BadParameter("bound length does not match the variable count")
-    if not setup.columns:
-        return Fraction(0), tuple(Fraction(x) for x in u)
-    opt = _aux_optimum(setup, u, comp.support)
+    opt = lp.coefficient_optimum(setup, u, comp.support)
     if opt is None:
         raise UnboundedAux(
             f"auxiliary program unbounded for the component on support "
@@ -346,14 +279,10 @@ def gap_value(
 
 def _relaxation_value(inst: GapInstance, z) -> int | Fraction:
     """min c.v over v >= 0 congruent to z modulo the lattice's real span."""
-    setup = _aux_setup(inst)
-    base = _dots(inst.cost, (z,))[0]
-    if not setup.columns:
-        return base
-    opt = _aux_optimum(setup, z, range(inst.nvars))
+    opt = lp.coefficient_optimum(inst._aux_setup, z, range(inst.nvars))
     if opt is None:
         raise UnboundedProgram("relaxation unbounded below; preconditions violated")
-    return base - opt[0]
+    return _dots(inst.cost, (z,))[0] - opt[0]
 
 
 def _integer_optimum(inst: GapInstance, z) -> tuple[tuple[int, ...], int | Fraction]:
@@ -400,10 +329,7 @@ def gap_report(inst: GapInstance) -> GapReport:
     non-optimal ideal; zero (with an empty component list) when that
     ideal is zero.
     """
-    setup = _aux_setup(inst)
-    per = tuple(
-        ComponentGap(comp, *gap_value(comp, inst, setup=setup)) for comp in inst.components
-    )
+    per = tuple(ComponentGap(comp, *gap_value(comp, inst)) for comp in inst.components)
     best = max((e.value for e in per), default=Fraction(0))
     attaining = tuple(e.component for e in per if e.value == best)
     winner = attaining[0] if attaining else None
@@ -419,11 +345,6 @@ def gap(a, c, tiebreak: str = "grevlex") -> GapReport:
     report = gap_report(GapInstance.from_matrix(a, c, tiebreak))
     report.schrijver_bound  # computed on first read, so read it here
     return report
-
-
-def gap_lattice(l, c, tiebreak: str = "grevlex") -> GapReport:
-    """The lattice programming gap: fibers are residue classes z + L."""
-    return gap_report(GapInstance.from_lattice(l, c, tiebreak))
 
 
 def schrijver_bound(a: IntMatrix, c, *, lattice: LatticeBasis | None = None) -> Fraction:

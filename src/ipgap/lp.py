@@ -16,18 +16,21 @@ vertices the pivot path picks the one returned, so the path is part of
 the output: the cone center the fan walk reads, the grading saturation
 runs under, and the aux_optimum reports print for a component whose
 support is not rank-many.  The square auxiliary programs skip the
-simplex: each has one vertex, which gapcore solves for directly by
-_Tableau's pivots, so only 14 of the k4 report's 140 programs and 4 of
-perfbench ladder's 135 reach the simplex.  (120 of k4's have more than one optimal point, but all of
-those are square, and their optimal sets are rays from that vertex.)
-A faster solve must take the same pivots; tests/test_lp.py pins them.
+simplex: each has one vertex, which coefficient_optimum solves for
+directly by _Tableau's pivots, so only 14 of the k4 report's 140
+programs and 4 of perfbench ladder's 135 reach the simplex.  (120 of
+k4's have more than one optimal point, but all of those are square, and
+their optimal sets are rays from that vertex.)  A faster solve must take
+the same pivots; tests/test_lp.py pins them.
 
 Three set-ups pose every program of the package: the standard form
 min{c.x : a.x = b, x >= 0} of lp_value and feasible (the oracle's bounds
 and relaxations, Farkas's, Gordan's and the zero-cost-ray tests, the
-positive grading), the lattice-coefficient form of _coefficient_lp (the
-auxiliary programs and the witness relaxation that are not square) and
-fan._strict_point (the cone's center).
+positive grading), the lattice-coefficient form of coefficient_optimum
+over one CoefficientSetup per basis and cost (every auxiliary program
+and the witness relaxation: the square ones by one Gauss-Jordan pass,
+the others by _coefficient_lp's simplex) and fan._strict_point (the
+cone's center).
 
 The solver is written for the small dense problems this package produces;
 it is not a general-purpose LP code.
@@ -40,6 +43,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import isqrt, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .errors import BadParameter
 from .exactmath import _dots, _scaled
@@ -420,20 +424,89 @@ def feasible(rows, rhs) -> bool:
     return lp_value(rows, rhs, (0,) * len(rows[0])).status == OPTIMAL
 
 
-def _coefficient_lp(vectors, cost, base, rows) -> LPSolution:
-    """max cost.(base - v) over v = base - B t, t free, B = vectors as columns.
+class CoefficientSetup(NamedTuple):
+    """What the lattice-coefficient programs over one basis B at cost c share.
+
+    rows are B's, image is B^T c, summed in ints (_dots), and objective
+    is image as ints over scale.  gapcore.GapInstance keeps one at its own
+    cost.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    image: list
+    objective: list[int]
+    scale: int
+
+
+def coefficient_setup(basis, cost) -> CoefficientSetup:
+    """The CoefficientSetup of the IntMatrix basis, its columns B's, at cost."""
+    image = _dots(cost, basis.columns())
+    return CoefficientSetup(basis.rows, image, *_scaled(image))
+
+
+def _coefficient_lp(setup: CoefficientSetup, base, rows) -> LPSolution:
+    """max c.(base - v) over v = base - B t, t free, by the simplex.
 
     The constraints are v_i >= 0 for i in rows.  Posed over the
     coefficients t this is
-        max (B^T cost).t  s.t.  (row i of B).t <= base_i,
-    in len(vectors) free variables; the solution's x is t.  vectors and
-    base are integer; B^T cost is summed in ints (_dots).
+        max (B^T c).t  s.t.  (row i of B).t <= base_i,
+    in rank-many free variables; the solution's x is t.  base is integer.
     """
-    brows = tuple(zip(*vectors))
     prob = LPProblem(
-        objective=_dots(cost, vectors),
+        objective=setup.image,
         sense="max",
-        ub=tuple((brows[i], base[i]) for i in rows),
-        free=(True,) * len(vectors),
+        ub=tuple((setup.rows[i], base[i]) for i in rows),
+        free=(True,) * len(setup.image),
     )
     return solve(prob)
+
+
+def coefficient_optimum(
+    setup: CoefficientSetup, base, support
+) -> tuple[Fraction, list[int], int] | None:
+    """max (B^T c).t subject to (row i of B).t <= base_i for i in support.
+
+    Returns (value, t, d), the optimal t as ints over d, or None when the
+    program is unbounded.  A square program, one row per lattice
+    dimension with B_tau nonsingular, has the one vertex
+    t* = B_tau^-1 base_tau, and is bounded exactly when the y with
+    B_tau^T y = B^T c is >= 0; t* is then optimal.  One Gauss-Jordan pass
+    of the simplex's own fraction-free pivots (_Tableau) over the packed
+    rows [B_tau | I | base_tau] yields t* over the tableau's denominator
+    d and, in the objective row's slack entries, y.  The objective row
+    counts in the Hadamard bound that sizes the fields.  Every other
+    program, a singular B_tau included, goes to the simplex
+    (_coefficient_lp).
+    """
+    r = len(setup.image)
+    if len(support) == r:
+        rows = [
+            [*setup.rows[i], *(int(k == m) for m in range(r)), base[i]]
+            for k, i in enumerate(support)
+        ]
+        tab = _Tableau(rows, 2 * r + 1, prod(_norms2(rows + [setup.objective])))
+        tab.obj = -tab.pack(setup.objective)
+        live = list(range(r))
+        pivoted = []  # the row each column j was pivoted into
+        for j in range(r):
+            col = tab.column(j)
+            k = next((k for k in live if col[k]), None)
+            if k is None:
+                break
+            live.remove(k)
+            pivoted.append(k)
+            tab.pivot(k, j, 1, col)
+        else:
+            if any(tab.entry(tab.obj, j) < 0 for j in range(r, 2 * r)):
+                return None
+            d = tab.d
+            return (
+                Fraction(tab.rhs(tab.obj), setup.scale * d),
+                [tab.rhs(tab.rows[k]) for k in pivoted],
+                d,
+            )
+    sol = _coefficient_lp(setup, base, support)
+    if sol.status != OPTIMAL:
+        return None
+    t, d = _scaled(sol.x)
+    return sol.value, t, d

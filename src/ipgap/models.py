@@ -18,7 +18,7 @@ from math import prod
 
 from .errors import BadParameter
 from .exactmath import IntMatrix
-from .gapcore import GapInstance, GapReport, gap_report
+from .gapcore import GapInstance
 from .toric import TermOrder
 
 
@@ -88,6 +88,13 @@ def entry_instance(
 ) -> GapInstance:
     """Gap instance asking for the first cell's bound of the given sense.
 
+    sense=max measures the upper entry bound, sense=min the lower one.
+    Every face's rows sum each cell into some margin, so the fibers are
+    bounded, and the margin row blocks act transitively on cells, so the
+    first cell stands in for all of them.  The gap of
+    gap_report(entry_instance(model, sense)) is the worst LP error when
+    bounding one table entry over all margins.
+
     The unit cost leaves almost every pair of table moves tied, so the
     order is refined to a total one: each fiber gets a unique optimum and
     the non-optimal ideal is the full leading-term ideal.  The gap value
@@ -97,18 +104,6 @@ def entry_instance(
     """
     order = TermOrder.refined(_entry_cost(model, sense), tiebreak)
     return GapInstance.from_matrix(margin_matrix(model), order)
-
-
-def entry_gap(model: MarginalModel, sense: str = "max") -> GapReport:
-    """Worst LP error when bounding one table entry over all margins.
-
-    sense=max measures the upper entry bound, sense=min the lower one.
-    Every face's rows sum each cell into some margin, so the fibers are
-    bounded and the maximization sense is safe to pose as minimizing the
-    negated first unit cost.  The margin row blocks act transitively on
-    cells, so the first cell stands in for all of them.
-    """
-    return gap_report(entry_instance(model, sense))
 
 
 def k4_model() -> MarginalModel:

@@ -448,6 +448,9 @@ def test_box_validation(capsys):
     code, _, err = run(capsys, "oracle", COIN, "--box", "1,2")
     assert code == 2
     assert "box" in err
+    code, _, err = run(capsys, "oracle", COIN, "--box", "-1")
+    assert code == 2
+    assert "nonnegative" in err
     code, _, err = run(capsys, "oracle", K4)
     assert code == 2
 

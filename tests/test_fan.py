@@ -12,10 +12,9 @@ from ipgap.fan import (
     Cone,
     explore_cones,
     gap_fan_subdivide,
-    gap_function_eval,
     groebner_cone,
 )
-from ipgap.gapcore import GapInstance, LatticeIdeal, gap, gap_value
+from ipgap.gapcore import GapInstance, LatticeIdeal, gap, gap_report, gap_value
 from ipgap.toric import Binomial, GroebnerBasis, TermOrder, buchberger, is_generic
 
 COIN_A = IntMatrix([[1, 1, 1, 1], [1, 5, 10, 25]])
@@ -230,7 +229,9 @@ def test_coin_subdivision():
 
 
 def test_coin_eval():
-    value, piece = gap_function_eval(COIN_A, COIN_COST)
+    inst = GapInstance.from_matrix(COIN_A, COIN_COST)
+    value = gap_report(inst).gap
+    piece = next(p for p in gap_fan_subdivide(inst) if p.cone.contains(COIN_COST))
     assert value == Fraction(76, 15)
     assert (piece.winner.support, piece.winner.bound) == ((0, 1), (4, 2, 0, 0))
     assert dot(piece.linear_form, COIN_COST) == value
@@ -240,7 +241,9 @@ def test_coin_eval():
 
 def test_eval_positive_homogeneity():
     doubled = tuple(2 * x for x in COIN_COST)
-    value, piece = gap_function_eval(COIN_A, doubled)
+    inst = GapInstance.from_matrix(COIN_A, doubled)
+    value = gap_report(inst).gap
+    piece = next(p for p in gap_fan_subdivide(inst) if p.cone.contains(doubled))
     assert value == Fraction(152, 15)
     assert (piece.winner.support, piece.winner.bound) == ((0, 1), (4, 2, 0, 0))
 

@@ -33,7 +33,6 @@ from ipgap.gapcore import (
     GapReport,
     LatticeIdeal,
     gap,
-    gap_lattice,
     gap_report,
     gap_value,
     gap_witness,
@@ -110,7 +109,7 @@ def test_single_row_gap_past_machine_words():
 
 
 def test_doubled_line_lattice_gap():
-    r = gap_lattice(IntMatrix([[2]]), (1,))
+    r = gap_report(GapInstance.from_lattice(IntMatrix([[2]]), (1,)))
     assert r.gap == 1
     assert r.witness_z == (1,)
     assert r.schrijver_bound is None
@@ -128,9 +127,18 @@ def test_trivial_instance():
     assert r.witness_lp == 0
 
 
+def test_gap_value_on_a_trivial_kernel():
+    # rank 0: an empty support is the square case at r = 0, a full one a
+    # program in no variables; either way v is the corner and the value 0
+    inst = GapInstance.from_matrix([[1, 0], [0, 1]], (1, 1))
+    assert inst.lattice.ncols == 0 and inst.components == ()
+    assert gap_value(IrreducibleComponent((), (0, 0)), inst) == (0, (0, 0))
+    assert gap_value(IrreducibleComponent((0, 1), (3, 2)), inst) == (0, (3, 2))
+
+
 def test_finite_index_ordered_cost_gap():
     basis = IntMatrix([[4, 3, 0], [4, 5, 0], [4, 3, 2]])
-    r = gap_lattice(basis, TermOrder.degree_lexicographic(3))
+    r = gap_report(GapInstance.from_lattice(basis, TermOrder.degree_lexicographic(3)))
     assert r.gap == 7
     # two components tie; the canonical first one wins
     assert {(c.support, c.bound) for c in r.attaining} == {
@@ -711,10 +719,11 @@ def _square_programs_against_the_simplex(instances) -> tuple[int, int]:
         cols = inst.lattice.columns()
         rows = inst.lattice.rows
         objective, _ = _scaled(_dots(inst.cost, cols))
+        setup = lp.coefficient_setup(inst.lattice, inst.cost)
         for comp in inst.components:
             if len(comp.support) != len(cols):
                 continue
-            sol = lp._coefficient_lp(cols, inst.cost, comp.bound, comp.support)
+            sol = lp._coefficient_lp(setup, comp.bound, comp.support)
             t, d = _scaled(sol.x)
             v = tuple(Fraction(u * d - sum(map(mul, r, t)), d) for u, r in zip(comp.bound, rows))
             assert gap_value(comp, inst) == (sol.value, v)
@@ -762,7 +771,7 @@ def test_singular_square_support_falls_back_to_the_simplex(monkeypatch):
         components=(),
     )
     comp = IrreducibleComponent((0, 1), (2, 3, 0))
-    sol = lp._coefficient_lp(lattice.columns(), inst.cost, comp.bound, comp.support)
+    sol = lp._coefficient_lp(lp.coefficient_setup(lattice, inst.cost), comp.bound, comp.support)
     assert (sol.value, sol.x) == (2, (2, 0))
     calls = _counted_solves(monkeypatch)
     assert gap_value(comp, inst) == (2, (0, 1, 0))

@@ -656,7 +656,9 @@ def _coefficient_disagreements():
     bad = []
     for k, case in enumerate(COEFFICIENT_CASES):
         want = _fields(reference_solve(_fraction_coefficient_problem(*case)))
-        if _fields(lp._coefficient_lp(*case)) != want:
+        vectors, cost, base, rows = case
+        setup = lp.coefficient_setup(IntMatrix(vectors).transpose(), cost)
+        if _fields(lp._coefficient_lp(setup, base, rows)) != want:
             bad.append(k)
     return bad
 
@@ -728,6 +730,8 @@ def test_zero_cost_ray_verdict_matches_the_old_program():
         assert got == want, (span, c)
         if want:
             seen["ray"] += 1
-        elif lp._coefficient_lp(span, (-1,) * n, zeros, range(n)).status == lp.UNBOUNDED:
-            seen["positive-cost direction"] += 1
+        else:
+            setup = lp.coefficient_setup(IntMatrix(span).transpose(), (-1,) * n)
+            if lp._coefficient_lp(setup, zeros, range(n)).status == lp.UNBOUNDED:
+                seen["positive-cost direction"] += 1
     assert seen["ray"] >= 300 and seen["positive-cost direction"] >= 300, seen

@@ -11,7 +11,6 @@ from ipgap.models import (
     _entry_cost,
     cells,
     coin_instance,
-    entry_gap,
     entry_instance,
     k4_model,
     lattice_family,
@@ -110,7 +109,7 @@ def test_transportation_gap_zero():
     for d1, d2 in ((2, 2), (2, 3), (3, 3)):
         model = transportation_model(d1, d2)
         for sense in ("max", "min"):
-            assert entry_gap(model, sense).gap == 0
+            assert gap_report(entry_instance(model, sense)).gap == 0
         assert entry_degree_bound_check(model)
 
 
@@ -120,14 +119,14 @@ def test_transportation_ideal_squarefree():
 
 
 def test_full_face_model_is_trivial():
-    rep = entry_gap(MarginalModel((2, 2, 2, 2), ((1, 2, 3, 4),)))
+    rep = gap_report(entry_instance(MarginalModel((2, 2, 2, 2), ((1, 2, 3, 4),))))
     assert rep.gap == 0
     assert rep.winner is None
 
 
 def test_entry_sense_validation():
     with pytest.raises(BadParameter):
-        entry_gap(transportation_model(2, 2), "avg")
+        entry_instance(transportation_model(2, 2), "avg")
 
 
 def test_coin_instance_fixture():

@@ -191,10 +191,11 @@ def test_oracle_imports_only_lp_errors_and_exactmath():
     assert names <= {"lp", "errors", "exactmath"}
 
 
-# Bound monomials of k4's winning components, from entry_gap(k4_model(),
-# sense): the max one is the golden's witness z.  Under min the box holds
-# a lexicographically earlier point of the same difference, so the scan
-# stops there and the winner's bound is checked on its own fiber.
+# Bound monomials of k4's winning components, from
+# gap_report(entry_instance(k4_model(), sense)): the max one is the
+# golden's witness z.  Under min the box holds a lexicographically
+# earlier point of the same difference, so the scan stops there and the
+# winner's bound is checked on its own fiber.
 K4_MAX_WINNER = (0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)
 K4_MIN_WINNER = (1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0)
 K4_MIN_FIRST = (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0)

@@ -8,6 +8,7 @@ functions by name, so every name it reads must resolve.
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -92,3 +93,34 @@ def test_traced_names_resolve():
         elif not hasattr(home, path):
             missing.append(name)
     assert missing == []
+
+
+# Public names that only tests read.  The model constructors stay: they
+# are the package's named instances, like the ones demos and the README use.
+TEST_ONLY_EXPORTS = {"simplicial_model_representatives", "transportation_model"}
+
+
+def test_public_names_have_a_caller():
+    # every exported name is loaded by a module of the package (its
+    # def does not count) or named by the demos, the README or the
+    # benchmark; code only tests call does not belong in the public surface
+    loaded = set()
+    for path in MODULES:
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(), str(path))
+            loaded |= _names_read(tree)
+            loaded |= {
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            }
+    root = Path(__file__).resolve().parent.parent
+    texts = [root / "README.md", *sorted((root / "demos").iterdir())]
+    texts += sorted((root / "perfbench").glob("*.py"))
+    named = " ".join(p.read_text() for p in texts if p.is_file())
+    uncalled = {
+        name
+        for name in ipgap.__all__
+        if name not in loaded and not re.search(rf"\b{name}\b", named)
+    }
+    assert uncalled == TEST_ONLY_EXPORTS

@@ -325,7 +325,8 @@ def test_farkas_verdict_matches_the_coefficient_lp():
         if not span:
             continue
         c = tuple(Fraction(rng.randint(-3, 9), rng.randint(1, 4)) for _ in range(n))
-        want = lp._coefficient_lp(span, c, (0,) * n, range(n)).status == lp.UNBOUNDED
+        setup = lp.coefficient_setup(IntMatrix(span).transpose(), c)
+        want = lp._coefficient_lp(setup, (0,) * n, range(n)).status == lp.UNBOUNDED
         try:
             toric._check_span(span, c, "grevlex")
             got = False

@@ -6,7 +6,7 @@ from ipgap import lp, oracle
 from ipgap.errors import BadParameter
 from ipgap.exactmath import IntMatrix, kernel_lattice
 from ipgap.fan import Cone
-from ipgap.gapcore import GapInstance, gap_lattice, gap_value, schrijver_bound
+from ipgap.gapcore import GapInstance, gap_value, schrijver_bound
 from ipgap.models import coin_instance, lattice_family
 from ipgap.monomial import IrreducibleComponent, MonomialIdeal
 from ipgap.toric import Binomial, TermOrder, buchberger, ip_optimum, lattice_ideal_generators
@@ -53,7 +53,10 @@ FIRST = COIN.components[0]
             lambda: IrreducibleComponent((7,), (0, 0, 0, 0)), id="component-support-past-bound"
         ),
         pytest.param(lambda: IrreducibleComponent((5,), (0, 0)), id="component-support-outside"),
-        pytest.param(lambda: gap_lattice(lattice_family(5), (1, 1)), id="gap_lattice-short-cost"),
+        pytest.param(
+            lambda: GapInstance.from_lattice(lattice_family(5), (1, 1)),
+            id="gap_lattice-short-cost",
+        ),
         pytest.param(lambda: schrijver_bound(COIN_A, (1,)), id="schrijver_bound-short-cost"),
         pytest.param(
             lambda: oracle.brute_gap_box(COIN_A, (0, 1, 0), (1, 1, 1, 1)),
