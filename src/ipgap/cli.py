@@ -34,12 +34,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from . import oracle
-from .errors import BadParameter, IpgapError, ParseError, VerificationError
+from .errors import BadParameter, IpgapError, ParseError, Value, VerificationError
 from .exactmath import IntMatrix
 from .fan import DEFAULT_BUDGET, explore_cones, gap_fan_subdivide
 from .gapcore import GapInstance, GapReport, gap_report
@@ -48,8 +47,7 @@ from .monomial import IrreducibleComponent
 from .toric import TIEBREAKS
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(Value):
     """Parsed instance file, before flags are applied."""
 
     matrix: IntMatrix | None = None

@@ -21,13 +21,12 @@ unique, which is what lets kernel bases serve as fixtures in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import lshift, mul, neg
 
-from .errors import BadParameter, MinorCapExceeded
+from .errors import BadParameter, MinorCapExceeded, Value
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -45,8 +44,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable integer matrix stored as a tuple of row tuples.
 
     Rows may be empty (0 x n) and columns may be empty (m x 0); both occur

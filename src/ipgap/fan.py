@@ -16,7 +16,6 @@ interior points across facets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -27,6 +26,7 @@ from .errors import (
     DegenerateCone,
     MathDomainError,
     TrivialInstance,
+    Value,
     VerificationError,
 )
 from .exactmath import _primitive_vector, _scaled
@@ -35,8 +35,7 @@ from .monomial import IrreducibleComponent
 from .toric import GroebnerBasis, TermOrder, buchberger, is_generic
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Value):
     """Intersection of half-spaces {c : h.c >= 0}, h integral primitive."""
 
     nvars: int
@@ -109,8 +108,7 @@ def _full_dimensional(n, rows) -> bool:
     return not lp.feasible(cols + [(1,) * len(rows)], (0,) * n + (1,))
 
 
-@dataclass(frozen=True)
-class GapFanPiece:
+class GapFanPiece(Value):
     """Sub-cone of a Groebner cone where one component's form is maximal."""
 
     cone: Cone

@@ -18,8 +18,6 @@ index lattices are kernels of no integer matrix).
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import floor
@@ -32,6 +30,7 @@ from .errors import (
     MinorCapExceeded,
     UnboundedAux,
     UnboundedProgram,
+    Value,
     WitnessMismatch,
 )
 from .exactmath import (
@@ -64,8 +63,7 @@ from .toric import (
 LATTICE_MEMO_SIZE = 64
 
 
-@dataclass(frozen=True)
-class LatticeIdeal:
+class LatticeIdeal(Value):
     """The cost-independent layer: a lattice and its saturated ideal.
 
     lattice's columns generate the fibers' difference set, and generators
@@ -99,8 +97,7 @@ def _of_matrix(a: IntMatrix) -> LatticeIdeal:
     return _of_lattice(kernel_lattice(a))
 
 
-@dataclass(frozen=True)
-class GapInstance:
+class GapInstance(Value):
     """Everything the gap computation derives from one (A, c) or (L, c).
 
     matrix is A, None for a lattice given directly; lattice_ideal is the
@@ -183,8 +180,11 @@ class ComponentGap(NamedTuple):
     aux_optimum: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(
+    Value,
+    uncompared=("instance", "witness_optimum", "witness_ip", "witness_lp"),
+    unshown=("instance",),
+):
     """Result of a gap computation.
 
     per_component parallels the instance's component list; gap is the
@@ -202,10 +202,10 @@ class GapReport:
     winner: IrreducibleComponent | None
     attaining: tuple[IrreducibleComponent, ...]
     witness_z: tuple[int, ...]
-    instance: GapInstance = field(repr=False, compare=False)
-    witness_optimum: tuple[int, ...] = field(default=(), compare=False)
-    witness_ip: int | Fraction = field(default=0, compare=False)
-    witness_lp: int | Fraction = field(default=0, compare=False)
+    instance: GapInstance
+    witness_optimum: tuple[int, ...] = ()
+    witness_ip: int | Fraction = 0
+    witness_lp: int | Fraction = 0
 
     @cached_property
     def _schrijver(self) -> tuple[Fraction | None, str | None]:
@@ -302,11 +302,10 @@ def gap_witness(report: GapReport) -> GapReport:
     optimal point and both values.
     """
     inst = report.instance
+    head = report.per_component, report.gap, report.winner, report.attaining
     if report.winner is None:
         zero = (0,) * inst.nvars
-        return dataclasses.replace(
-            report, witness_z=zero, witness_optimum=zero, witness_ip=0, witness_lp=0
-        )
+        return GapReport(*head, zero, inst, zero, 0, 0)
     entry = next(e for e in report.per_component if e.component == report.winner)
     u = entry.component.bound
     vprime = tuple(max(0, -floor(v)) for v in entry.aux_optimum)
@@ -317,9 +316,7 @@ def gap_witness(report: GapReport) -> GapReport:
         raise WitnessMismatch(
             f"constructed witness attains {ip - relax}, expected {report.gap}"
         )
-    return dataclasses.replace(
-        report, witness_z=z, witness_optimum=point, witness_ip=ip, witness_lp=relax
-    )
+    return GapReport(*head, z, inst, point, ip, relax)
 
 
 def gap_report(inst: GapInstance) -> GapReport:

@@ -38,14 +38,13 @@ it is not a general-purpose LP code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .errors import BadParameter
+from .errors import BadParameter, Value
 from .exactmath import _dots, _scaled
 
 Vec = tuple[int | Fraction, ...]
@@ -60,8 +59,7 @@ def _exact(x) -> int | Fraction:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class LPProblem:
+class LPProblem(Value):
     """min or max of objective.x subject to eq rows, ub rows and signs.
 
     eq rows are pairs (row, rhs) meaning row.x == rhs; ub rows mean
@@ -71,35 +69,32 @@ class LPProblem:
     """
 
     objective: Vec
-    sense: str = "min"
-    eq: tuple[tuple[Vec, int | Fraction], ...] = ()
-    ub: tuple[tuple[Vec, int | Fraction], ...] = ()
-    free: tuple[bool, ...] = ()
+    sense: str
+    eq: tuple[tuple[Vec, int | Fraction], ...]
+    ub: tuple[tuple[Vec, int | Fraction], ...]
+    free: tuple[bool, ...]
 
-    def __post_init__(self):
-        put = partial(object.__setattr__, self)
-        put("objective", tuple(map(_exact, self.objective)))
-        if self.sense not in ("min", "max"):
-            raise BadParameter(f"sense must be min or max, got {self.sense!r}")
-        n = len(self.objective)
-        for name in ("eq", "ub"):
-            rows = getattr(self, name)
-            put(name, tuple((tuple(map(_exact, r)), _exact(b)) for r, b in rows))
-        for r, _ in self.eq + self.ub:
+    def __init__(self, objective, sense="min", eq=(), ub=(), free=()):
+        objective = tuple(map(_exact, objective))
+        if sense not in ("min", "max"):
+            raise BadParameter(f"sense must be min or max, got {sense!r}")
+        n = len(objective)
+        eq, ub = (tuple((tuple(map(_exact, r)), _exact(b)) for r, b in rows) for rows in (eq, ub))
+        for r, _ in eq + ub:
             if len(r) != n:
                 raise BadParameter("constraint row length disagrees with objective")
-        fr = tuple(bool(f) for f in self.free) if self.free else (False,) * n
-        if len(fr) != n:
+        free = tuple(bool(f) for f in free) if free else (False,) * n
+        if len(free) != n:
             raise BadParameter("free flag length disagrees with objective")
-        put("free", fr)
+        for name, value in zip(self._fields, (objective, sense, eq, ub, free)):
+            object.__setattr__(self, name, value)
 
     @property
     def nvars(self) -> int:
         return len(self.objective)
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(Value, uncompared=("pivots",)):
     """Outcome of solve().
 
     x and value refer to the caller's variables and sense.  pivots counts
@@ -110,7 +105,7 @@ class LPSolution:
     status: str
     value: Fraction | None = None
     x: Vec | None = None
-    pivots: int = field(default=0, compare=False)
+    pivots: int = 0
 
 
 # Tableau rows (and the reduced-cost row) are packed: the entries v_0 ..
@@ -332,11 +327,15 @@ def solve(problem: LPProblem) -> LPSolution:
 
     rows, scales, norms = [], [], []
     for k, (r, b) in enumerate(cons):
-        # each row is scaled to integers by its own denominator, and
-        # negative right-hand sides are flipped so the artificial basis is
-        # feasible; neither changes a ratio or a pivot
+        # each row is scaled to integers by its own denominator (1 for a
+        # row of ints, which LPProblem keeps as given), and negative
+        # right-hand sides are flipped so the artificial basis is feasible;
+        # neither changes a ratio or a pivot
         sign = -1 if b < 0 else 1
-        nums, scale = _scaled(r + (b,))
+        if type(b) is int and Fraction not in map(type, r):
+            nums, scale = [*r, b], 1
+        else:
+            nums, scale = _scaled(r + (b,))
         if sign < 0:
             nums = [-v for v in nums]
         row = nums[:n] + [0] * (width - n) + nums[n:]

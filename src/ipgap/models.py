@@ -11,19 +11,17 @@ throughout the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
-from .errors import BadParameter
+from .errors import BadParameter, Value
 from .exactmath import IntMatrix
 from .gapcore import GapInstance
 from .toric import TermOrder
 
 
-@dataclass(frozen=True)
-class MarginalModel:
+class MarginalModel(Value):
     """Table dimensions plus the released faces, in release order."""
 
     dims: tuple[int, ...]

@@ -13,10 +13,9 @@ it imports only errors and exactmath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import le
 
-from .errors import BadParameter, UnitIdeal, ZeroIdeal
+from .errors import BadParameter, UnitIdeal, Value, ZeroIdeal
 from .exactmath import _Packing
 
 Monomial = tuple[int, ...]
@@ -39,8 +38,7 @@ def minimal_generators(gens) -> tuple[Monomial, ...]:
     return tuple(sorted(keep))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     nvars: int
     gens: tuple[Monomial, ...]
 
@@ -67,8 +65,7 @@ class MonomialIdeal:
         return "<" + ", ".join(str(g) for g in self.gens) + ">"
 
 
-@dataclass(frozen=True, order=True)
-class IrreducibleComponent:
+class IrreducibleComponent(Value, order=True):
     """One component ``<x_i^(bound_i + 1) : i in support>``.
 
     bound is a full-length exponent vector, zero off the support.  The

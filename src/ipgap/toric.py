@@ -84,7 +84,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
@@ -92,13 +91,12 @@ from math import gcd, lcm
 from operator import mul
 
 from . import lp
-from .errors import BadParameter, NonTerminatingOrder, UnboundedProgram
+from .errors import BadParameter, NonTerminatingOrder, UnboundedProgram, Value
 from .exactmath import LatticeBasis, _dots, _Packing, _scaled, _span_basis
 from .monomial import Monomial, MonomialIdeal, divides
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Value):
     """x^plus - x^minus; the exponent difference is the lattice vector.
 
     Inside a GroebnerBasis, plus is the marked leading side under the
@@ -150,8 +148,7 @@ def _tiebreak(name: str, n: int):
     return degree, tuple((i, -1) for i in variables)
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(Value):
     """Compare exponent vectors by cost rows in sequence, then a tiebreak.
 
     cost may be a single rational vector (the usual case) or a sequence of
@@ -240,8 +237,7 @@ class TermOrder:
         return len(self.costs[0]) if self.costs else None
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Value):
     """Reduced basis; each element's plus side is its leading term."""
 
     elements: tuple[Binomial, ...]

@@ -2,13 +2,18 @@
 
 pyproject.toml declares no dependencies; this holds every module of
 src/ipgap to that, including imports inside functions, and every name a
-module imports must be read in it.  The benchmark's tracer wraps package
-functions by name, so every name it reads must resolve.
+module imports must be read in it.  Importing the package, its command
+and its oracle loads no module of Python's introspection machinery
+(dataclasses and what it pulls in: inspect, ast, dis, tokenize, copy)
+that a bare interpreter has not already loaded, since every worker
+process pays for those on start-up.  The benchmark's tracer wraps
+package functions by name, so every name it reads must resolve.
 """
 
 import ast
 import importlib.util
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,6 +73,24 @@ def test_module_imports_are_used(path):
     read = _names_read(tree)
     unused = sorted((line, name) for name, line in imported.items() if name not in read)
     assert unused == [], path.name
+
+
+# modules dataclasses would load; none is needed to import the package
+HEAVY_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+
+
+def test_import_loads_no_introspection_modules():
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(ipgap.__file__).parent.parent)!r})\n"
+        "bare = set(sys.modules)\n"
+        "import ipgap, ipgap.cli, ipgap.oracle\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    ).stdout
+    assert set(out.split()) & HEAVY_IMPORTS == set()
 
 
 def _bench_trace():
