@@ -127,10 +127,10 @@ class UnboundedAux(MathDomainError):
 
 
 class TrivialInstance(MathDomainError):
-    """Marker for instances whose non-optimal ideal is zero (gap 0).
+    """The instance's non-optimal ideal is zero, so its gap is 0.
 
-    The pipeline reports gap 0 rather than raising; this class exists for
-    callers that want to signal the condition themselves.
+    gap_fan_subdivide raises it, having no component to split the cone
+    by (and so `ipgap fan` exits 1); gap_report reports gap 0 instead.
     """
 
 

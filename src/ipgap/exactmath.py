@@ -77,10 +77,6 @@ class IntMatrix(Value):
     def ncols(self) -> int:
         return self.width
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.rows)
 
@@ -89,15 +85,6 @@ class IntMatrix(Value):
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.columns(), self.nrows)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise BadParameter("shape mismatch")
-        ot = other.columns()
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.rows),
-            other.ncols,
-        )
 
     def mul_vector(self, v) -> tuple[int, ...]:
         if len(v) != self.ncols:
@@ -133,9 +120,6 @@ class IntMatrix(Value):
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in r) for r in self.rows) or f"(0x{self.ncols})"
-
 
 # A lattice is handed around as the integer matrix whose columns generate it.
 LatticeBasis = IntMatrix
@@ -148,7 +132,7 @@ def _as_matrix(a) -> IntMatrix:
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
-    Returns (h, u) with u.mul(m) == h, u unimodular, h in the convention
+    Returns (h, u) with u . m = h (the matrix product), u unimodular, h in the convention
     documented at module top.  Runs in exact integer arithmetic; entries can
     grow but never overflow.
     """

@@ -118,10 +118,7 @@ class GapFanPiece(Value):
 
 def groebner_cone(gb: GroebnerBasis) -> Cone:
     """Closure of the costs reproducing this marked reduced basis."""
-    n = gb.nvars
-    if n is None:
-        raise BadParameter("cannot size the cone of an empty basis without costs")
-    return Cone(n, (g.vector() for g in gb.elements))
+    return Cone(gb.nvars, (g.vector() for g in gb.elements))
 
 
 def _component_form(inst: GapInstance, comp, cost) -> tuple[Fraction, ...]:

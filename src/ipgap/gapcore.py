@@ -144,7 +144,7 @@ class GapInstance(Value):
         cls, matrix, lattice_ideal: LatticeIdeal, cost, tiebreak, known: GroebnerBasis | None = None
     ) -> "GapInstance":
         order = cost if isinstance(cost, TermOrder) else TermOrder(cost, tiebreak)
-        c = order.cost  # an order without cost rows stops here, before any completion
+        c = order.cost
         if len(c) != lattice_ideal.lattice.nrows:
             raise BadParameter("cost length does not match the variable count")
         # a rejected cost saturates nothing; a passed check is remembered,

@@ -61,9 +61,6 @@ class MonomialIdeal(Value):
     def contains(self, m: Monomial) -> bool:
         return any(divides(g, m) for g in self.gens)
 
-    def __str__(self):
-        return "<" + ", ".join(str(g) for g in self.gens) + ">"
-
 
 class IrreducibleComponent(Value, order=True):
     """One component ``<x_i^(bound_i + 1) : i in support>``.

@@ -11,9 +11,11 @@ binomials.
 
 Every order here is weight rows followed by a tiebreak sequence of
 (variable, direction) pairs (Robbiano 1985): the triple (rows, degree row
-or None, sequence) that TermOrder.spec gives, the one form in which the
-Groebner core reads an order.  The first of the rows, then the degree
-row, on which two monomials differ decides, the larger dot product
+or None, sequence) that TermOrder.spec holds, the one form in which the
+Groebner core reads an order.  A TermOrder has at least one cost row;
+saturation's graded orders are triples with no row, built directly
+(_graded_revlex_spec).  The first of the rows, then the degree row, on
+which two monomials differ decides, the larger dot product
 winning; between monomials equal on every row, the first variable of the
 sequence in which they differ decides: direction 1 favours the larger
 exponent, -1 the smaller.  Every sequence here has one direction
@@ -154,32 +156,34 @@ class TermOrder(Value):
     cost may be a single rational vector (the usual case) or a sequence of
     vectors applied lexicographically; the latter expresses optimality
     notions like "degree lexicographically smallest", where the ordering
-    itself defines the optimum.  The tiebreak is grevlex, grlex or lex,
-    all reading the variables as x1 > x2 > ... > xn, or revgrevlex, which
-    is grevlex over the reversed variable list: after degree, ties go to
-    the point with more mass on early variables.
+    itself defines the optimum.  Every order has at least one cost row:
+    an empty cost raises BadParameter.  The tiebreak is grevlex, grlex or
+    lex, all reading the variables as x1 > x2 > ... > xn, or revgrevlex,
+    which is grevlex over the reversed variable list: after degree, ties
+    go to the point with more mass on early variables.
 
-    spec(n) is the order as the Groebner core reads it (see the module
-    docstring).  Equality and hashing read costs and tiebreak only.
+    spec is the order as the Groebner core reads it (see the module
+    docstring): the cost rows scaled to integers, then the tiebreak's
+    degree row and sequence.  Equality and hashing read costs and
+    tiebreak only.
     """
 
     costs: tuple[tuple[Fraction, ...], ...]
     tiebreak: str
 
-    def __init__(self, cost=(), tiebreak: str = "grevlex"):
+    def __init__(self, cost, tiebreak: str = "grevlex"):
         cost = tuple(cost)
-        if cost and not isinstance(cost[0], (tuple, list)):
+        if not cost:
+            raise BadParameter("order has no cost rows")
+        if not isinstance(cost[0], (tuple, list)):
             cost = (cost,)
         rows = tuple(tuple(Fraction(x) for x in row) for row in cost)
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
+        if len({len(r) for r in rows}) > 1:
             raise BadParameter("cost rows of unequal length")
-        degree, sequence = _tiebreak(tiebreak, len(rows[0]) if rows else 0)
         object.__setattr__(self, "costs", rows)
         object.__setattr__(self, "tiebreak", tiebreak)
-        if rows:
-            spec = (tuple(tuple(_scaled(r)[0]) for r in rows), degree, sequence)
-            object.__setattr__(self, "_spec", spec)
+        ints = tuple(tuple(_scaled(r)[0]) for r in rows)
+        object.__setattr__(self, "spec", (ints,) + _tiebreak(tiebreak, len(rows[0])))
 
     @classmethod
     def degree_lexicographic(cls, n: int) -> "TermOrder":
@@ -200,10 +204,8 @@ class TermOrder(Value):
         ideal rather than its strictly-suboptimal part.
         """
         base = cls(cost, tiebreak)
-        if not base.costs:
-            raise BadParameter("refined order needs at least one cost row")
         n = base.nvars
-        _, degree, sequence = base._spec
+        _, degree, sequence = base.spec
         rows = list(base.costs)
         if degree is not None:
             rows.append(degree)
@@ -211,30 +213,17 @@ class TermOrder(Value):
         for i, s in sequence[: n - (degree is not None)]:
             rows.append(tuple(s if j == i else 0 for j in range(n)))
         order = cls(tuple(rows), tiebreak)
-        object.__setattr__(order, "_spec", base._spec)
+        object.__setattr__(order, "spec", base.spec)
         return order
-
-    def spec(self, n: int) -> tuple:
-        """The order on n variables as (integer rows, degree row or None, sequence).
-
-        The cost rows scaled to integers, then the tiebreak's degree row
-        and sequence; n is read only when there is no cost row.  A
-        refined order gives its base order's spec.
-        """
-        if self.costs:
-            return self._spec
-        return ((),) + _tiebreak(self.tiebreak, n)
 
     @property
     def cost(self) -> tuple[Fraction, ...]:
         """The primary cost row (what gap values are measured in)."""
-        if not self.costs:
-            raise BadParameter("order has no cost rows")
         return self.costs[0]
 
     @property
-    def nvars(self) -> int | None:
-        return len(self.costs[0]) if self.costs else None
+    def nvars(self) -> int:
+        return len(self.costs[0])
 
 
 class GroebnerBasis(Value):
@@ -243,14 +232,8 @@ class GroebnerBasis(Value):
     elements: tuple[Binomial, ...]
     order: TermOrder
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
     @property
-    def nvars(self) -> int | None:
+    def nvars(self) -> int:
         return self.elements[0].nvars if self.elements else self.order.nvars
 
 
@@ -613,7 +596,7 @@ def check_order_preconditions(vectors, order: TermOrder) -> None:
     saturation spares the check of its saturated generators.
     """
     vectors = [v for v in vectors if any(v)]
-    if not vectors or not order.costs:
+    if not vectors:
         return
     if order.nvars != len(vectors[0]):
         raise BadParameter("cost length does not match the variable count")
@@ -659,7 +642,7 @@ def buchberger(gens, order: TermOrder) -> GroebnerBasis:
     if not gens:
         return GroebnerBasis((), order)
     sides = [(g.plus, g.minus) for g in gens]
-    core = _buchberger_core(sides, order.spec(gens[0].nvars))
+    core = _buchberger_core(sides, order.spec)
     return GroebnerBasis(tuple(Binomial(lead, trail) for lead, trail in core), order)
 
 
@@ -901,10 +884,8 @@ def lattice_ideal_generators(basis: LatticeBasis) -> tuple[Binomial, ...]:
 def is_generic(gb: GroebnerBasis) -> bool:
     """True iff the primary cost marks every element strictly.
 
-    Each lead costs more than its trail.  Without cost rows, True.
+    Each lead costs more than its trail.
     """
-    if not gb.order.costs:
-        return True
     return all(d > 0 for d in _dots(gb.order.cost, (g.vector() for g in gb.elements)))
 
 
@@ -934,9 +915,6 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     g's image, which a listed generator divides.  When every element is
     resolved this is the leading-term ideal.
     """
-    n = gb.nvars
-    if n is None:
-        raise BadParameter("cannot size the zero ideal without cost rows")
     gens: list[Monomial] = []
     tied: list[_Elt] = []
     vectors = [g.vector() for g in gb.elements]
@@ -951,7 +929,7 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
             image = tuple(a + max(x - y, 0) for a, x, y in zip(u, m, w))
             if not any(divides(g, image) for g in gens):
                 gens.append(image)
-    return MonomialIdeal(n, gens)
+    return MonomialIdeal(gb.nvars, gens)
 
 
 def ip_optimum(gb: GroebnerBasis, z) -> tuple[int, ...]:
@@ -963,7 +941,7 @@ def ip_optimum(gb: GroebnerBasis, z) -> tuple[int, ...]:
     """
     cur = tuple(map(int, z))
     n = gb.nvars
-    if n is not None and len(cur) != n:
+    if len(cur) != n:
         raise BadParameter("starting point length does not match the variable count")
     if min(cur, default=0) < 0:
         raise BadParameter("negative exponent in starting point")

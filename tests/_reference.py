@@ -1,8 +1,9 @@
 """Test-side reference implementations and cross-check oracles.
 
-Nothing in the package uses these: they restate lattice membership, the
-positive grading as its own linear program, saturation by every variable
-in turn, rational solving, the comparison a term order's spec defines,
+Nothing in the package uses these: they restate the identity and the
+product of integer matrices, lattice membership, the positive grading as
+its own linear program, saturation by every variable in turn, rational
+solving, the comparison a term order's spec defines,
 the Buchberger core, interreduction and normal forms on exponent tuples,
 Buchberger without pair criteria, the non-optimal ideal by completing
 the cost-initial forms, the maximal corners of a monomial ideal on
@@ -32,11 +33,29 @@ from ipgap.monomial import IrreducibleComponent, MonomialIdeal, divides
 from ipgap.toric import (
     Binomial,
     GroebnerBasis,
-    TermOrder,
     _graded_revlex_spec,
     _split,
     _support,
+    _tiebreak,
 )
+
+
+# ------------------------------------------------------------------ matrices
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The matrix product a . b."""
+    if a.ncols != b.nrows:
+        raise BadParameter("shape mismatch")
+    cols = b.columns()
+    return IntMatrix(
+        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.rows),
+        b.ncols,
+    )
 
 
 # ------------------------------------------------------------------ lattices
@@ -413,8 +432,6 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     pullback along its binomials until stable.
     """
     if not gb.elements:
-        if gb.nvars is None:
-            raise BadParameter("cannot size the zero ideal without cost rows")
         return MonomialIdeal(gb.nvars)
     n = gb.nvars
     forms = []
@@ -426,7 +443,7 @@ def non_optimal_ideal(gb: GroebnerBasis) -> MonomialIdeal:
             forms.append((g.plus, g.minus))
     if all(trail is None for _, trail in forms):
         return MonomialIdeal(n, (g.plus for g in gb.elements))
-    completed = buchberger_core(forms, comparator(*TermOrder((), gb.order.tiebreak).spec(n)))
+    completed = buchberger_core(forms, comparator(*((),) + _tiebreak(gb.order.tiebreak, n)))
     monomials = [lead for lead, trail in completed if trail is None]
     binomials = [(lead, trail) for lead, trail in completed if trail is not None]
     ideal = MonomialIdeal(n, monomials)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipgap
-from _reference import lattice_contains, lattice_span_equal, solve_rational
+from _reference import identity, lattice_contains, lattice_span_equal, matmul, solve_rational
 from ipgap.errors import BadParameter
 from ipgap.exactmath import IntMatrix, hermite_normal_form, kernel_lattice, xgcd
 
@@ -24,7 +24,7 @@ def test_intmatrix_basics():
     assert m.nrows == 2 and m.ncols == 2
     assert m.transpose().rows == ((1, 3), (2, 4))
     assert m.mul_vector((1, 1)) == (3, 7)
-    assert m.mul(IntMatrix.identity(2)).rows == m.rows
+    assert matmul(m, identity(2)).rows == m.rows
     assert m.det() == -2
     assert m.rank() == 2
     with pytest.raises(BadParameter):
@@ -36,7 +36,7 @@ def test_intmatrix_basics():
 def test_hnf_known_2x2():
     h, u = hermite_normal_form(IntMatrix([[2, 4], [6, 8]]))
     assert h.rows == ((2, 0), (0, 4))
-    assert u.mul(IntMatrix([[2, 4], [6, 8]])).rows == h.rows
+    assert matmul(u, IntMatrix([[2, 4], [6, 8]])).rows == h.rows
     assert abs(u.det()) == 1
 
 
@@ -44,7 +44,7 @@ def test_hnf_coin_constraints():
     a = IntMatrix([[1, 1, 1, 1], [1, 5, 10, 25]])
     h, u = hermite_normal_form(a)
     assert h.rows == ((1, 1, 1, 1), (0, 4, 9, 24))
-    assert u.mul(a).rows == h.rows
+    assert matmul(u, a).rows == h.rows
 
 
 def _hnf_shape_ok(h: IntMatrix) -> bool:
@@ -86,7 +86,7 @@ small_matrices = st.integers(1, 4).flatmap(
 def test_hnf_properties(rows):
     a = IntMatrix(rows)
     h, u = hermite_normal_form(a)
-    assert u.mul(a).rows == h.rows
+    assert matmul(u, a).rows == h.rows
     assert abs(u.det()) == 1
     assert _hnf_shape_ok(h)
 

@@ -57,9 +57,13 @@ def test_cone_normalization_and_contains():
         Cone(2, [(1, 2, 3)])
 
 
-def test_empty_basis_without_costs_has_no_cone():
-    with pytest.raises(BadParameter):
-        groebner_cone(GroebnerBasis((), TermOrder()))
+def test_empty_basis_has_its_orders_size_and_the_whole_cone():
+    # every order has a cost row, so an empty basis is still sized
+    with pytest.raises(BadParameter, match="^order has no cost rows$"):
+        TermOrder(())
+    gb = GroebnerBasis((), TermOrder((1, 2, 3)))
+    assert gb.nvars == 3
+    assert groebner_cone(gb) == Cone(3)
 
 
 def test_cone_interior_point():

@@ -7,7 +7,10 @@ and its oracle loads no module of Python's introspection machinery
 (dataclasses and what it pulls in: inspect, ast, dis, tokenize, copy)
 that a bare interpreter has not already loaded, since every worker
 process pays for those on start-up.  The benchmark's tracer wraps
-package functions by name, so every name it reads must resolve.
+package functions by name, so every name it reads must resolve.  Every
+exported name, and every public method and property of an exported
+class, has a caller outside the tests, but for the few listed here as
+test-only.
 """
 
 import ast
@@ -15,6 +18,8 @@ import importlib.util
 import re
 import subprocess
 import sys
+import types
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -123,27 +128,66 @@ def test_traced_names_resolve():
 TEST_ONLY_EXPORTS = {"simplicial_model_representatives", "transportation_model"}
 
 
+def _package_trees() -> list:
+    """The syntax trees of the package's modules but __init__."""
+    return [ast.parse(p.read_text(), str(p)) for p in MODULES if p.name != "__init__.py"]
+
+
+def _attributes_loaded(tree) -> set:
+    """Names a module loads as attributes: x.name, not a bare name."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _named_outside() -> str:
+    """The text of the README, the demos and the benchmark's files."""
+    root = Path(__file__).resolve().parent.parent
+    texts = [root / "README.md", *sorted((root / "demos").iterdir())]
+    texts += sorted((root / "perfbench").glob("*.py"))
+    return " ".join(p.read_text() for p in texts if p.is_file())
+
+
 def test_public_names_have_a_caller():
     # every exported name is loaded by a module of the package (its
     # def does not count) or named by the demos, the README or the
     # benchmark; code only tests call does not belong in the public surface
     loaded = set()
-    for path in MODULES:
-        if path.name != "__init__.py":
-            tree = ast.parse(path.read_text(), str(path))
-            loaded |= _names_read(tree)
-            loaded |= {
-                node.attr
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            }
-    root = Path(__file__).resolve().parent.parent
-    texts = [root / "README.md", *sorted((root / "demos").iterdir())]
-    texts += sorted((root / "perfbench").glob("*.py"))
-    named = " ".join(p.read_text() for p in texts if p.is_file())
+    for tree in _package_trees():
+        loaded |= _names_read(tree) | _attributes_loaded(tree)
+    named = _named_outside()
     uncalled = {
         name
         for name in ipgap.__all__
         if name not in loaded and not re.search(rf"\b{name}\b", named)
     }
     assert uncalled == TEST_ONLY_EXPORTS
+
+
+# Public methods that only tests read.  The two membership predicates
+# stay: they state in one line what the package tests inline (a cone's
+# strict inequalities, divisibility by a generator), and tests read
+# them to check the package's cones and ideals.
+TEST_ONLY_METHODS = {"Cone.contains", "MonomialIdeal.contains"}
+
+
+def test_public_methods_have_a_caller():
+    # every public method and property of an exported class is loaded as
+    # an attribute (x.name, not a bare name some module imports) by a
+    # module of the package, or named as one (.name) by the demos, the
+    # README or the benchmark
+    loaded = set().union(*map(_attributes_loaded, _package_trees()))
+    named = _named_outside()
+    kinds = (types.FunctionType, property, cached_property, classmethod, staticmethod)
+    uncalled = set()
+    for cls in (getattr(ipgap, name) for name in ipgap.__all__):
+        if not isinstance(cls, type):
+            continue
+        for attr, value in vars(cls).items():
+            if attr.startswith("_") or not isinstance(value, kinds):
+                continue
+            if attr not in loaded and not re.search(rf"\.{attr}\b", named):
+                uncalled.add(f"{cls.__name__}.{attr}")
+    assert uncalled == TEST_ONLY_METHODS

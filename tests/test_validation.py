@@ -71,7 +71,6 @@ FIRST = COIN.components[0]
         pytest.param(lambda: MonomialIdeal(2, [(1, 2, 3)]), id="MonomialIdeal-long-generator"),
         pytest.param(lambda: IntMatrix([[1, 2]], 3), id="IntMatrix-width"),
         pytest.param(lambda: IntMatrix([]), id="IntMatrix-empty-without-width"),
-        pytest.param(lambda: COIN_A.mul(COIN_A), id="mul-shape"),
         pytest.param(lambda: COIN_A.mul_vector((1, 2)), id="mul_vector-short-v"),
         pytest.param(lambda: COIN_A.det(), id="det-non-square"),
     ],
