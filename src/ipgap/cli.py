@@ -23,15 +23,17 @@ output, except lines starting with '#', which carry advisory notes: the
 elapsed time (on stderr with --format json, so stdout is one JSON
 document) and a Schrijver bound left out at its minor cap.
 Exact rationals are printed in lowest terms as p/q; decimal renderings
-are 10-digit truncations and advisory only.  Exit codes: 0 success,
-1 mathematical domain error, 2 bad input, 3 internal verification
-failure.
+are 10-digit truncations and advisory only.  Exit codes: 0 success
+(also when the reader closes stdout early, as `| head` does: the rest
+of the report is dropped quietly), 1 mathematical domain error, 2 bad
+input, 3 internal verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -658,10 +660,18 @@ def main(argv=None) -> int:
         out = json.dumps(data, indent=2)
     else:
         out = "\n".join(lines)
-    print(out)
-    # a JSON stdout holds the one document only
-    elapsed = sys.stderr if args.format == "json" else sys.stdout
-    print(f"# elapsed: {time.monotonic() - t0:.2f} s", file=elapsed)
+    try:
+        print(out)
+        # a JSON stdout holds the one document only
+        elapsed = sys.stderr if args.format == "json" else sys.stdout
+        print(f"# elapsed: {time.monotonic() - t0:.2f} s", file=elapsed)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: point stdout at os.devnull so the flush at exit
+        # raises nothing (the recipe in the signal module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

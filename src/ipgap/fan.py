@@ -88,7 +88,6 @@ def _strict_point(n, rows) -> tuple[Fraction, ...] | None:
             ub.append((tuple(e), 0))
     prob = lp.LPProblem(
         objective=zero_n + (1,) * n,
-        sense="min",
         ub=tuple(ub),
         free=(True,) * n + (False,) * n,
     )

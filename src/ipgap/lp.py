@@ -1,4 +1,4 @@
-"""Exact rational linear programming by two-phase primal simplex.
+"""Exact linear programming by two-phase primal simplex.
 
 No floating point anywhere: optima and infeasibility / unboundedness
 verdicts are exact.  The tableau is fraction-free (Edmonds 1967; Bareiss
@@ -7,8 +7,9 @@ row is one Python int holding its entries as signed fields of a fixed
 width, which Hadamard's bound sizes before the first pivot (_Tableau).  A
 pivot updates a row by two products and one exact division of packed
 ints; no gcd is taken.  Signs are read from the fields and ratios are
-compared by integer cross-products.  Inputs stay exact as given;
-Fractions are built for the returned value and point only.
+compared by integer cross-products.  Programs come in as integers and
+only minimise (LPProblem refuses any other number); optima go out as
+Fractions, built for the returned value and point only.
 
 Bland's smallest-index rule picks the entering and the leaving column,
 which ensures termination.  Where a program has several optimal
@@ -23,14 +24,16 @@ k4's have more than one optimal point, but all of those are square, and
 their optimal sets are rays from that vertex.)  A faster solve must take
 the same pivots; tests/test_lp.py pins them.
 
-Three set-ups pose every program of the package: the standard form
+Three set-ups pose every program of the package, each scaling what
+rationals it holds to integers once: the standard form
 min{c.x : a.x = b, x >= 0} of lp_value and feasible (the oracle's bounds
-and relaxations, Farkas's, Gordan's and the zero-cost-ray tests, the
-positive grading), the lattice-coefficient form of coefficient_optimum
-over one CoefficientSetup per basis and cost (every auxiliary program
-and the witness relaxation: the square ones by one Gauss-Jordan pass,
-the others by _coefficient_lp's simplex) and fan._strict_point (the
-cone's center).
+and relaxations, whose rational c lp_value scales, Farkas's, Gordan's
+and the zero-cost-ray tests, the positive grading), the
+lattice-coefficient form of coefficient_optimum over one CoefficientSetup
+per basis and cost (every auxiliary program and the witness relaxation:
+the square ones by one Gauss-Jordan pass, the others by _coefficient_lp's
+simplex, which minimises minus the setup's integer objective) and
+fan._strict_point (the cone's center).
 
 The solver is written for the small dense problems this package produces;
 it is not a general-purpose LP code.
@@ -40,53 +43,45 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, prod
-from operator import mul
+from math import isqrt, prod
+from operator import index, mul
 from typing import NamedTuple
 
 from .errors import BadParameter, Value
 from .exactmath import _dots, _scaled
 
-Vec = tuple[int | Fraction, ...]
+Vec = tuple[int, ...]
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _exact(x) -> int | Fraction:
-    """x itself if it is an int or a Fraction, else its exact Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-
 class LPProblem(Value):
-    """min or max of objective.x subject to eq rows, ub rows and signs.
+    """min of objective.x subject to eq rows, ub rows and signs.
 
     eq rows are pairs (row, rhs) meaning row.x == rhs; ub rows mean
     row.x <= rhs.  free[i] marks variable i as unrestricted in sign;
-    everything else is >= 0.  int and Fraction entries are kept as given;
-    any other number becomes its exact Fraction.
+    everything else is >= 0.  Every entry is an int, stored through
+    operator.index: a Fraction, float or Decimal raises TypeError.
     """
 
     objective: Vec
-    sense: str
-    eq: tuple[tuple[Vec, int | Fraction], ...]
-    ub: tuple[tuple[Vec, int | Fraction], ...]
+    eq: tuple[tuple[Vec, int], ...]
+    ub: tuple[tuple[Vec, int], ...]
     free: tuple[bool, ...]
 
-    def __init__(self, objective, sense="min", eq=(), ub=(), free=()):
-        objective = tuple(map(_exact, objective))
-        if sense not in ("min", "max"):
-            raise BadParameter(f"sense must be min or max, got {sense!r}")
+    def __init__(self, objective, eq=(), ub=(), free=()):
+        objective = tuple(map(index, objective))
         n = len(objective)
-        eq, ub = (tuple((tuple(map(_exact, r)), _exact(b)) for r, b in rows) for rows in (eq, ub))
+        eq, ub = (tuple((tuple(map(index, r)), index(b)) for r, b in rows) for rows in (eq, ub))
         for r, _ in eq + ub:
             if len(r) != n:
                 raise BadParameter("constraint row length disagrees with objective")
         free = tuple(bool(f) for f in free) if free else (False,) * n
         if len(free) != n:
             raise BadParameter("free flag length disagrees with objective")
-        for name, value in zip(self._fields, (objective, sense, eq, ub, free)):
+        for name, value in zip(self._fields, (objective, eq, ub, free)):
             object.__setattr__(self, name, value)
 
     @property
@@ -97,26 +92,25 @@ class LPProblem(Value):
 class LPSolution(Value, uncompared=("pivots",)):
     """Outcome of solve().
 
-    x and value refer to the caller's variables and sense.  pivots counts
-    the simplex pivots of both phases, including those that drive leftover
-    artificials out of the basis.
+    x and value are exact Fractions over the caller's variables.  pivots
+    counts the simplex pivots of both phases, including those that drive
+    leftover artificials out of the basis.
     """
 
     status: str
     value: Fraction | None = None
-    x: Vec | None = None
+    x: tuple[Fraction, ...] | None = None
     pivots: int = 0
 
 
 # Tableau rows (and the reduced-cost row) are packed: the entries v_0 ..
 # v_width of a row, its columns and then its rhs, are the one int
 # sum v_k 2^(k w), in signed fields of w bits.  They stand for the
-# rationals v_k / d, where d > 0, the last pivot, is shared by every row;
-# the objective row stands for its rationals over d times a fixed positive
-# scale of its own.  Columns are (j, sign), stored column j read with sign:
-# a free variable's minus column is its column negated, not stored.  An
-# artificial is only a basis index ncol + i, row i's unit column, which no
-# pivot reads.
+# rationals v_k / d, where d > 0, the last pivot, is shared by every row,
+# the objective row included.  Columns are (j, sign), stored column j read
+# with sign: a free variable's minus column is its column negated, not
+# stored.  An artificial is only a basis index ncol + i, row i's unit
+# column, which no pivot reads.
 
 
 def _norms2(rows) -> list[int]:
@@ -124,23 +118,20 @@ def _norms2(rows) -> list[int]:
     return [max(sum(map(mul, row, row)), 1) for row in rows]
 
 
-def _phase1_factor2(weights, least) -> int:
+def _phase1_factor2(count, least) -> int:
     """F^2 for an F such that phase 1's row stays within F times the rows' bound.
 
-    The row is minus the weighted sum of the rows whose artificial is
-    basic, so each of its entries is a minor of the other rows and that
-    sum (the bordered determinant, expanded along the artificials): at
-    most H sum_T w_k / least^((|T| - 1) / 2) for the set T of those rows,
-    H the product of the row norms and least the smallest squared norm.
-    Returns the largest square of that factor over |T|, rounded up.
+    The row is minus the sum of the rows whose artificial is basic, so
+    each of its entries is a minor of the other rows and that sum (the
+    bordered determinant, expanded along the artificials): at most
+    H |T| / least^((|T| - 1) / 2) for the set T of those rows, H the
+    product of the row norms and least the smallest squared norm.
+    Returns the largest square of that factor over |T| <= count, rounded
+    up.
     """
-    best = acc = 0
-    scale = 1
-    for wt in sorted(weights, reverse=True):
-        acc += wt
-        bound = -(-acc * acc // scale)
-        if bound > best:
-            best = bound
+    best, scale = 0, 1
+    for t in range(1, count + 1):
+        best = max(best, -(-t * t // scale))
         scale *= least
     return best
 
@@ -314,10 +305,8 @@ def _run_simplex(tab, basis, cols, scans):
 
 
 def solve(problem: LPProblem) -> LPSolution:
-    """Solve exactly; statuses optimal / infeasible / unbounded."""
+    """Minimize exactly; statuses optimal / infeasible / unbounded."""
     n = problem.nvars
-    minimize = problem.sense == "min"
-    c0 = problem.objective if minimize else tuple(-x for x in problem.objective)
     neq = len(problem.eq)
     cons = problem.eq + problem.ub
     m = len(cons)
@@ -325,36 +314,25 @@ def solve(problem: LPProblem) -> LPSolution:
     cols, minus = _bland_order(n, problem.free, width)
     ncol = len(cols)
 
-    rows, scales, norms = [], [], []
+    rows, norms = [], []
     for k, (r, b) in enumerate(cons):
-        # each row is scaled to integers by its own denominator (1 for a
-        # row of ints, which LPProblem keeps as given), and negative
-        # right-hand sides are flipped so the artificial basis is feasible;
-        # neither changes a ratio or a pivot
+        # negative right-hand sides are flipped so the artificial basis is
+        # feasible; that changes no ratio and no pivot
         sign = -1 if b < 0 else 1
-        if type(b) is int and Fraction not in map(type, r):
-            nums, scale = [*r, b], 1
-        else:
-            nums, scale = _scaled(r + (b,))
-        if sign < 0:
-            nums = [-v for v in nums]
+        nums = [*r, b] if sign > 0 else [-v for v in r] + [-b]
         row = nums[:n] + [0] * (width - n) + nums[n:]
         norm = sum(map(mul, nums, nums))
         if k >= neq:
-            row[n + k - neq] = sign * scale
-            norm += scale * scale
+            row[n + k - neq] = sign
+            norm += 1
         rows.append(row)
-        scales.append(scale)
         norms.append(norm or 1)  # Hadamard's factors, as _norms2 has them
     # phase 1 minimizes the sum of artificials: its reduced costs are minus
-    # the unscaled rows' sum, here over their common denominator; phase 2's
-    # row is the cost row, over its own
-    d = lcm(*scales)
-    weights = [d // s for s in scales]
-    nums, scale = _scaled(c0)
-    factor2 = max(_phase1_factor2(weights, min(norms, default=1)), sum(map(mul, nums, nums)))
+    # the rows' sum; phase 2's row is the cost row
+    c = problem.objective
+    factor2 = max(_phase1_factor2(m, min(norms, default=1)), sum(map(mul, c, c)))
     tab = _Tableau(rows, width + 1, prod(norms) * factor2)
-    tab.obj = -sum(map(mul, weights, tab.rows))
+    tab.obj = -sum(tab.rows)
     scans = _scans(tab, n, minus)
     basis = [ncol + i for i in range(m)]
     _, pivots = _run_simplex(tab, basis, cols, scans)
@@ -379,13 +357,13 @@ def solve(problem: LPProblem) -> LPSolution:
         tab.rows = [row for i, row in enumerate(tab.rows) if i not in drop]
         basis = [bv for i, bv in enumerate(basis) if i not in drop]
 
-    # phase 2: the real objective, over scale; a basic column (j, sign)
-    # holds sign * d in its row, so sign * c_j of that row clears it
-    obj = tab.d * tab.pack(nums)
+    # phase 2: the real objective; a basic column (j, sign) holds sign * d
+    # in its row, so sign * c_j of that row clears it
+    obj = tab.d * tab.pack(c)
     for row, bv in zip(tab.rows, basis):
         j, sign = cols[bv]
-        if j < n and nums[j]:
-            obj -= sign * nums[j] * row
+        if j < n and c[j]:
+            obj -= sign * c[j] * row
     tab.obj = obj
     ok, more = _run_simplex(tab, basis, cols, scans)
     pivots += more
@@ -397,22 +375,31 @@ def solve(problem: LPProblem) -> LPSolution:
         j, sign = cols[bv]
         if j < n:
             x[j] = Fraction(sign * tab.rhs(row), tab.d)
-    value = Fraction(-tab.rhs(tab.obj), tab.d * scale)
-    return LPSolution(
-        status=OPTIMAL, value=value if minimize else -value, x=tuple(x), pivots=pivots
-    )
+    value = Fraction(-tab.rhs(tab.obj), tab.d)
+    return LPSolution(status=OPTIMAL, value=value, x=tuple(x), pivots=pivots)
+
+
+def _over(sol: LPSolution, scale: int) -> LPSolution:
+    """sol with its value divided by the nonzero int scale."""
+    if sol.status != OPTIMAL or scale == 1:
+        return sol
+    return LPSolution(OPTIMAL, sol.value / scale, sol.x, sol.pivots)
 
 
 def lp_value(a, b, c) -> LPSolution:
     """Solve the relaxation min{c.x : a.x = b, x >= 0} exactly.
 
-    a is an IntMatrix (or row iterable), b and c plain sequences.  Returns
-    the full LPSolution; statuses cover infeasible and unbounded outcomes.
+    a is an IntMatrix (or row iterable) and b an int sequence; c may be
+    rational.  The program posed has c's numerators over their least
+    common denominator as its cost, which moves no pivot, and its value is
+    divided back by that denominator.  Returns the full LPSolution;
+    statuses cover infeasible and unbounded outcomes.
     """
     rows = a.rows if hasattr(a, "rows") else tuple(tuple(r) for r in a)
     if len(b) != len(rows):
         raise BadParameter("right-hand side length does not match the row count")
-    return solve(LPProblem(objective=c, eq=tuple(zip(rows, b))))
+    nums, scale = _scaled(c)
+    return _over(solve(LPProblem(objective=nums, eq=tuple(zip(rows, b)))), scale)
 
 
 def feasible(rows, rhs) -> bool:
@@ -426,21 +413,18 @@ def feasible(rows, rhs) -> bool:
 class CoefficientSetup(NamedTuple):
     """What the lattice-coefficient programs over one basis B at cost c share.
 
-    rows are B's, image is B^T c, summed in ints (_dots), and objective
-    is image as ints over scale.  gapcore.GapInstance keeps one at its own
-    cost.
+    rows are B's, and objective is B^T c (summed in ints, _dots) as ints
+    over scale.  gapcore.GapInstance keeps one at its own cost.
     """
 
     rows: tuple[tuple[int, ...], ...]
-    image: list
     objective: list[int]
     scale: int
 
 
 def coefficient_setup(basis, cost) -> CoefficientSetup:
     """The CoefficientSetup of the IntMatrix basis, its columns B's, at cost."""
-    image = _dots(cost, basis.columns())
-    return CoefficientSetup(basis.rows, image, *_scaled(image))
+    return CoefficientSetup(basis.rows, *_scaled(_dots(cost, basis.columns())))
 
 
 def _coefficient_lp(setup: CoefficientSetup, base, rows) -> LPSolution:
@@ -449,15 +433,16 @@ def _coefficient_lp(setup: CoefficientSetup, base, rows) -> LPSolution:
     The constraints are v_i >= 0 for i in rows.  Posed over the
     coefficients t this is
         max (B^T c).t  s.t.  (row i of B).t <= base_i,
-    in rank-many free variables; the solution's x is t.  base is integer.
+    in rank-many free variables, solved as the minimum of minus the
+    setup's integer objective, whose value is then divided by -scale; the
+    solution's x is t.  base is integer.
     """
     prob = LPProblem(
-        objective=setup.image,
-        sense="max",
+        objective=[-x for x in setup.objective],
         ub=tuple((setup.rows[i], base[i]) for i in rows),
-        free=(True,) * len(setup.image),
+        free=(True,) * len(setup.objective),
     )
-    return solve(prob)
+    return _over(solve(prob), -setup.scale)
 
 
 def coefficient_optimum(
@@ -477,7 +462,7 @@ def coefficient_optimum(
     program, a singular B_tau included, goes to the simplex
     (_coefficient_lp).
     """
-    r = len(setup.image)
+    r = len(setup.objective)
     if len(support) == r:
         rows = [
             [*setup.rows[i], *(int(k == m) for m in range(r)), base[i]]

@@ -268,12 +268,13 @@ def _drop_weights(rows, degree, w: int):
     With W the rows followed by the degree row (if any), W* = sum over k
     of W_k 2^(m (R - 1 - k)) for R rows, m one bit above the largest
     |W_k.(a - b)| that exponents below 2^w allow, so the sign of W*.(a - b)
-    is that of the first nonzero W_k.(a - b).  None when there is no row.
+    is that of the first nonzero W_k.(a - b).  W has a row: every spec
+    carries a cost row or a degree row.
     """
     if degree is not None:
         rows = rows + (degree,)
     if len(rows) < 2:
-        return rows[0] if rows else None
+        return rows[0]
     m = w + 1 + max(sum(map(abs, r)) for r in rows).bit_length()
     star = rows[0]
     for r in rows[1:]:
@@ -510,7 +511,7 @@ def _complete(
     # kept once
     oriented: dict[_Elt, None] = {}
     for a, b in inputs:
-        drop = sum(map(mul, star, a)) - sum(map(mul, star, b)) if star else 0
+        drop = sum(map(mul, star, a)) - sum(map(mul, star, b))
         oriented.setdefault(_orient(pack(a), pack(b), drop, rev))
     starts = list(oriented)
     basis: list[_Elt] = []
@@ -606,6 +607,7 @@ def check_order_preconditions(vectors, order: TermOrder) -> None:
 @lru_cache(maxsize=64)
 def _check_span(span: tuple[tuple[int, ...], ...], c, tiebreak: str) -> None:
     n = len(span[0])
+    c = _scaled(c)[0]  # a positive multiple of c gives both systems' verdicts
     # some v = -B^T t >= 0 has c.v < 0 exactly when max (B c).t over
     # B^T t <= 0 is unbounded, that is (Farkas) when its dual
     # {y >= 0 : B y = B c} is empty

@@ -99,7 +99,6 @@ def positive_orthogonal_weight(columns) -> tuple[int, ...] | None:
     n = len(columns[0])
     prob = lp.LPProblem(
         objective=(1,) * n,
-        sense="min",
         eq=tuple((tuple(col), 0) for col in columns),
         ub=tuple(
             (tuple(-1 if j == i else 0 for j in range(n)), -1) for i in range(n)

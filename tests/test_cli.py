@@ -422,18 +422,38 @@ def test_non_utf8_seed_file_exits_2(capsys, tmp_path):
     assert "not UTF-8" in err
 
 
-def test_python_dash_m_runs_the_cli(capsys):
+def _env():
+    """The environment for `python -m ipgap`, with this checkout's package first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_python_dash_m_runs_the_cli(capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "ipgap", "gap", COIN],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     _, out, _ = run(capsys, "gap", COIN)
     assert canonical(proc.stdout) == canonical(out)
+
+
+def test_closed_pipe_exits_quietly():
+    # as `ipgap gap demos/k4.txt --format json | head -c 10`: the report
+    # (about 90 KB) outgrows the pipe buffer, so the CLI writes into the
+    # closed pipe; it drops the rest and exits 0 with nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ipgap", "gap", str(DEMOS / "k4.txt"), "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(), bufsize=0,
+    )
+    assert proc.stdout.read(10) == b'{\n  "gap":'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_name_count_mismatch_exits_2(capsys, tmp_path):

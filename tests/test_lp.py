@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from _reference import relaxation_value
 from ipgap import cli, gapcore, lp, toric
-from ipgap.errors import BadParameter, EmptyFiber, NonTerminatingOrder, UnboundedProgram
+from ipgap.errors import EmptyFiber, NonTerminatingOrder, UnboundedProgram
 from ipgap.exactmath import IntMatrix, _dots, _scaled, _span_basis
 
 
@@ -28,12 +28,12 @@ def test_simple_min():
 
 
 def test_max_with_ub_rows():
-    # max 3x+2y st x+y <= 4, x+3y <= 6 -> (4,0) value 12
+    # max 3x+2y st x+y <= 4, x+3y <= 6, as min -3x-2y -> (4,0) value -12
     sol = lp.solve(
-        lp.LPProblem(objective=(3, 2), sense="max", ub=(((1, 1), 4), ((1, 3), 6)))
+        lp.LPProblem(objective=(-3, -2), ub=(((1, 1), 4), ((1, 3), 6)))
     )
     assert sol.status == lp.OPTIMAL
-    assert sol.value == 12
+    assert sol.value == -12
     assert sol.x == (Fraction(4), Fraction(0))
 
 
@@ -58,28 +58,36 @@ def test_infeasible():
 def test_unbounded():
     sol = lp.solve(lp.LPProblem(objective=(-1,), ub=()))
     assert sol.status == lp.UNBOUNDED
-    sol = lp.solve(lp.LPProblem(objective=(1,), sense="max", ub=(((-1,), 0),)))
+    sol = lp.solve(lp.LPProblem(objective=(-1,), ub=(((-1,), 0),)))
     assert sol.status == lp.UNBOUNDED
 
 
-def test_unknown_sense_is_rejected():
-    with pytest.raises(BadParameter):
-        lp.LPProblem(objective=(1,), sense="up")
+def test_lp_problem_takes_ints_only():
+    # an integral Fraction is refused too: entries are stored through
+    # operator.index, never truncated or converted
+    for number in (Fraction(1, 2), Fraction(2), 0.5, Decimal("0.5")):
+        with pytest.raises(TypeError):
+            lp.LPProblem(objective=(1, number))
+        with pytest.raises(TypeError):
+            lp.LPProblem(objective=(1, 1), ub=(((1, number), 2),))
+        with pytest.raises(TypeError):
+            lp.LPProblem(objective=(1, 1), eq=(((1, 1), number),))
 
 
 def test_degenerate_cycling_guard():
-    # classic Beale-style degenerate setup; Bland's rule must terminate
+    # classic Beale-style degenerate setup, each row and the cost scaled
+    # to integers (by 100, 50, 1 and 100); Bland's rule must terminate
     prob = lp.LPProblem(
-        objective=(Fraction(-3, 4), 150, Fraction(-1, 50), 6),
+        objective=(-75, 15000, -2, 600),
         ub=(
-            ((Fraction(1, 4), -60, Fraction(-1, 25), 9), 0),
-            ((Fraction(1, 2), -90, Fraction(-1, 50), 3), 0),
+            ((25, -6000, -4, 900), 0),
+            ((25, -4500, -1, 150), 0),
             ((0, 0, 1, 0), 1),
         ),
     )
     sol = lp.solve(prob)
     assert sol.status == lp.OPTIMAL
-    assert sol.value == Fraction(-1, 20)
+    assert sol.value == -5  # -1/20 before the cost's scale
 
 
 def test_coin_relaxation_value_and_point():
@@ -182,8 +190,13 @@ def test_float_oracle_agreement():
 #
 # The two-phase simplex on a tableau of Fraction cells, with the same
 # column layout, Bland's rule, artificial cleanup and drop path as lp.solve.
-# lp.solve must agree with it on everything, pivot count included, which
-# pins the pivot sequence.  `seen` collects the paths a problem exercised.
+# It takes rational problems in either sense (a Rational, or an
+# lp.LPProblem, which minimises).  On the integer problem lp.solve is
+# handed it must agree with lp.solve on everything, pivot count included,
+# which pins the pivot sequence.  `seen` collects the paths a problem
+# exercised.
+
+Rational = namedtuple("Rational", "objective sense eq ub free")
 
 
 def _ref_pivot(rows, obj, r, j):
@@ -234,9 +247,10 @@ def reference_solve(problem, seen=None):
     form min c.x, a.x = b, x >= 0, where y.b == c.xstd and c - y.a >= 0.
     """
     seen = set() if seen is None else seen
-    n = problem.nvars
-    minimize = problem.sense == "min"
-    c0 = problem.objective if minimize else tuple(-x for x in problem.objective)
+    n = len(problem.objective)
+    minimize = getattr(problem, "sense", "min") == "min"
+    # every cell a Fraction: an int cell would make a ratio an inexact float
+    c0 = [Fraction(x) if minimize else -Fraction(x) for x in problem.objective]
     minus = {}
     ncol = n
     for i in range(n):
@@ -255,18 +269,15 @@ def reference_solve(problem, seen=None):
     arows, brhs = [], []
     for k, (r, b) in enumerate(problem.eq + problem.ub):
         row = [Fraction(0)] * ncol
-        for i, a in enumerate(r):
+        for i, a in enumerate(map(Fraction, r)):
             row[i] = a
             if i in minus:
                 row[minus[i]] = -a
         if k >= len(problem.eq):
             row[slack[k - len(problem.eq)]] = Fraction(1)
         arows.append(row)
-        brhs.append(b)
+        brhs.append(Fraction(b))
     m = len(arows)
-    entries = [x for r in arows for x in r] + brhs
-    if arows and all(Fraction(x).denominator == 1 for x in entries):
-        seen.add("integral rows")
     flipped = [b < 0 for b in brhs]
     if any(flipped):
         seen.add("flip")
@@ -328,8 +339,37 @@ def _fields(sol):
     return sol.status, sol.value, sol.x, sol.pivots
 
 
+def _integral(prob):
+    """The lp.LPProblem of a Rational, as lp.solve takes it.
+
+    Each row is scaled by its own least common denominator, and the
+    objective by its own, negated for max.
+    """
+
+    def row(r, b):
+        nums, _ = _scaled(r + (b,))
+        return tuple(nums[:-1]), nums[-1]
+
+    nums, _ = _scaled(prob.objective)
+    sign = 1 if prob.sense == "min" else -1
+    return lp.LPProblem(
+        objective=tuple(sign * x for x in nums),
+        eq=tuple(row(r, b) for r, b in prob.eq),
+        ub=tuple(row(r, b) for r, b in prob.ub),
+        free=prob.free,
+    )
+
+
+def _unscaled(prob, sol):
+    """(status, value, x) of the lp.solve solution of _integral(prob), read as prob's."""
+    if sol.status != lp.OPTIMAL:
+        return sol.status, None, None
+    scale = _scaled(prob.objective)[1]
+    return sol.status, sol.value / (scale if prob.sense == "min" else -scale), sol.x
+
+
 def _random_problem(rng):
-    """A small LP mixing every path of the solver; see test_cross_check_coverage."""
+    """A small rational LP mixing every path of the solver; see test_cross_check_coverage."""
     n = rng.randint(1, 5)
 
     def coeff():
@@ -362,8 +402,8 @@ def _random_problem(rng):
     for _ in range(rng.randint(0, 3)):
         row = [coeff() for _ in range(n)]
         ub.append((row, rhs(row, rng.randint(0, 3))))
-    return lp.LPProblem(
-        objective=[coeff() for _ in range(n)],
+    return Rational(
+        objective=tuple(coeff() for _ in range(n)),
         sense=rng.choice(("min", "max")),
         eq=tuple((tuple(r), b) for r, b in eq),
         ub=tuple((tuple(r), b) for r, b in ub),
@@ -379,15 +419,22 @@ class _Runaway(Exception):
 
 
 def _disagreements(problems):
-    """Indices of the problems on which lp.solve differs from the reference."""
+    """Indices of the Rationals on which lp.solve differs from the reference.
+
+    lp.solve is handed _integral(prob) and must give the reference's
+    answer on that problem field for field, and prob's value and x.
+    """
     bad = []
     for k, prob in enumerate(problems):
-        want = _fields(reference_solve(prob))
+        posed = _integral(prob)
         try:
-            got = _fields(lp.solve(prob))
+            sol = lp.solve(posed)
         except _Runaway:
-            got = None
-        if got != want:
+            bad.append(k)
+            continue
+        if _fields(sol) != _fields(reference_solve(posed)):
+            bad.append(k)
+        elif _unscaled(prob, sol) != tuple(reference_solve(prob)[:3]):
             bad.append(k)
     return bad
 
@@ -411,7 +458,10 @@ def test_cross_check_against_fraction_tableau():
 def test_cross_check_coverage():
     seen = set()
     for prob in CROSS_CHECK:
-        reference_solve(prob, seen)
+        reference_solve(_integral(prob), seen)
+        entries = [x for r, b in prob.eq + prob.ub for x in r + (b,)]
+        if entries and all(Fraction(x).denominator == 1 for x in entries):
+            seen.add("integral rows")
         if prob.eq:
             seen.add("eq")
         if any(prob.free):
@@ -466,18 +516,17 @@ def test_cross_check_catches_unrescaled_zero_rows(monkeypatch):
 
 
 def test_exact_near_2_to_the_70():
-    # max x + y st (a+1)x + ay <= a^2, ax + (a+1)y <= a^2: optimum at
+    # min -x - y st (a+1)x + ay <= a^2, ax + (a+1)y <= a^2: optimum at
     # x = y = a^2/(2a+1), both rows tight
     a = 2**70
     prob = lp.LPProblem(
-        objective=(1, 1),
-        sense="max",
+        objective=(-1, -1),
         ub=(((a + 1, a), a * a), ((a, a + 1), a * a)),
     )
     sol = lp.solve(prob)
     t = Fraction(a * a, 2 * a + 1)
     assert sol.status == lp.OPTIMAL
-    assert sol.value == 2 * t
+    assert sol.value == -2 * t
     assert sol.x == (t, t)
     assert _fields(sol) == _fields(reference_solve(prob))
 
@@ -508,9 +557,9 @@ def test_tableau_reaching_hadamards_bound(monkeypatch):
 
     monkeypatch.setattr(lp._Tableau, "pivot", watched)
     unit = (1, 0, 0, 0, 0, 0, 0, 0)
-    for sense, c in [("min", unit), ("max", tuple(-x for x in unit[::-1])), ("min", (0,) * 8)]:
+    for c in [unit, unit[::-1], (0,) * 8]:
         largest.clear()
-        prob = lp.LPProblem(objective=c, sense=sense, eq=tuple((r, 0) for r in h))
+        prob = lp.LPProblem(objective=c, eq=tuple((r, 0) for r in h))
         sol = lp.solve(prob)
         assert _fields(sol) == _fields(reference_solve(prob))
         assert sol.x == (0,) * 8 and sol.pivots == 8
@@ -553,65 +602,8 @@ def test_cross_check_on_the_programs_the_package_poses(monkeypatch, capsys):
         assert _fields(lp.solve(prob)) == _fields(reference_solve(prob))
 
 
-# ------------------------------------------------------- exact inputs as given
-
-
-def _recast(prob, as_number):
-    """prob with every objective, row and right-hand-side entry mapped."""
-    vec = lambda v: tuple(map(as_number, v))
-    return lp.LPProblem(
-        objective=vec(prob.objective),
-        sense=prob.sense,
-        eq=tuple((vec(r), as_number(b)) for r, b in prob.eq),
-        ub=tuple((vec(r), as_number(b)) for r, b in prob.ub),
-        free=prob.free,
-    )
-
-
-def _int_if_integral(x):
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def test_integral_entries_as_ints_solve_alike():
-    # the rows are scaled to integers only in the tableau, so equal
-    # rationals give equal tableaux whichever type carries them
-    ints = 0
-    for prob in CROSS_CHECK:
-        as_ints = _recast(prob, _int_if_integral)
-        as_fractions = _recast(prob, Fraction)
-        entries = as_ints.objective + tuple(
-            x for r, b in as_ints.eq + as_ints.ub for x in r + (b,)
-        )
-        assert not any(type(x) is Fraction and x.denominator == 1 for x in entries)
-        ints += sum(type(x) is int for x in entries)
-        assert all(type(x) is Fraction for x in as_fractions.objective)
-        assert _fields(lp.solve(as_ints)) == _fields(lp.solve(as_fractions))
-    assert ints > 1000
-
-
-def test_other_numbers_are_converted_exactly():
-    # a float is read as the binary rational it holds, a Decimal as its
-    # decimal; ints stay ints
-    prob = lp.LPProblem(
-        objective=(1, Decimal("0.7"), 0),
-        sense="max",
-        ub=(((1, 1, 1), Decimal("2.5")), ((0.1, 0, 0), Fraction(1, 5))),
-    )
-    assert [type(x) for x in prob.objective] == [int, Fraction, int]
-    assert prob.objective == (1, Fraction(7, 10), 0)
-    assert prob.ub == (((1, 1, 1), Fraction(5, 2)), ((Fraction(0.1), 0, 0), Fraction(1, 5)))
-    assert Fraction(0.1) != Fraction(1, 10)
-    # x1 = 0.2 / float(0.1), just under 2, and x2 takes the rest of 2.5
-    t = Fraction(1, 5) / Fraction(0.1)
-    sol = lp.solve(prob)
-    assert t < 2
-    assert sol.x == (t, Fraction(5, 2) - t, 0)
-    assert sol.value == t + Fraction(7, 10) * (Fraction(5, 2) - t)
-
-
 def _fraction_coefficient_problem(vectors, cost, base, rows, extra=()):
-    """The all-Fraction LPProblem _coefficient_lp once built, written out.
+    """The all-Fraction max problem _coefficient_lp once posed, written out.
 
     Each (a, r) in extra adds the row a.v <= r, as the zero-cost-ray test
     once did.
@@ -625,9 +617,10 @@ def _fraction_coefficient_problem(vectors, cost, base, rows, extra=()):
     def dot(a, v):
         return sum((Fraction(x) * y for x, y in zip(a, v)), Fraction(0))
 
-    return lp.LPProblem(
+    return Rational(
         objective=image(cost),
         sense="max",
+        eq=(),
         ub=tuple((tuple(Fraction(v[i]) for v in vectors), Fraction(base[i])) for i in rows)
         + tuple((tuple(-x for x in image(a)), Fraction(r) - dot(a, base)) for a, r in extra),
         free=(True,) * len(vectors),
@@ -715,7 +708,7 @@ def test_zero_cost_ray_verdict_matches_the_old_program():
     while len(done) < 4000:
         span, c = _ray_case(rng)
         n = len(c)
-        if not span or (span, c) in done or not lp.feasible(span, _dots(c, span)):
+        if not span or (span, c) in done or not lp.feasible(span, _dots(_scaled(c)[0], span)):
             continue
         done.add((span, c))
         ones, zeros = (1,) * n, (0,) * n

@@ -449,7 +449,7 @@ def _random_elements(rng, n):
 
 
 def _random_order(rng, n, trial):
-    # a cost order, a saturation order or a tiebreak with no row
+    # a cost order, a saturation order or a tiebreak under a zero cost row
     kind = trial % 3
     if kind == 0:
         cost = tuple(rng.randrange(4) for _ in range(n))
@@ -457,7 +457,7 @@ def _random_order(rng, n, trial):
     if kind == 1:
         weights = tuple(rng.randrange(1, 4) for _ in range(n))
         return _graded_revlex_spec(weights, rng.randrange(n))
-    return ((),) + toric._tiebreak(rng.choice(TIEBREAKS), n)
+    return (((0,) * n,),) + toric._tiebreak(rng.choice(TIEBREAKS), n)
 
 
 def _assert_core_matches_references(elements, spec, *extra):
@@ -677,7 +677,7 @@ def test_packed_orientation_matches_compare():
             refined = TermOrder.refined(cost, tb)
             pairs += [(TermOrder(cost, tb).spec,) * 2, (refined.spec,) * 2]
             pairs += [(TermOrder(refined.costs, "lex").spec, refined.spec)]
-            pairs += [(((),) + toric._tiebreak(tb, n),) * 2]
+            pairs += [((((0,) * n,),) + toric._tiebreak(tb, n),) * 2]
         specs = [(spec, comparator(*definition)) for spec, definition in pairs]
         for _ in range(20):
             a = tuple(rng.randrange(12) for _ in range(n))
@@ -693,7 +693,7 @@ def test_packed_orientation_matches_compare():
                 rows, degree, sequence = spec
                 packing = toric._Packing(n, w, [i for i, _ in sequence])
                 star = toric._drop_weights(rows, degree, w)
-                drop = sum(map(mul, star, a)) - sum(map(mul, star, b)) if star else 0
+                drop = sum(map(mul, star, a)) - sum(map(mul, star, b))
                 lead = toric._orient(packing.pack(a), packing.pack(b), drop, sequence[0][1] < 0)[0]
                 want = a if compare(a, b) > 0 else b
                 assert packing.unpack(lead) == want, (spec, a, b)
@@ -1274,14 +1274,14 @@ def _assert_sorts_like(cmp, key, monomials):
 
 def test_orders_match_their_definitions():
     # every spec the package builds, read by the reference comparator,
-    # against a sort key written here: each tiebreak alone and after cost
-    # rows (refined ones included), on every monomial of degree <= 3 in 4
-    # variables
+    # against a sort key written here: each tiebreak under a zero cost row
+    # (which orders as no row does) and after cost rows (refined ones
+    # included), on every monomial of degree <= 3 in 4 variables
     monomials = _monomials(4, 3)
     for tb in TIEBREAKS:
         for n in (2, 4, 5):
             _assert_sorts_like(
-                comparator(*((),) + toric._tiebreak(tb, n)),
+                comparator(*(((0,) * n,),) + toric._tiebreak(tb, n)),
                 lambda m: _tiebreak_key(tb, m),
                 _monomials(n, 3),
             )

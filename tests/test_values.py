@@ -80,8 +80,8 @@ CASES = {
         ),
     ),
     "LPProblem": (
-        lambda: LPProblem((1, Fraction(1, 2)), "max", (((1, 1), 3),), (((1, 0), 2),), (True, False)),
-        ("objective", "sense", "eq", "ub", "free"),
+        lambda: LPProblem((1, 2), (((1, 1), 3),), (((1, 0), 2),), (True, False)),
+        ("objective", "eq", "ub", "free"),
         None,
     ),
     "LPSolution": (
@@ -186,7 +186,7 @@ def test_constructor_defaults_and_keywords():
     assert (sol.value, sol.x, sol.pivots) == (None, None, 0)
     assert LPSolution(status="optimal", x=(1,), value=2).x == (1,)
     prob = LPProblem((1, 2))
-    assert (prob.sense, prob.eq, prob.ub, prob.free) == ("min", (), (), (False, False))
+    assert (prob.eq, prob.ub, prob.free) == ((), (), (False, False))
     report = GapReport((), Fraction(0), None, (), (), None)
     assert (report.witness_optimum, report.witness_ip, report.witness_lp) == ((), 0, 0)
     gb = _gb()
